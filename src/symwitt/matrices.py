@@ -208,10 +208,6 @@ def determinant(m: RingMatrix):
     return minor((1 << n) - 1)
 
 
-def is_invertible(m: RingMatrix) -> bool:
-    return m.ring.is_unit(determinant(m))
-
-
 # ---------------------------------------------------------------------------
 # standard symplectic forms
 # ---------------------------------------------------------------------------

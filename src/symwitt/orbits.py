@@ -79,17 +79,11 @@ def _rank_one_update(ring: Ring, n: int, a, u: tuple, w: tuple) -> RingMatrix:
     return RingMatrix(ring, n, n, tuple(ent))
 
 
-def _absolute_tokens(ring: Ring, n: int) -> list:
-    toks = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for a in ring.elements():
-                if a == ring.zero:
-                    continue
-                toks.append(Elem(i, j, a))
-    return toks
+def _transvections(ring: Ring, n: int, pool) -> list:
+    return [(i, j, a)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1) if i != j
+            for a in pool if a != ring.zero]
 
 
 def _basis(ring: Ring, n: int, k: int) -> tuple:
@@ -100,10 +94,10 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
                           depth: int = 1) -> tuple:
     """Generator set for the elementary action at size n.
 
-    Absolute case: every e_{ij}(a) with a nonzero.  Relative case: every
-    g e_{ij}(a) g^{-1} with a in the ideal and g a product of at most
-    `depth` absolute transvections; a unit ideal collapses to the
-    absolute case.  Duplicate matrices are kept once (first token wins).
+    Every g e_{ij}(a) g^{-1} with a in the ideal and g a product of at
+    most `depth` absolute transvections.  The absolute case (no ideal or
+    a unit ideal) is depth zero with a ranging over the whole ring.
+    Duplicate matrices are kept once (first token wins).
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
@@ -112,54 +106,39 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
     if ideal is not None and ideal.ring != ring:
         raise RingMismatch("ideal over a different ring")
     relative = ideal is not None and not ideal.has_unit_generator()
-
-    out, seen = [], set()
-
-    def push(token, a, u, w):
-        m = _rank_one_update(ring, n, a, u, w)
-        if m.entries in seen:
-            return
-        seen.add(m.entries)
-        out.append(Generator(token, a, u, w, m))
-
-    if not relative:
-        for tok in _absolute_tokens(ring, n):
-            push(tok, tok.a, _basis(ring, n, tok.i - 1), _basis(ring, n, tok.j - 1))
-        return tuple(out)
-
-    cores = [(i, j, a)
-             for i in range(1, n + 1)
-             for j in range(1, n + 1) if i != j
-             for a in ideal.members() if a != ring.zero]
-    abs_toks = _absolute_tokens(ring, n)
-    if len(abs_toks) ** max(depth, 1) > 200_000:
+    cores = _transvections(ring, n, ideal.members() if relative else ring.elements())
+    depth = depth if relative else 0
+    conj = _transvections(ring, n, ring.elements()) if depth else []
+    if len(conj) ** depth > 200_000:
         raise BoundExceeded(
-            f"{len(abs_toks)}^{depth} conjugators is past the enumeration cap")
+            f"{len(conj)}^{depth} conjugators is past the enumeration cap")
+    steps = [(Elem(i, j, a),
+              _rank_one_update(ring, n, a, _basis(ring, n, i - 1),
+                               _basis(ring, n, j - 1)),
+              _rank_one_update(ring, n, ring.neg(a), _basis(ring, n, i - 1),
+                               _basis(ring, n, j - 1)))
+             for i, j, a in conj]
 
     ident = RingMatrix.identity(ring, n)
     layer = [((), ident, ident)]
     prefixes = list(layer)
     for _ in range(depth):
-        nxt = []
-        for toks, g, gi in layer:
-            for tok in abs_toks:
-                m = _rank_one_update(ring, n, tok.a,
-                                     _basis(ring, n, tok.i - 1),
-                                     _basis(ring, n, tok.j - 1))
-                mi = _rank_one_update(ring, n, ring.neg(tok.a),
-                                      _basis(ring, n, tok.i - 1),
-                                      _basis(ring, n, tok.j - 1))
-                nxt.append((toks + (tok,), g.mul(m), mi.mul(gi)))
-        prefixes.extend(nxt)
-        layer = nxt
+        layer = [(toks + (tok,), g.mul(m), mi.mul(gi))
+                 for toks, g, gi in layer for tok, m, mi in steps]
+        prefixes.extend(layer)
 
+    out, seen = [], set()
     for toks, g, gi in prefixes:
         for i, j, a in cores:
             # g e_ij(a) g^-1 = I + a * (g e_i) (e_j^T g^-1)
             u = tuple(g.get(r, i - 1) for r in range(n))
             w = tuple(gi.get(j - 1, c) for c in range(n))
+            m = _rank_one_update(ring, n, a, u, w)
+            if m.entries in seen:
+                continue
+            seen.add(m.entries)
             token = Elem(i, j, a) if not toks else Conj(toks, Elem(i, j, a))
-            push(token, a, u, w)
+            out.append(Generator(token, a, u, w, m))
     return tuple(out)
 
 
@@ -178,6 +157,7 @@ def _row_neighbors(ring: Ring, n: int, gens: Sequence[Generator]) -> Callable:
                 s = ring.add(s, ring.mul(x, ux))
             s = ring.mul(g.a, s)
             if s == zero:
+                out.append(state)
                 continue
             out.append(tuple(ring.add(state[t], ring.mul(s, g.w[t]))
                              for t in range(n)))
@@ -232,6 +212,7 @@ def _neighbors_for(action: str, ring: Ring, n: int,
 class OrbitPartition:
     ring: Ring
     objects: tuple
+    index: dict
     ids: tuple
     reps: tuple
     orbit_saturated: tuple
@@ -247,10 +228,10 @@ class OrbitPartition:
         return all(self.orbit_saturated)
 
     def id_of(self, state) -> int:
-        try:
-            return self.ids[self.objects.index(state)]
-        except ValueError:
+        k = self.index.get(state)
+        if k is None:
             raise VerificationFailed("state is not one of the partitioned objects")
+        return self.ids[k]
 
     def orbit_sizes(self) -> tuple:
         sizes = [0] * self.norbits
@@ -278,20 +259,27 @@ class OrbitPartition:
         return obj
 
 
-def _closure(seed, neighbors: Callable, bound: Optional[int]):
-    """Reachable set from seed; second value is False if the cap cut it off."""
-    comp = {seed}
-    queue = deque([seed])
-    while queue:
+def _bfs(start, neighbors: Callable, gens: Sequence[Generator],
+         bound: Optional[int], goal=None):
+    """Breadth-first search from start, trying generators in order.
+
+    Returns (links, complete): links maps every reached state to the
+    (parent, token) step that first reached it (None for start), and
+    complete is False if the bound cut the search off.  With a goal the
+    search stops once the goal is reached.
+    """
+    links = {start: None}
+    queue = deque([start])
+    while queue and goal not in links:
         x = queue.popleft()
-        for y in neighbors(x):
-            if y in comp:
+        for g, y in zip(gens, neighbors(x)):
+            if y in links:
                 continue
-            if bound is not None and len(comp) >= bound:
-                return comp, False
-            comp.add(y)
+            if bound is not None and len(links) >= bound:
+                return links, False
+            links[y] = (x, g.token)
             queue.append(y)
-    return comp, True
+    return links, True
 
 
 def _index_map(objects: Sequence) -> dict:
@@ -299,6 +287,11 @@ def _index_map(objects: Sequence) -> dict:
     if len(index) != len(objects):
         raise MalformedSpec("duplicate objects in orbit enumeration")
     return index
+
+
+def _meta(action: str, n: int, gens) -> dict:
+    shape = ("matrix", n) if action == ACTION_CONGRUENCE else ("row", n)
+    return {"action": action, "shape": shape, "generators": len(gens)}
 
 
 def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
@@ -326,7 +319,7 @@ def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
     for k, s in enumerate(objects):
         if ids[k] >= 0:
             continue
-        comp, saturated = _closure(s, neighbors, bound)
+        comp, saturated = _bfs(s, neighbors, generators, bound)
         members, overlap = [], False
         for x in comp:
             j = index.get(x)
@@ -346,78 +339,68 @@ def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
             ids[j] = oid
         reps.append(objects[members[0]])
         sat_flags.append(saturated and not overlap)
-    shape = ("matrix", n) if action == ACTION_CONGRUENCE else ("row", n)
-    return OrbitPartition(ring, objects, tuple(ids), tuple(reps),
-                          tuple(sat_flags), bound,
-                          {"action": action, "shape": shape,
-                           "generators": len(generators)})
+    return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
+                          tuple(sat_flags), bound, _meta(action, n, generators))
 
 
-def _additive_closure(ring: Ring, width: int, deltas) -> set:
-    zero_vec = (ring.zero,) * width
-    span = {zero_vec}
-    queue = deque(d for d in deltas if d != zero_vec)
-    seeds = tuple(queue)
-    for d in seeds:
-        span.add(d)
-    queue = deque(span - {zero_vec})
-    while queue:
-        x = queue.popleft()
-        for d in seeds:
-            y = tuple(ring.add(a, b) for a, b in zip(x, d))
-            if y not in span:
-                span.add(y)
-                queue.append(y)
+def _additive_span(ring: Ring, width: int, deltas) -> set:
+    """Additive subgroup of R^width generated by deltas.
+
+    Each delta d extends the span H by whole cosets H + d, H + 2d, ...
+    until k*d already lies in it, so every element is built once.
+    """
+    span = {(ring.zero,) * width}
+    for d in deltas:
+        coset, shift = span, d
+        while shift not in span:
+            coset = {tuple(map(ring.add, x, d)) for x in coset}
+            span |= coset
+            shift = tuple(map(ring.add, shift, d))
     return span
 
 
 def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
-                           n: int) -> OrbitPartition:
+                           n: int, closed: bool = True) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
 
     Every generator then moves a whole congruence coset by a constant
     vector, so each orbit is seed + (additive span of the per-generator
-    deltas) and saturation is unconditional.
+    deltas) and saturation is unconditional.  An orbit's members are the
+    listed objects in that coset; closed mode asserts it was listed whole.
     """
     neighbors = _neighbors_for(action, ring, n, gens)
     index = _index_map(objects)
-    width = len(objects[0])
-    zero_vec = (ring.zero,) * width
-
     ids = [-1] * len(objects)
     reps = []
     for k, s in enumerate(objects):
         if ids[k] >= 0:
             continue
-        deltas = set()
-        for t in neighbors(s):
-            deltas.add(tuple(ring.sub(a, b) for a, b in zip(t, s)))
-        span = _additive_closure(ring, width, deltas - {zero_vec})
-        members = []
-        for d in span:
-            t = tuple(ring.add(a, b) for a, b in zip(s, d))
-            j = index.get(t)
-            if j is None:
-                raise VerificationFailed("translation left the object set")
-            members.append(j)
-        members.sort()
-        oid = len(reps)
+        span = _additive_span(ring, len(s),
+                              {tuple(map(ring.sub, t, s)) for t in neighbors(s)})
+        members = [j for j in range(k, len(objects))
+                   if ids[j] < 0 and tuple(map(ring.sub, objects[j], s)) in span]
+        if closed and len(members) < len(span):
+            raise VerificationFailed("translation left the object set")
         for j in members:
-            ids[j] = oid
-        reps.append(objects[members[0]])
-    shape = ("matrix", n) if action == ACTION_CONGRUENCE else ("row", n)
-    return OrbitPartition(ring, objects, tuple(ids), tuple(reps),
-                          (True,) * len(reps), None,
-                          {"action": action, "shape": shape,
-                           "generators": len(gens), "fast_path": "translation"})
+            ids[j] = len(reps)
+        reps.append(s)
+    meta = _meta(action, n, gens)
+    meta["fast_path"] = "translation"
+    return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
+                          (True,) * len(reps), None, meta)
+
+
+# perfbench/tracing.py hooks both names, so the open-mode one stays bound
+_translation_partition_open = _translation_partition
 
 
 def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
-               ideal: Optional[Ideal], bound: Optional[int]) -> OrbitPartition:
+               ideal: Optional[Ideal], bound: Optional[int],
+               closed: bool = True) -> OrbitPartition:
     relative = ideal is not None and not ideal.has_unit_generator()
     if relative and ideal.products_vanish():
-        return _translation_partition(ring, objects, gens, action, n)
-    return orbit_bfs(objects, action, gens, bound=bound, closed=True)
+        return _translation_partition(ring, objects, gens, action, n, closed)
+    return orbit_bfs(objects, action, gens, bound=bound, closed=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +504,7 @@ class WittClassFamily:
         return len(self.final_reps)
 
     def class_of(self, state) -> int:
-        return self.final_ids[self.base.objects.index(state)]
+        return self.final_ids[self.base.index[state]]
 
     def to_obj(self) -> dict:
         n = self.size
@@ -533,15 +516,12 @@ class WittClassFamily:
                 "merges": list(self.merge_log), "saturated": self.saturated}
 
 
-def _union_roots(parent: list, a: int, b: int) -> bool:
+def _find(parent: list, a: int) -> int:
+    """Root of a's class (its smallest member), halving the path on the way."""
     while parent[a] != a:
+        parent[a] = parent[parent[a]]
         a = parent[a]
-    while parent[b] != b:
-        b = parent[b]
-    if a == b:
-        return False
-    parent[max(a, b)] = min(a, b)
-    return True
+    return a
 
 
 def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
@@ -563,7 +543,7 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     saturated = base.saturated
 
     for t in range(1, levels + 1):
-        roots = sorted({_root(parent, c) for c in range(base.norbits)})
+        roots = sorted({_find(parent, c) for c in range(base.norbits)})
         if len(roots) <= 1:
             merge_log.append({"t": t, "skipped": "single class"})
             continue
@@ -572,24 +552,21 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
         seeds = tuple(orth_sum(RingMatrix(ring, size, size, base.reps[c]),
                                pad).entries for c in roots)
         gens = elementary_generators(ring, padded, ideal, depth)
-        relative = not ideal.has_unit_generator()
-        if relative and ideal.products_vanish():
-            part = _translation_partition_open(ring, seeds, gens, padded)
-        else:
-            part = orbit_bfs(seeds, ACTION_CONGRUENCE, gens,
-                             bound=bound, closed=False)
+        part = _partition(ring, seeds, gens, ACTION_CONGRUENCE, padded, ideal,
+                          bound, closed=False)
         merged = []
         for oid in range(part.norbits):
             group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
             if len(group) > 1:
                 merged.append(group)
+                # distinct roots, smallest first: link the rest under it
                 for other in group[1:]:
-                    _union_roots(parent, group[0], other)
+                    parent[other] = group[0]
         saturated = saturated and part.saturated
         merge_log.append({"t": t, "merged": merged,
                           "saturated": part.saturated})
 
-    final_root = [_root(parent, c) for c in range(base.norbits)]
+    final_root = [_find(parent, c) for c in range(base.norbits)]
     relabel, order = {}, []
     for r in final_root:
         if r not in relabel:
@@ -600,44 +577,6 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     final_reps = tuple(base.reps[r] for r in order)
     return WittClassFamily(ring, ideal, size, levels, depth, base,
                            tuple(merge_log), final_ids, final_reps, saturated)
-
-
-def _root(parent: list, a: int) -> int:
-    while parent[a] != a:
-        a = parent[a]
-    return a
-
-
-def _translation_partition_open(ring: Ring, seeds: tuple, gens,
-                                n: int) -> OrbitPartition:
-    """Translation orbits of padded seeds without enumerating the universe."""
-    neighbors = _neighbors_for(ACTION_CONGRUENCE, ring, n, gens)
-    width = len(seeds[0])
-    zero_vec = (ring.zero,) * width
-    ids = [-1] * len(seeds)
-    reps = []
-    for k, s in enumerate(seeds):
-        if ids[k] >= 0:
-            continue
-        deltas = set()
-        for t in neighbors(s):
-            deltas.add(tuple(ring.sub(a, b) for a, b in zip(t, s)))
-        span = _additive_closure(ring, width, deltas - {zero_vec})
-        oid = len(reps)
-        members = [k]
-        for j in range(k + 1, len(seeds)):
-            if ids[j] >= 0:
-                continue
-            d = tuple(ring.sub(a, b) for a, b in zip(seeds[j], s))
-            if d in span:
-                members.append(j)
-        for j in members:
-            ids[j] = oid
-        reps.append(s)
-    return OrbitPartition(ring, seeds, tuple(ids), tuple(reps),
-                          (True,) * len(reps), None,
-                          {"action": ACTION_CONGRUENCE, "shape": ("matrix", n),
-                           "generators": len(gens), "fast_path": "translation"})
 
 
 # ---------------------------------------------------------------------------
@@ -664,41 +603,19 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
         gens = elementary_generators(ring, n, x.ideal, depth)
         start = orth_sum(y.rep, chi_n(ring, hx + t)).entries
         goal = orth_sum(x.rep, chi_n(ring, hy + t)).entries
-        tokens = _path_tokens(ring, n, gens, start, goal, bound)
-        if tokens is None:
+        links, _ = _bfs(start, _congruence_neighbors(ring, n, gens), gens,
+                        bound, goal)
+        if goal not in links:
             continue
-        cert = EquivalenceCertificate(t, GroupWord(ring, n, tokens))
+        tokens, state = [], goal
+        while links[state] is not None:
+            state, tok = links[state]
+            tokens.append(tok)
+        tokens.reverse()
+        cert = EquivalenceCertificate(t, GroupWord(ring, n, tuple(tokens)))
         if not verify_equivalence(x, y, cert):
             raise VerificationFailed("path replay failed to verify")
         return cert
-    return None
-
-
-def _path_tokens(ring: Ring, n: int, gens, start, goal,
-                 bound: Optional[int]) -> Optional[tuple]:
-    if start == goal:
-        return ()
-    neighbors = _congruence_neighbors(ring, n, gens)
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        nbrs = neighbors(x)
-        for g, y in zip(gens, nbrs):
-            if y in parents:
-                continue
-            if bound is not None and len(parents) >= bound:
-                return None
-            parents[y] = (x, g.token)
-            if y == goal:
-                toks = []
-                cur = y
-                while parents[cur] is not None:
-                    cur, tok = parents[cur]
-                    toks.append(tok)
-                toks.reverse()
-                return tuple(toks)
-            queue.append(y)
     return None
 
 
@@ -725,8 +642,8 @@ def vdk_product_aligned(u: UmRow, v: UmRow, depth: int = 1,
     ring, n = u.ring, u.n
     gens = elementary_generators(ring, n, u.ideal, depth)
     neighbors = _row_neighbors(ring, n, gens)
-    orb_u, sat_u = _closure(u.entries, neighbors, bound)
-    orb_v, sat_v = _closure(v.entries, neighbors, bound)
+    orb_u, sat_u = _bfs(u.entries, neighbors, gens, bound)
+    orb_v, sat_v = _bfs(v.entries, neighbors, gens, bound)
 
     def key(state):
         return tuple(ring.element_index(x) for x in state)
@@ -824,13 +741,12 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     ideal = ideal if ideal is not None else unit_ideal(ring)
     rows = um_orbit_partition(ring, 3, ideal, depth, bound)
     classes = witt_classes_bounded(ring, ideal, 4, levels, depth, bound)
-    state_index = {s: k for k, s in enumerate(classes.base.objects)}
 
     notes = []
     per_class: dict = {}
     for state, mse_id in zip(rows.objects, rows.ids):
         sym = vaserstein_symbol(um_row(ring, state, ideal))
-        k = state_index.get(sym.rep.entries)
+        k = classes.base.index.get(sym.rep.entries)
         if k is None:
             raise VerificationFailed("symbol landed outside the universe")
         per_class.setdefault(mse_id, set()).add(classes.final_ids[k])

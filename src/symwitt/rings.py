@@ -1407,10 +1407,6 @@ class El:
 # the named maps between the tower's floors
 # ---------------------------------------------------------------------------
 
-def enumerate_elements(ring: Ring) -> tuple:
-    return ring.elements()
-
-
 def excision_section(ring: ExcisionRing, r):
     """The multiplicative section r -> (r, 0)."""
     ring.base.check(r)

@@ -2,6 +2,7 @@
 certificate search, and the bijectivity report."""
 
 import itertools
+import random
 
 import pytest
 
@@ -33,7 +34,14 @@ from symwitt import (
     witt_classes_bounded,
     witt_universe,
 )
-from symwitt.orbits import ACTION_CONGRUENCE, ACTION_ROW, CONFIRMED, INCONCLUSIVE
+from symwitt.orbits import (
+    ACTION_CONGRUENCE,
+    ACTION_ROW,
+    CONFIRMED,
+    INCONCLUSIVE,
+    _additive_span,
+    _partition,
+)
 
 F2 = zmod(2)
 F3 = zmod(3)
@@ -129,6 +137,56 @@ def test_translation_fast_path_matches_generic_bfs():
     alt_slow = orbit_bfs(alt_fast.objects, ACTION_CONGRUENCE,
                          elementary_generators(M4, 4, I24, 1))
     assert alt_fast.ids == alt_slow.ids
+
+    # open mode, as the stabilization levels use it: only listed seeds get
+    # ids, and a seed subset need not hold whole orbits
+    m8, m9 = zmod(8), zmod(9)
+    cases = [(ring, ideal, ACTION_CONGRUENCE, 4,
+              tuple(m.entries for m in witt_universe(ring, ideal, 4)))
+             for ring, ideal in ((M4, I24), (m8, ideal_of(m8, 4)))]
+    i39 = ideal_of(m9, 3)
+    cases.append((m9, i39, ACTION_ROW, 3,
+                  tuple(r.entries for r in enumerate_um(m9, 3, i39))))
+    for ring, ideal, action, n, objects in cases:
+        gens = elementary_generators(ring, n, ideal, 1)
+        for seeds in (objects, objects[::3], objects[1::5]):
+            fast = _partition(ring, seeds, gens, action, n, ideal, None,
+                              closed=False)
+            slow = orbit_bfs(seeds, action, gens, closed=False)
+            assert fast.meta["fast_path"] == "translation"
+            assert fast.ids == slow.ids
+            assert fast.reps == slow.reps
+        # closed mode refuses a subset that cuts an orbit
+        with pytest.raises(VerificationFailed):
+            _partition(ring, objects[::3], gens, action, n, ideal, None)
+
+
+def _brute_span(n, width, deltas):
+    return {tuple(sum(c * d[t] for c, d in zip(coeffs, deltas)) % n
+                  for t in range(width))
+            for coeffs in itertools.product(range(n), repeat=len(deltas))}
+
+
+@pytest.mark.parametrize("n, deltas", [
+    (8, [(1, 2, 0)]),                       # order 8
+    (8, [(2, 4, 6), (4, 0, 4)]),            # orders 4 and 2
+    (9, [(3, 6, 0)]),                       # order 3
+    (9, [(1, 3, 0), (0, 3, 3)]),            # order 9 plus order 3
+    (12, [(4, 8, 0), (3, 0, 9)]),           # orders 3 and 4
+    (12, [(4, 0, 0), (6, 6, 0), (0, 0, 0)]),
+    (12, []),
+])
+def test_additive_span_matches_brute_force(n, deltas):
+    assert _additive_span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
+
+
+def test_additive_span_random_deltas():
+    rng = random.Random(20210205)
+    for n in (8, 9, 12):
+        for _ in range(30):
+            deltas = [tuple(rng.randrange(n) for _ in range(3))
+                      for _ in range(rng.randint(1, 3))]
+            assert _additive_span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
 
 
 def test_witt_universe_counts():
