@@ -29,14 +29,16 @@ from .matrices import (
     Elem,
     GroupWord,
     RingMatrix,
+    StandardForm,
     chi_n,
+    congruent_mod_ideal,
     orth_sum,
     pfaffian,
 )
 from .witt import (
+    _SIGN_PAIRS,
     EquivalenceCertificate,
     WittSymbol,
-    standard_form_witness,
     verify_equivalence,
 )
 from .umrows import UmRow, _finite_complete, um_row, vaserstein_symbol, vdk_product
@@ -444,29 +446,49 @@ def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
 
 def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
     """Alternating size x size matrices with Pfaffian one and a standard
-    witness modulo the ideal.  det = Pf^2, so these are all invertible."""
+    witness modulo the ideal.  det = Pf^2, so these are all invertible.
+
+    A matrix has a witness iff it lies in F + Alt(I) for a standard form
+    F, where Alt(I) holds the alternating matrices with upper-triangle
+    entries in I.  So the universe is built coset by coset: the forms
+    are deduplicated modulo I (equal cosets, or disjoint ones), each
+    coset is enumerated and kept where the Pfaffian is one.  A unit
+    ideal gives a single coset, every alternating matrix.  The result is
+    sorted by the element indices of the upper triangle, which is the
+    order of enumerating every alternating matrix over ring.elements().
+    """
     if size < 2 or size % 2:
         raise SizeMismatch(f"universe size must be even and positive, got {size}")
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate matrices over {ring.describe()}")
     pos = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    elems = ring.elements()
-    if len(elems) ** len(pos) > MEMORY_CAP:
+    forms = []
+    for r in range(size // 2 + 1):
+        for signs in _SIGN_PAIRS:
+            form = StandardForm(r, size // 2, signs).realize(ring)
+            if not any(congruent_mod_ideal(form, g, ideal) for g in forms):
+                forms.append(form)
+    pool = ring.elements() if ideal.has_unit_generator() else ideal.members()
+    if len(forms) * len(pool) ** len(pos) > MEMORY_CAP:
         raise BoundExceeded(
-            f"{len(elems)}^{len(pos)} matrices is past the memory cap")
+            f"{len(forms)} form cosets x {len(pool)}^{len(pos)} matrices "
+            f"is past the memory cap of {MEMORY_CAP}")
     out = []
-    for combo in itertools.product(elems, repeat=len(pos)):
-        ent = [ring.zero] * (size * size)
-        for (i, j), a in zip(pos, combo):
-            ent[i * size + j] = a
-            ent[j * size + i] = ring.neg(a)
-        m = RingMatrix(ring, size, size, tuple(ent))
-        if pfaffian(m) != ring.one:
-            continue
-        if standard_form_witness(m, ideal) is None:
-            continue
-        out.append(m)
-    return tuple(out)
+    for form in forms:
+        for combo in itertools.product(pool, repeat=len(pos)):
+            ent = [ring.zero] * (size * size)
+            for (i, j), a in zip(pos, combo):
+                x = ring.add(form.get(i, j), a)
+                ent[i * size + j] = x
+                ent[j * size + i] = ring.neg(x)
+            m = RingMatrix(ring, size, size, tuple(ent))
+            if pfaffian(m) == ring.one:
+                out.append(m)
+
+    def key(m):
+        return tuple(ring.element_index(m.get(i, j)) for i, j in pos)
+
+    return tuple(sorted(out, key=key))
 
 
 def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,

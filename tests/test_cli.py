@@ -1,5 +1,6 @@
 """Command line surface: payload shapes, exit codes, config merging."""
 
+import hashlib
 import json
 
 import pytest
@@ -171,6 +172,30 @@ def test_orbit_alt_partition(capsys):
     assert obj["action"] == "congruence"
     assert obj["count"] == 1
     assert obj["orbits"][0]["rep"] == [["0", "1"], ["1", "0"]]
+
+
+def test_orbit_alt_relative_universe(capsys):
+    # 4 form cosets x 2^6 candidates, not 16^6 matrices
+    obj = run_json(capsys, "orbit", "alt", "--ring", "zmod:16", "--ideal", "8",
+                   "--size", "4")
+    assert obj["objects"] == 64
+    assert sum(o["size"] for o in obj["orbits"]) == 64
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("report vaserstein --ring zmod:8 --ideal 4 --conj-depth 1",
+     "9eb83d31b1c2e1946f42505840b9714c1c0b31b25ec1ba42f82bae3cac90af89"),
+    ("report vaserstein --ring zmod:4 --ideal 2",
+     "a9899eb56e3ad126144032bfb5e1d644f4c6846406a384c91717fc8ab11ac6ca"),
+    ("orbit alt --ring zmod:8 --ideal 4 --size 4",
+     "29c4297c3a9961e794ea9bb3305aa46b03cd08b0b051f308f334f9b48a55d5db"),
+    ("orbit alt --ring zmod:4 --ideal 2 --size 4",
+     "f8df6dec9c0bff1bbd0b4c48406347fd1662ac7dd2a0717f630b7c663d238e71"),
+])
+def test_canonical_stdout_digests(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_report_vaserstein_confirmed(capsys):

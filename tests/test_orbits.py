@@ -197,11 +197,49 @@ def test_witt_universe_counts():
 
 
 def test_witt_universe_members_are_symbols():
-    ideal = I24
-    for m in witt_universe(M4, ideal, 4):
-        assert m.is_alternating()
-        assert pfaffian(m) == M4.one
-        assert standard_form_witness(m, ideal) is not None
+    m8, m9 = zmod(8), zmod(9)
+    # forms modulo I times |I|^5: Z/8 (4) has 4 forms, Z/9 (3) has 2
+    for ring, ideal, count in ((M4, I24, 32), (m8, ideal_of(m8, 4), 64),
+                               (m9, ideal_of(m9, 3), 486)):
+        universe = witt_universe(ring, ideal, 4)
+        assert len(universe) == count
+        for m in universe:
+            assert m.is_alternating()
+            assert pfaffian(m) == ring.one
+            assert standard_form_witness(m, ideal) is not None
+
+
+def _brute_universe(ring, ideal, size):
+    """Every alternating matrix over ring.elements(), filtered."""
+    pos = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    out = []
+    for combo in itertools.product(ring.elements(), repeat=len(pos)):
+        ent = [ring.zero] * (size * size)
+        for (i, j), a in zip(pos, combo):
+            ent[i * size + j] = a
+            ent[j * size + i] = ring.neg(a)
+        m = RingMatrix(ring, size, size, tuple(ent))
+        if pfaffian(m) == ring.one and standard_form_witness(m, ideal) is not None:
+            out.append(m)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, gen, size", [
+    (2, 1, 4), (3, 1, 4), (4, 1, 4), (4, 2, 4), (4, 0, 4),
+    # Z/6 is not local, and (2)^2 = (2) there
+    (6, 2, 4), (6, 3, 4),
+    (2, 1, 2), (2, 1, 6),
+])
+def test_witt_universe_matches_brute_force(n, gen, size):
+    ring = zmod(n)
+    ideal = ideal_of(ring, gen)
+    assert witt_universe(ring, ideal, size) == _brute_universe(ring, ideal, size)
+
+
+def test_witt_universe_cap_counts_cosets():
+    ring = zmod(257)
+    with pytest.raises(BoundExceeded, match=r"1 form cosets x 257\^6"):
+        witt_universe(ring, unit_ideal(ring), 4)
 
 
 def test_witt_classes_single():
