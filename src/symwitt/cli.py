@@ -1,8 +1,8 @@
 """Command-line surface: rings, Pfaffians, symbols, orbits, reports.
 
 Every command prints one canonical JSON object on stdout.  Errors are
-structured JSON on stderr.  Exit codes: 0 success, 1 internal error,
-2 refuted report verdict, 64 usage error.
+structured JSON on stderr.  Exit codes: 0 success, 1 artifact or
+internal error, 64 usage error.
 """
 
 import argparse
@@ -33,7 +33,6 @@ from .umrows import (
     vaserstein_symbol,
 )
 from .orbits import (
-    REFUTED,
     alt_orbit_partition,
     um_orbit_partition,
     vaserstein_report,
@@ -269,7 +268,7 @@ def _h_um_vdk(ns):
     ideal = _ideal_of(ring, ns.ideal)
     u = _row_of(ns, ring, ideal, "u")
     v = _row_of(ns, ring, ideal, "v")
-    prod = vdk_product_aligned(u, v, depth=ns.conj_depth, bound=ns.bound)
+    prod = vdk_product_aligned(u, v, bound=ns.bound)
     return {"schema": "um-vdk/1",
             "row": [ring.fmt(x) for x in prod.entries]}, 0
 
@@ -312,7 +311,7 @@ def _h_report_vaserstein(ns):
                                depth=ns.conj_depth, bound=ns.bound)
     obj = report.to_obj()
     obj["schema"] = "bijectivity-report/1"
-    return obj, 2 if report.verdict == REFUTED else 0
+    return obj, 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +370,7 @@ def _build_parser() -> _Parser:
     cmd(g_um, "complete", _h_um_complete, ring=s(), ideal=s(), row=s())
     cmd(g_um, "theta", _h_um_theta, ring=s(), a=s(), b=s())
     cmd(g_um, "symbol", _h_um_symbol, ring=s(), ideal=s(), row=s())
-    cmd(g_um, "vdk", _h_um_vdk, ring=s(), ideal=s(), u=s(), v=s(),
-        conj_depth={"type": int, "default": 1}, bound=i())
+    cmd(g_um, "vdk", _h_um_vdk, ring=s(), ideal=s(), u=s(), v=s(), bound=i())
     cmd(g_um, "lift", _h_um_lift, ring=s(), ideal=s(), row=s())
 
     g_orbit = groups.add_parser("orbit").add_subparsers(dest="command",

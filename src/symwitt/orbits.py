@@ -88,59 +88,53 @@ def _transvections(ring: Ring, n: int, pool) -> list:
             for a in pool if a != ring.zero]
 
 
-def _basis(ring: Ring, n: int, k: int) -> tuple:
-    return tuple(ring.one if t == k else ring.zero for t in range(n))
+def _conjugate(ring: Ring, n: int, g: Generator, i: int, j: int, b) -> Generator:
+    """e_ij(b) g e_ij(-b): u gains b*u_j in row i, w loses b*w_i in
+    column j, and the conjugator joins the front of the token's chain."""
+    u, w = list(g.u), list(g.w)
+    u[i - 1] = ring.add(u[i - 1], ring.mul(b, g.u[j - 1]))
+    w[j - 1] = ring.sub(w[j - 1], ring.mul(b, g.w[i - 1]))
+    u, w = tuple(u), tuple(w)
+    tok = g.token
+    chain, core = (tok.conjugator, tok.core) if isinstance(tok, Conj) else ((), tok)
+    return Generator(Conj((Elem(i, j, b),) + chain, core), g.a, u, w,
+                     _rank_one_update(ring, n, g.a, u, w))
 
 
-def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
-                          depth: int = 1) -> tuple:
-    """Generator set for the elementary action at size n.
+def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
+    """Exact generating set of the elementary action at size n.
 
-    Every g e_{ij}(a) g^{-1} with a in the ideal and g a product of at
-    most `depth` absolute transvections.  The absolute case (no ideal or
-    a unit ideal) is depth zero with a ranging over the whole ring.
-    Duplicate matrices are kept once (first token wins).
+    Absolute (no ideal, or a unit ideal): the transvections e_ij(a).
+    Relative, n >= 3: the z_ij(x, a) = e_ji(a) e_ij(x) e_ji(-a), x in I,
+    a in R, which generate E_n(R, I) (Vaserstein-Suslin 1976; Suslin
+    1977).  Relative, n <= 2: the e_ij(x), x in I, closed under
+    conjugation by every transvection, so they generate the normal
+    closure of E_n(I).  Duplicates are kept once (first token wins).
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
-    if depth < 0:
-        raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     if ideal is not None and ideal.ring != ring:
         raise RingMismatch("ideal over a different ring")
     relative = ideal is not None and not ideal.has_unit_generator()
-    cores = _transvections(ring, n, ideal.members() if relative else ring.elements())
-    depth = depth if relative else 0
-    conj = _transvections(ring, n, ring.elements()) if depth else []
-    if len(conj) ** depth > 200_000:
-        raise BoundExceeded(
-            f"{len(conj)}^{depth} conjugators is past the enumeration cap")
-    steps = [(Elem(i, j, a),
-              _rank_one_update(ring, n, a, _basis(ring, n, i - 1),
-                               _basis(ring, n, j - 1)),
-              _rank_one_update(ring, n, ring.neg(a), _basis(ring, n, i - 1),
-                               _basis(ring, n, j - 1)))
-             for i, j, a in conj]
-
-    ident = RingMatrix.identity(ring, n)
-    layer = [((), ident, ident)]
-    prefixes = list(layer)
-    for _ in range(depth):
-        layer = [(toks + (tok,), g.mul(m), mi.mul(gi))
-                 for toks, g, gi in layer for tok, m, mi in steps]
-        prefixes.extend(layer)
-
-    out, seen = [], set()
-    for toks, g, gi in prefixes:
-        for i, j, a in cores:
-            # g e_ij(a) g^-1 = I + a * (g e_i) (e_j^T g^-1)
-            u = tuple(g.get(r, i - 1) for r in range(n))
-            w = tuple(gi.get(j - 1, c) for c in range(n))
-            m = _rank_one_update(ring, n, a, u, w)
-            if m.entries in seen:
-                continue
-            seen.add(m.entries)
-            token = Elem(i, j, a) if not toks else Conj(toks, Elem(i, j, a))
-            out.append(Generator(token, a, u, w, m))
+    out = []
+    for i, j, a in _transvections(ring, n, ideal.members() if relative
+                                  else ring.elements()):
+        u, w = (tuple(ring.one if t == k else ring.zero for t in range(n))
+                for k in (i - 1, j - 1))
+        out.append(Generator(Elem(i, j, a), a, u, w,
+                             _rank_one_update(ring, n, a, u, w)))
+    if not relative:
+        return tuple(out)
+    seen = {g.matrix.entries for g in out}
+    conj = _transvections(ring, n, ring.elements())
+    # n <= 2 walks `out` while it grows, so the closure reaches a fixpoint
+    for g in (tuple(out) if n >= 3 else out):
+        for k, l, b in conj:
+            if n <= 2 or (k, l) == (g.token.j, g.token.i):
+                h = _conjugate(ring, n, g, k, l, b)
+                if h.matrix.entries not in seen:
+                    seen.add(h.matrix.entries)
+                    out.append(h)
     return tuple(out)
 
 
@@ -349,12 +343,17 @@ def _additive_span(ring: Ring, width: int, deltas) -> set:
     """Additive subgroup of R^width generated by deltas.
 
     Each delta d extends the span H by whole cosets H + d, H + 2d, ...
-    until k*d already lies in it, so every element is built once.
+    until k*d already lies in it, so every element is built once.  A
+    span that would pass MEMORY_CAP entries raises before it is built.
     """
     span = {(ring.zero,) * width}
     for d in deltas:
         coset, shift = span, d
         while shift not in span:
+            if (len(span) + len(coset)) * width > MEMORY_CAP:
+                raise BoundExceeded(
+                    f"additive span of {len(span) + len(coset)} vectors x "
+                    f"{width} entries is past the memory cap of {MEMORY_CAP}")
             coset = {tuple(map(ring.add, x, d)) for x in coset}
             span |= coset
             shift = tuple(map(ring.add, shift, d))
@@ -435,9 +434,11 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
 def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
                        depth: int = 1,
                        bound: Optional[int] = None) -> OrbitPartition:
+    if depth < 0:  # generator sets are exact: depth is only recorded
+        raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     rows = enumerate_um(ring, n, ideal)
     states = tuple(r.entries for r in rows)
-    gens = elementary_generators(ring, n, ideal, depth)
+    gens = elementary_generators(ring, n, ideal)
     part = _partition(ring, states, gens, ACTION_ROW, n, ideal, bound)
     part.meta.update({"kind": "um", "n": n, "depth": depth,
                       "relative": ideal is not None and not ideal.has_unit_generator()})
@@ -495,10 +496,12 @@ def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
                         depth: int = 1,
                         bound: Optional[int] = None) -> OrbitPartition:
     """Level-zero symbol classes: congruence orbits on the witt universe."""
+    if depth < 0:  # generator sets are exact: depth is only recorded
+        raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     mats = witt_universe(ring, ideal, size)
     states = tuple(m.entries for m in mats)
-    gens = elementary_generators(ring, size, ideal, depth)
+    gens = elementary_generators(ring, size, ideal)
     part = _partition(ring, states, gens, ACTION_CONGRUENCE, size, ideal, bound)
     part.meta.update({"kind": "alt", "size": size, "depth": depth})
     return part
@@ -573,7 +576,7 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
         pad = chi_n(ring, t)
         seeds = tuple(orth_sum(RingMatrix(ring, size, size, base.reps[c]),
                                pad).entries for c in roots)
-        gens = elementary_generators(ring, padded, ideal, depth)
+        gens = elementary_generators(ring, padded, ideal)
         part = _partition(ring, seeds, gens, ACTION_CONGRUENCE, padded, ideal,
                           bound, closed=False)
         merged = []
@@ -606,8 +609,7 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
 # ---------------------------------------------------------------------------
 
 def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
-                                 levels: int = 1, depth: int = 1,
-                                 bound: Optional[int] = None
+                                 levels: int = 1, bound: Optional[int] = None
                                  ) -> Optional[EquivalenceCertificate]:
     """Bounded search for a certificate that x and y are the same class.
 
@@ -622,7 +624,7 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
     hx, hy = x.half, y.half
     for t in range(levels + 1):
         n = 2 * (hx + hy + t)
-        gens = elementary_generators(ring, n, x.ideal, depth)
+        gens = elementary_generators(ring, n, x.ideal)
         start = orth_sum(y.rep, chi_n(ring, hx + t)).entries
         goal = orth_sum(x.rep, chi_n(ring, hy + t)).entries
         links, _ = _bfs(start, _congruence_neighbors(ring, n, gens), gens,
@@ -645,7 +647,7 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
 # row class arithmetic
 # ---------------------------------------------------------------------------
 
-def vdk_product_aligned(u: UmRow, v: UmRow, depth: int = 1,
+def vdk_product_aligned(u: UmRow, v: UmRow,
                         bound: Optional[int] = None) -> UmRow:
     """Row-class product, aligning tails by orbit search when needed.
 
@@ -662,7 +664,7 @@ def vdk_product_aligned(u: UmRow, v: UmRow, depth: int = 1,
     if u.entries[1:] == v.entries[1:]:
         return vdk_product(u, v)
     ring, n = u.ring, u.n
-    gens = elementary_generators(ring, n, u.ideal, depth)
+    gens = elementary_generators(ring, n, u.ideal)
     neighbors = _row_neighbors(ring, n, gens)
     orb_u, sat_u = _bfs(u.entries, neighbors, gens, bound)
     orb_v, sat_v = _bfs(v.entries, neighbors, gens, bound)
@@ -684,7 +686,7 @@ def vdk_product_aligned(u: UmRow, v: UmRow, depth: int = 1,
 
 
 def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
-                    depth: int = 1, bound: Optional[int] = None) -> bool:
+                    bound: Optional[int] = None) -> bool:
     """Does the coordinatewise product rule hold for (a, tail), (b, tail)?
 
     True iff vdk_product((b, tail), (a, tail)) lands in the same orbit
@@ -701,7 +703,7 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     right = um_row(ring, rows[1], ideal)
     target = um_row(ring, rows[2], ideal)
     prod = vdk_product(left, right)
-    part = um_orbit_partition(ring, len(tail) + 1, ideal, depth, bound)
+    part = um_orbit_partition(ring, len(tail) + 1, ideal, bound=bound)
     return part.id_of(prod.entries) == part.id_of(target.entries)
 
 
@@ -758,7 +760,7 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     through the symbol map, so constancy on orbits is itself observed
     rather than assumed.  Verdicts are three-valued; a failed claim
     under fully saturated search is still only `inconclusive` because
-    the generator depth and stabilization level are bounds too.
+    the stabilization level is a bound too (`depth` is only recorded).
     """
     ideal = ideal if ideal is not None else unit_ideal(ring)
     rows = um_orbit_partition(ring, 3, ideal, depth, bound)

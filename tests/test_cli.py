@@ -188,14 +188,28 @@ def test_orbit_alt_relative_universe(capsys):
     ("report vaserstein --ring zmod:4 --ideal 2",
      "a9899eb56e3ad126144032bfb5e1d644f4c6846406a384c91717fc8ab11ac6ca"),
     ("orbit alt --ring zmod:8 --ideal 4 --size 4",
-     "29c4297c3a9961e794ea9bb3305aa46b03cd08b0b051f308f334f9b48a55d5db"),
+     "7537d6d27e4fd0e6c4008a56427c7c748ebd18b886127af30e51fe2cf3a38a7b"),
     ("orbit alt --ring zmod:4 --ideal 2 --size 4",
-     "f8df6dec9c0bff1bbd0b4c48406347fd1662ac7dd2a0717f630b7c663d238e71"),
+     "58061d7f1ca7cb48d5cc50fb4da59a67a3cdeb2edee00ad07a24e35d47d3a029"),
+    # the z_ij(x, a) generators (n >= 3) and the n = 2 conjugation closure
+    ("orbit um --ring zmod:9 --ideal 3 --n 3",
+     "99ac9aa21fde12e0f017fe363240838771fef2599360b04b67b51f15d1a1d448"),
+    ("orbit um --ring zmod:4 --ideal 2 --n 2",
+     "885a37c2887c591cff1e5e5f2f30b90c70961521b2a0eadabe388f38798a8220"),
 ])
 def test_canonical_stdout_digests(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_span_past_cap_fails_fast(capsys):
+    code, out, err = run(capsys, "report", "vaserstein", "--ring", "zmod:9",
+                         "--ideal", "3")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BoundExceeded"
+    assert "vectors x 36 entries" in payload["message"]
 
 
 def test_report_vaserstein_confirmed(capsys):

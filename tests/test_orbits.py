@@ -9,6 +9,9 @@ import pytest
 from conftest import Z, f4, ideal_of, zmod
 from symwitt import (
     BoundExceeded,
+    Conj,
+    Elem,
+    Generator,
     Ideal,
     MalformedSpec,
     RingMatrix,
@@ -24,6 +27,7 @@ from symwitt import (
     orbit_bfs,
     pfaffian,
     standard_form_witness,
+    token_matrix,
     um_orbit_partition,
     um_row,
     unit_ideal,
@@ -39,6 +43,7 @@ from symwitt.orbits import (
     ACTION_ROW,
     CONFIRMED,
     INCONCLUSIVE,
+    MEMORY_CAP,
     _additive_span,
     _partition,
 )
@@ -74,9 +79,12 @@ def test_enumerate_um_memory_cap():
 
 def test_generator_counts():
     assert len(elementary_generators(F2, 3)) == 6
-    assert len(elementary_generators(M4, 2, I24, depth=0)) == 2
-    # depth-1 conjugates collapse to one extra generator after dedup
-    assert len(elementary_generators(M4, 2, I24, depth=1)) == 3
+    # n = 2: e_12(2), e_21(2) and one conjugate; n >= 3: the z_ij(x, a)
+    # after dedup
+    for n, gen, size, count in ((4, 2, 2, 3), (4, 2, 3, 9), (8, 4, 3, 9),
+                                (8, 2, 3, 45), (9, 3, 3, 24), (8, 4, 4, 18)):
+        ring = zmod(n)
+        assert len(elementary_generators(ring, size, ideal_of(ring, gen))) == count
     # unit ideal falls back to the absolute generators
     assert len(elementary_generators(F3, 2, unit_ideal(F3))) == \
         len(elementary_generators(F3, 2))
@@ -100,42 +108,51 @@ def test_um_orbit_partitions_single():
     assert rel.norbits == 1 and rel.saturated
 
 
-def test_depth_monotone_and_refinement():
-    d0 = um_orbit_partition(M4, 2, I24, depth=0)
-    d1 = um_orbit_partition(M4, 2, I24, depth=1)
-    assert d0.norbits == 2 and d0.ids == (0, 0, 1, 1)
-    assert d0.reps == ((1, 0), (3, 0))
-    assert d1.norbits == 1
-    # deeper generator sets only merge, never split
-    for i, j in itertools.combinations(range(len(d0.objects)), 2):
-        if d0.ids[i] == d0.ids[j]:
-            assert d1.ids[i] == d1.ids[j]
-    # and relative orbits refine absolute ones
-    absolute = um_orbit_partition(M4, 2)
-    for i, j in itertools.combinations(range(len(d1.objects)), 2):
-        if d1.ids[i] == d1.ids[j]:
-            assert absolute.id_of(d1.objects[i]) == absolute.id_of(d1.objects[j])
+def _assert_refines(fine, coarse):
+    for i, j in itertools.combinations(range(len(fine.objects)), 2):
+        if fine.ids[i] == fine.ids[j]:
+            assert coarse.id_of(fine.objects[i]) == coarse.id_of(fine.objects[j])
+
+
+def test_relative_orbits_refine_absolute():
+    m8 = zmod(8)
+    for ring, ideal, n in ((M4, I24, 2), (M4, I24, 3), (m8, ideal_of(m8, 2), 3)):
+        _assert_refines(um_orbit_partition(ring, n, ideal),
+                        um_orbit_partition(ring, n))
+    _assert_refines(alt_orbit_partition(M4, I24, 4),
+                    alt_orbit_partition(M4, None, 4))
+
+
+def test_depth_is_recorded_only():
+    parts = [um_orbit_partition(M4, 2, I24, depth=d) for d in (0, 1, 2)]
+    assert {(p.ids, p.reps) for p in parts} == {((0, 0, 0, 0), ((1, 0),))}
+    assert [p.meta["depth"] for p in parts] == [0, 1, 2]
+    with pytest.raises(MalformedSpec):
+        um_orbit_partition(M4, 2, I24, depth=-1)
+    with pytest.raises(MalformedSpec):
+        alt_orbit_partition(M4, I24, 4, depth=-1)
 
 
 def test_rep_idempotence():
-    part = um_orbit_partition(M4, 2, I24, depth=0)
+    m8 = zmod(8)
+    part = alt_orbit_partition(m8, ideal_of(m8, 4), 4)
     for k, rep in enumerate(part.reps):
         assert part.id_of(rep) == k
-    assert part.orbit_sizes() == (2, 2)
+    assert part.orbit_sizes() == (32, 32)
 
 
 def test_translation_fast_path_matches_generic_bfs():
     # I^2 = 0 engages the translation strategy; compare with plain BFS
     rows = enumerate_um(M4, 3, I24)
     states = tuple(r.entries for r in rows)
-    gens = elementary_generators(M4, 3, I24, 1)
+    gens = elementary_generators(M4, 3, I24)
     fast = um_orbit_partition(M4, 3, I24)
     slow = orbit_bfs(states, ACTION_ROW, gens)
     assert fast.ids == slow.ids
     assert fast.reps == slow.reps
     alt_fast = alt_orbit_partition(M4, I24, 4)
     alt_slow = orbit_bfs(alt_fast.objects, ACTION_CONGRUENCE,
-                         elementary_generators(M4, 4, I24, 1))
+                         elementary_generators(M4, 4, I24))
     assert alt_fast.ids == alt_slow.ids
 
     # open mode, as the stabilization levels use it: only listed seeds get
@@ -148,7 +165,7 @@ def test_translation_fast_path_matches_generic_bfs():
     cases.append((m9, i39, ACTION_ROW, 3,
                   tuple(r.entries for r in enumerate_um(m9, 3, i39))))
     for ring, ideal, action, n, objects in cases:
-        gens = elementary_generators(ring, n, ideal, 1)
+        gens = elementary_generators(ring, n, ideal)
         for seeds in (objects, objects[::3], objects[1::5]):
             fast = _partition(ring, seeds, gens, action, n, ideal, None,
                               closed=False)
@@ -159,6 +176,87 @@ def test_translation_fast_path_matches_generic_bfs():
         # closed mode refuses a subset that cuts an orbit
         with pytest.raises(VerificationFailed):
             _partition(ring, objects[::3], gens, action, n, ideal, None)
+
+
+def _depth_k_generators(ring, n, ideal, depth):
+    """Reference: g e_ij(x) g^-1 for x in I and g a product of at most
+    `depth` absolute transvections, deduplicated by matrix.  This is the
+    conjugation-depth builder the exact generating sets replaced."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cores = [Elem(i, j, x) for i, j in pairs for x in ideal.members()
+             if x != ring.zero]
+    steps = [(Elem(i, j, a), token_matrix(ring, n, Elem(i, j, a)),
+              token_matrix(ring, n, Elem(i, j, ring.neg(a))))
+             for i, j in pairs for a in ring.elements() if a != ring.zero]
+    ident = RingMatrix.identity(ring, n)
+    layer = prefixes = [((), ident, ident)]
+    for _ in range(depth):
+        layer = [(w + (t,), g.mul(m), mi.mul(gi))
+                 for w, g, gi in layer for t, m, mi in steps]
+        prefixes = prefixes + layer
+    gens, seen = [], set()
+    for w, g, gi in prefixes:
+        for c in cores:
+            m = g.mul(token_matrix(ring, n, c)).mul(gi)
+            if m.entries not in seen:
+                seen.add(m.entries)
+                u = tuple(g.get(r, c.i - 1) for r in range(n))
+                v = tuple(gi.get(c.j - 1, k) for k in range(n))
+                gens.append(Generator(Conj(w, c) if w else c, c.a, u, v, m))
+    return gens
+
+
+@pytest.mark.parametrize("kind, n, gen, size", [
+    ("rows", 4, 2, 3), ("rows", 8, 4, 3), ("rows", 8, 2, 3), ("rows", 9, 3, 3),
+    ("rows", 4, 2, 2), ("alt", 4, 2, 4), ("alt", 8, 4, 4),
+])
+def test_exact_generators_match_depth_k(kind, n, gen, size):
+    ring = zmod(n)
+    ideal = ideal_of(ring, gen)
+    if kind == "rows":
+        exact, action = um_orbit_partition(ring, size, ideal), ACTION_ROW
+    else:
+        exact, action = alt_orbit_partition(ring, ideal, size), ACTION_CONGRUENCE
+    for depth in (1, 2):
+        ref = orbit_bfs(exact.objects, action,
+                        _depth_k_generators(ring, size, ideal, depth))
+        assert (exact.ids, exact.reps) == (ref.ids, ref.reps), depth
+
+
+@pytest.mark.parametrize("n, gen, size", [
+    # Z/12 (2) at size 2 needs conjugator chains of length 2
+    (4, 2, 2), (8, 2, 2), (9, 3, 2), (8, 4, 2), (12, 2, 2),
+    (4, 2, 3), (8, 2, 3), (9, 3, 3), (6, 2, 3), (4, 2, 4), (8, 4, 4),
+    (4, 1, 3),
+])
+def test_generators_replay_and_lie_in_level(n, gen, size):
+    ring = zmod(n)
+    ideal = ideal_of(ring, gen)
+    for g in elementary_generators(ring, size, ideal):
+        assert token_matrix(ring, size, g.token) == g.matrix
+        ident = RingMatrix.identity(ring, size)
+        assert all(ideal.contains(ring.sub(x, e))
+                   for x, e in zip(g.matrix.entries, ident.entries))
+
+
+@pytest.mark.parametrize("n, gen", [(4, 2), (8, 2), (8, 4), (9, 3), (6, 3), (12, 2)])
+def test_two_by_two_set_is_conjugation_closed(n, gen):
+    ring = zmod(n)
+    mats = {g.matrix.entries for g in elementary_generators(ring, 2, ideal_of(ring, gen))}
+    for t in elementary_generators(ring, 2):
+        t_inv = token_matrix(ring, 2, Elem(t.token.i, t.token.j, ring.neg(t.a)))
+        for m in mats:
+            conj = t.matrix.mul(RingMatrix(ring, 2, 2, m)).mul(t_inv)
+            assert conj.entries in mats
+
+
+def test_additive_span_refuses_past_cap():
+    # 3^10 vectors of width 36 fit under the cap, the whole span of 3^11
+    # would not (and stays small enough to build if the cap were missing)
+    width = 36
+    deltas = [tuple(int(t == k) for t in range(width)) for k in range(11)]
+    with pytest.raises(BoundExceeded, match=rf"118098 vectors x 36 entries .* {MEMORY_CAP}"):
+        _additive_span(F3, width, deltas)
 
 
 def _brute_span(n, width, deltas):
