@@ -9,8 +9,10 @@ reported unsaturated, never complete.
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from operator import getitem
+from typing import Optional, Sequence
 
+import functools
 import itertools
 
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     TailAlignmentFailed,
     VerificationFailed,
 )
-from .rings import Ideal, Ring, unit_ideal
+from .rings import MEMORY_CAP, Ideal, Ring, unit_ideal
 from .matrices import (
     Conj,
     Elem,
@@ -33,7 +35,6 @@ from .matrices import (
     chi_n,
     congruent_mod_ideal,
     orth_sum,
-    pfaffian,
 )
 from .witt import (
     _SIGN_PAIRS,
@@ -43,7 +44,6 @@ from .witt import (
 )
 from .umrows import UmRow, _finite_complete, um_row, vaserstein_symbol, vdk_product
 
-MEMORY_CAP = 1 << 22
 ACTION_ROW = "row"
 ACTION_CONGRUENCE = "congruence"
 
@@ -139,65 +139,93 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# actions
+# actions, compiled to element indices
 # ---------------------------------------------------------------------------
+#
+# A BFS state is a tuple of element indices (see Ring.compile): the row
+# itself under ACTION_ROW, the upper triangle (row-major) of the
+# alternating matrix under ACTION_CONGRUENCE.  Both actions are linear in
+# the state, so each generator compiles to the sparse terms of its map.
 
-def _row_neighbors(ring: Ring, n: int, gens: Sequence[Generator]) -> Callable:
-    zero = ring.zero
-
-    def step(state):
-        out = []
-        for g in gens:
-            s = zero
-            for x, ux in zip(state, g.u):
-                s = ring.add(s, ring.mul(x, ux))
-            s = ring.mul(g.a, s)
-            if s == zero:
-                out.append(state)
-                continue
-            out.append(tuple(ring.add(state[t], ring.mul(s, g.w[t]))
-                             for t in range(n)))
-        return out
-
-    return step
+@functools.lru_cache(maxsize=None)
+def _upper(n: int) -> tuple:
+    """Positions (i, j), i < j, of an n x n upper triangle, row-major."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def _congruence_neighbors(ring: Ring, n: int, gens: Sequence[Generator]) -> Callable:
-    zero = ring.zero
-
-    def step(state):
-        out = []
-        for g in gens:
-            aq = []
-            for i in range(n):
-                s = zero
-                row = state[i * n:(i + 1) * n]
-                for x, ux in zip(row, g.u):
-                    s = ring.add(s, ring.mul(x, ux))
-                aq.append(ring.mul(g.a, s))
-            if all(x == zero for x in aq):
-                out.append(state)
-                continue
-            new = list(state)
-            for i in range(n):
-                for j in range(n):
-                    d = ring.sub(ring.mul(aq[i], g.w[j]),
-                                 ring.mul(g.w[i], aq[j]))
-                    if d != zero:
-                        new[i * n + j] = ring.add(new[i * n + j], d)
-            out.append(tuple(new))
-        return out
-
-    return step
-
-
-def _neighbors_for(action: str, ring: Ring, n: int,
-                   gens: Sequence[Generator]) -> Callable:
+def _encode(tables, action: str, n: int, obj: tuple) -> tuple:
+    """Payload tuple -> state; a congruence object must be alternating."""
+    ix = tuple(map(tables.index.__getitem__, obj))
     if action == ACTION_ROW:
-        return _row_neighbors(ring, n, gens)
-    if action == ACTION_CONGRUENCE:
-        return _congruence_neighbors(ring, n, gens)
-    raise MalformedSpec(f"unknown action {action!r}")
+        return ix
+    neg, zero = tables.neg, tables.zero
+    if any(ix[i * n + i] != zero for i in range(n)) or any(
+            ix[j * n + i] != neg[ix[i * n + j]] for i, j in _upper(n)):
+        raise MalformedSpec("congruence object is not an alternating matrix")
+    return tuple(ix[i * n + j] for i, j in _upper(n))
+
+
+def _full(tables, action: str, n: int, state: tuple) -> tuple:
+    """State -> index vector of the whole payload tuple."""
+    if action == ACTION_ROW:
+        return state
+    ent = [tables.zero] * (n * n)
+    for (i, j), x in zip(_upper(n), state):
+        ent[i * n + j] = x
+        ent[j * n + i] = tables.neg[x]
+    return tuple(ent)
+
+
+def _decode(tables, action: str, n: int, state: tuple) -> tuple:
+    return tuple(map(tables.elements.__getitem__, _full(tables, action, n, state)))
+
+
+def _compile_moves(tables, action: str, n: int, gens: Sequence[Generator]) -> tuple:
+    """One (token, terms) move per generator.  A move maps a state x to
+    y with y[t] = x[t] + sum of row[x[s]] over its (t, s, row) terms,
+    where row is the mul table row of a coefficient.
+
+    Row v: v g = v + q w with q = a (v . u).  Congruence on alternating
+    M: g^T M g = M + q w^T - w q^T with q = a M u, so slot (r, s) gains
+    q_r w_s - w_r q_s.  The q are linear forms in the state; expanding
+    them gives the terms.  For a bare e_ij(a), u = e_i and w = e_j, so
+    only the slots in row and column j change.
+    """
+    add, mul, neg, zero, ix = (tables.add, tables.mul, tables.neg,
+                               tables.zero, tables.index)
+    slot = {p: k for k, p in enumerate(_upper(n))}
+    moves = []
+    for g in gens:
+        au = [mul[ix[g.a]][ix[x]] for x in g.u]
+        w = [ix[x] for x in g.w]
+        if action == ACTION_ROW:
+            qforms = [{t: c for t, c in enumerate(au) if c != zero}]
+            updates = [(t, 0, c) for t, c in enumerate(w)]
+        elif action == ACTION_CONGRUENCE:
+            # q_r = sum_k M[r][k] au_k, where M[r][k] is slot (r, k) above
+            # the diagonal and minus slot (k, r) below it
+            qforms = [{slot[min(r, k), max(r, k)]: c if r < k else neg[c]
+                       for k, c in enumerate(au) if c != zero and k != r}
+                      for r in range(n)]
+            updates = [(t, qr, c) for (r, s), t in slot.items()
+                       for qr, c in ((r, w[s]), (s, neg[w[r]]))]
+        else:
+            raise MalformedSpec(f"unknown action {action!r}")
+        coef = {}
+        for t, qr, c in updates:
+            if c != zero:
+                for s, d in qforms[qr].items():
+                    coef[t, s] = add[coef.get((t, s), zero)][mul[c][d]]
+        moves.append((g.token, tuple((t, s, mul[c]) for (t, s), c in coef.items()
+                                     if c != zero)))
+    return tuple(moves)
+
+
+def _step(state: tuple, terms: tuple, add: tuple) -> tuple:
+    new = list(state)
+    for t, s, row in terms:
+        new[t] = add[new[t]][row[state[s]]]
+    return tuple(new)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +283,26 @@ class OrbitPartition:
         return obj
 
 
-def _bfs(start, neighbors: Callable, gens: Sequence[Generator],
-         bound: Optional[int], goal=None):
-    """Breadth-first search from start, trying generators in order.
+def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
+    """Breadth-first search over states from start, trying moves in order.
 
     Returns (links, complete): links maps every reached state to the
     (parent, token) step that first reached it (None for start), and
     complete is False if the bound cut the search off.  With a goal the
     search stops once the goal is reached.
     """
+    add = tables.add
     links = {start: None}
     queue = deque([start])
     while queue and goal not in links:
         x = queue.popleft()
-        for g, y in zip(gens, neighbors(x)):
+        for token, terms in moves:
+            y = _step(x, terms, add)
             if y in links:
                 continue
             if bound is not None and len(links) >= bound:
                 return links, False
-            links[y] = (x, g.token)
+            links[y] = (x, token)
             queue.append(y)
     return links, True
 
@@ -298,7 +327,8 @@ def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
     action must preserve the defining invariants); open mode tolerates
     excursions and assigns ids only to listed objects.  A capped orbit is
     flagged unsaturated and later objects it failed to reach start their
-    own (possibly spurious) orbit.
+    own (possibly spurious) orbit.  Congruence objects must be
+    alternating.
     """
     objects = tuple(objects)
     if not objects:
@@ -307,18 +337,21 @@ def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
         raise MalformedSpec("empty generator set")
     ring = generators[0].matrix.ring
     n = generators[0].matrix.rows
-    neighbors = _neighbors_for(action, ring, n, generators)
+    tables = ring.compile()
+    moves = _compile_moves(tables, action, n, generators)
     index = _index_map(objects)
+    states = [_encode(tables, action, n, s) for s in objects]
+    at = {st: k for k, st in enumerate(states)}
 
     ids = [-1] * len(objects)
     reps, sat_flags = [], []
-    for k, s in enumerate(objects):
+    for k, start in enumerate(states):
         if ids[k] >= 0:
             continue
-        comp, saturated = _bfs(s, neighbors, generators, bound)
+        comp, saturated = _bfs(start, moves, tables, bound)
         members, overlap = [], False
         for x in comp:
-            j = index.get(x)
+            j = at.get(x)
             if j is None:
                 if closed:
                     raise VerificationFailed("orbit step left the object set")
@@ -339,14 +372,20 @@ def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
                           tuple(sat_flags), bound, _meta(action, n, generators))
 
 
+def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
+    return tuple(map(getitem, map(add.__getitem__, x), d))
+
+
 def _additive_span(ring: Ring, width: int, deltas) -> set:
-    """Additive subgroup of R^width generated by deltas.
+    """Additive subgroup of R^width generated by deltas, as index vectors.
 
     Each delta d extends the span H by whole cosets H + d, H + 2d, ...
     until k*d already lies in it, so every element is built once.  A
     span that would pass MEMORY_CAP entries raises before it is built.
     """
-    span = {(ring.zero,) * width}
+    tables = ring.compile()
+    add = tables.add
+    span = {(tables.zero,) * width}
     for d in deltas:
         coset, shift = span, d
         while shift not in span:
@@ -354,9 +393,9 @@ def _additive_span(ring: Ring, width: int, deltas) -> set:
                 raise BoundExceeded(
                     f"additive span of {len(span) + len(coset)} vectors x "
                     f"{width} entries is past the memory cap of {MEMORY_CAP}")
-            coset = {tuple(map(ring.add, x, d)) for x in coset}
+            coset = {_vec_add(add, x, d) for x in coset}
             span |= coset
-            shift = tuple(map(ring.add, shift, d))
+            shift = _vec_add(add, shift, d)
     return span
 
 
@@ -368,18 +407,25 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
     vector, so each orbit is seed + (additive span of the per-generator
     deltas) and saturation is unconditional.  An orbit's members are the
     listed objects in that coset; closed mode asserts it was listed whole.
+    The span holds index vectors of whole payload tuples.
     """
-    neighbors = _neighbors_for(action, ring, n, gens)
+    tables = ring.compile()
+    moves = _compile_moves(tables, action, n, gens)
+    add, neg = tables.add, tables.neg
     index = _index_map(objects)
+    states = [_encode(tables, action, n, s) for s in objects]
+    vecs = [_full(tables, action, n, st) for st in states]
     ids = [-1] * len(objects)
     reps = []
     for k, s in enumerate(objects):
         if ids[k] >= 0:
             continue
-        span = _additive_span(ring, len(s),
-                              {tuple(map(ring.sub, t, s)) for t in neighbors(s)})
+        minus = tuple(map(neg.__getitem__, vecs[k]))
+        moved = (_step(states[k], terms, add) for _, terms in moves)
+        deltas = {_vec_add(add, _full(tables, action, n, y), minus) for y in moved}
+        span = _additive_span(ring, len(minus), deltas)
         members = [j for j in range(k, len(objects))
-                   if ids[j] < 0 and tuple(map(ring.sub, objects[j], s)) in span]
+                   if ids[j] < 0 and _vec_add(add, vecs[j], minus) in span]
         if closed and len(members) < len(span):
             raise VerificationFailed("translation left the object set")
         for j in members:
@@ -408,6 +454,16 @@ def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
 # object enumeration
 # ---------------------------------------------------------------------------
 
+def _row_pool(ring: Ring, n: int, ideal: Optional[Ideal]) -> tuple:
+    """Entries a row of length n (in e1 + I^n, with an ideal) draws from,
+    once the rows are known to fit under MEMORY_CAP."""
+    relative = ideal is not None and not ideal.has_unit_generator()
+    pool = ideal.members() if relative else ring.elements()
+    if len(pool) ** n > MEMORY_CAP:
+        raise BoundExceeded(f"{len(pool)}^{n} rows is past the memory cap")
+    return pool
+
+
 def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
     """All unimodular rows of length n, in enumeration order.
 
@@ -419,9 +475,7 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
     if n < 1:
         raise MalformedSpec(f"row length must be >= 1, got {n}")
     relative = ideal is not None and not ideal.has_unit_generator()
-    pool = ideal.members() if relative else ring.elements()
-    if len(pool) ** n > MEMORY_CAP:
-        raise BoundExceeded(f"{len(pool)}^{n} rows is past the memory cap")
+    pool = _row_pool(ring, n, ideal)
     rows = []
     for combo in itertools.product(pool, repeat=n):
         if relative:
@@ -445,6 +499,57 @@ def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
     return part
 
 
+def _pf(tables, a: list, idx: tuple) -> int:
+    """Pfaffian of a[i][j] (indices, i < j) on the rows and columns idx,
+    by the exact expansion along the first of them."""
+    if not idx:
+        return tables.one
+    add, mul, neg, zero = tables.add, tables.mul, tables.neg, tables.zero
+    first, rest = idx[0], idx[1:]
+    acc = zero
+    for p, j in enumerate(rest):
+        x = a[first][j]
+        if x != zero:
+            term = mul[x][_pf(tables, a, rest[:p] + rest[p + 1:])]
+            acc = add[acc][neg[term] if p % 2 else term]
+    return acc
+
+
+def _pfaffian_one(tables, n: int, values: Sequence) -> list:
+    """Upper-triangle states with entry p in values[p] and Pfaffian one.
+
+    Pf is linear in the first row: Pf = sum_j (-1)^(j-1) a_0j Pf_j, with
+    Pf_j the Pfaffian without rows and columns 0 and j.  For each choice
+    of the other rows the Pf_j are computed once; the first row is
+    enumerated but for its last entry, which is looked up by the value
+    its term must take.
+    """
+    add, mul, neg, zero, one = (tables.add, tables.mul, tables.neg,
+                                tables.zero, tables.one)
+    first, others = values[:n - 1], values[n - 1:]
+    below = _upper(n)[n - 1:]
+    idx = tuple(range(1, n))
+    a = [[zero] * n for _ in range(n)]
+    out = []
+    for rows in itertools.product(*others):
+        for (i, j), x in zip(below, rows):
+            a[i][j] = x
+        coef = []
+        for p in range(n - 1):
+            minor = _pf(tables, a, idx[:p] + idx[p + 1:])
+            coef.append(mul[neg[minor] if p % 2 else minor])
+        last = {}
+        for x in first[-1]:
+            last.setdefault(coef[-1][x], []).append(x)
+        partial = [((), zero)]
+        for vals, row in zip(first[:-1], coef):
+            partial = [(h + (x,), add[acc][row[x]]) for h, acc in partial for x in vals]
+        for h, acc in partial:
+            for x in last.get(add[one][neg[acc]], ()):
+                out.append(h + (x,) + rows)
+    return out
+
+
 def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
     """Alternating size x size matrices with Pfaffian one and a standard
     witness modulo the ideal.  det = Pf^2, so these are all invertible.
@@ -453,16 +558,17 @@ def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
     F, where Alt(I) holds the alternating matrices with upper-triangle
     entries in I.  So the universe is built coset by coset: the forms
     are deduplicated modulo I (equal cosets, or disjoint ones), each
-    coset is enumerated and kept where the Pfaffian is one.  A unit
-    ideal gives a single coset, every alternating matrix.  The result is
-    sorted by the element indices of the upper triangle, which is the
-    order of enumerating every alternating matrix over ring.elements().
+    coset is enumerated as element indices and kept where the table
+    Pfaffian is one.  A unit ideal gives a single coset, every
+    alternating matrix.  The result is sorted by the element indices of
+    the upper triangle, which is the order of enumerating every
+    alternating matrix over ring.elements().
     """
     if size < 2 or size % 2:
         raise SizeMismatch(f"universe size must be even and positive, got {size}")
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate matrices over {ring.describe()}")
-    pos = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    pos = _upper(size)
     forms = []
     for r in range(size // 2 + 1):
         for signs in _SIGN_PAIRS:
@@ -474,22 +580,17 @@ def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
         raise BoundExceeded(
             f"{len(forms)} form cosets x {len(pool)}^{len(pos)} matrices "
             f"is past the memory cap of {MEMORY_CAP}")
-    out = []
+    tables = ring.compile()
+    add, ix = tables.add, tables.index
+    pool = [ix[x] for x in pool]
+    states = []
     for form in forms:
-        for combo in itertools.product(pool, repeat=len(pos)):
-            ent = [ring.zero] * (size * size)
-            for (i, j), a in zip(pos, combo):
-                x = ring.add(form.get(i, j), a)
-                ent[i * size + j] = x
-                ent[j * size + i] = ring.neg(x)
-            m = RingMatrix(ring, size, size, tuple(ent))
-            if pfaffian(m) == ring.one:
-                out.append(m)
-
-    def key(m):
-        return tuple(ring.element_index(m.get(i, j)) for i, j in pos)
-
-    return tuple(sorted(out, key=key))
+        states += _pfaffian_one(tables, size, [
+            tuple(add[ix[form.get(i, j)]][x] for x in pool) for i, j in pos])
+    states.sort()
+    return tuple(RingMatrix(ring, size, size,
+                            _decode(tables, ACTION_CONGRUENCE, size, st))
+                 for st in states)
 
 
 def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
@@ -621,14 +722,16 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
     if x.ideal != y.ideal:
         raise RingMismatch("symbols relative to different ideals")
     ring = x.ring
+    tables = ring.compile()
     hx, hy = x.half, y.half
     for t in range(levels + 1):
         n = 2 * (hx + hy + t)
-        gens = elementary_generators(ring, n, x.ideal)
-        start = orth_sum(y.rep, chi_n(ring, hx + t)).entries
-        goal = orth_sum(x.rep, chi_n(ring, hy + t)).entries
-        links, _ = _bfs(start, _congruence_neighbors(ring, n, gens), gens,
-                        bound, goal)
+        moves = _compile_moves(tables, ACTION_CONGRUENCE, n,
+                               elementary_generators(ring, n, x.ideal))
+        start, goal = (_encode(tables, ACTION_CONGRUENCE, n,
+                               orth_sum(rep, chi_n(ring, h + t)).entries)
+                       for rep, h in ((y.rep, hx), (x.rep, hy)))
+        links, _ = _bfs(start, moves, tables, bound, goal)
         if goal not in links:
             continue
         tokens, state = [], goal
@@ -664,22 +767,22 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
     if u.entries[1:] == v.entries[1:]:
         return vdk_product(u, v)
     ring, n = u.ring, u.n
-    gens = elementary_generators(ring, n, u.ideal)
-    neighbors = _row_neighbors(ring, n, gens)
-    orb_u, sat_u = _bfs(u.entries, neighbors, gens, bound)
-    orb_v, sat_v = _bfs(v.entries, neighbors, gens, bound)
-
-    def key(state):
-        return tuple(ring.element_index(x) for x in state)
-
+    tables = ring.compile()
+    moves = _compile_moves(tables, ACTION_ROW, n,
+                           elementary_generators(ring, n, u.ideal))
+    orb_u, sat_u = _bfs(_encode(tables, ACTION_ROW, n, u.entries), moves,
+                        tables, bound)
+    orb_v, sat_v = _bfs(_encode(tables, ACTION_ROW, n, v.entries), moves,
+                        tables, bound)
+    # states are element indices, so their order is enumeration order
     by_tail = {}
-    for s in sorted(orb_u, key=key):
+    for s in sorted(orb_u):
         by_tail.setdefault(s[1:], s)
-    for s in sorted(orb_v, key=key):
+    for s in sorted(orb_v):
         mate = by_tail.get(s[1:])
         if mate is not None:
-            return vdk_product(um_row(ring, mate, u.ideal),
-                               um_row(ring, s, v.ideal))
+            return vdk_product(um_row(ring, _decode(tables, ACTION_ROW, n, mate), u.ideal),
+                               um_row(ring, _decode(tables, ACTION_ROW, n, s), v.ideal))
     raise TailAlignmentFailed(
         "no common tail found"
         + ("" if sat_u and sat_v else " (search was capped)"))
@@ -690,7 +793,8 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     """Does the coordinatewise product rule hold for (a, tail), (b, tail)?
 
     True iff vdk_product((b, tail), (a, tail)) lands in the same orbit
-    as (ab, tail).
+    as (ab, tail): a search from the product towards (ab, tail), cut
+    off at `bound` states.
     """
     a, b = ring.check(a), ring.check(b)
     tail = tuple(ring.check(x) for x in tail)
@@ -703,8 +807,14 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     right = um_row(ring, rows[1], ideal)
     target = um_row(ring, rows[2], ideal)
     prod = vdk_product(left, right)
-    part = um_orbit_partition(ring, len(tail) + 1, ideal, bound=bound)
-    return part.id_of(prod.entries) == part.id_of(target.entries)
+    n = len(tail) + 1
+    _row_pool(ring, n, ideal)
+    tables = ring.compile()
+    moves = _compile_moves(tables, ACTION_ROW, n, elementary_generators(ring, n, ideal))
+    goal = _encode(tables, ACTION_ROW, n, target.entries)
+    links, _ = _bfs(_encode(tables, ACTION_ROW, n, prod.entries), moves, tables,
+                    bound, goal)
+    return goal in links
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import (
+    BoundExceeded,
     InfiniteRing,
     MalformedSpec,
     NotAUnit,
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 _MEMO_SIZE_CAP = 512  # composite rings up to this size cache op tables
+MEMORY_CAP = 1 << 22  # entries any one enumeration, table or span may hold
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
@@ -231,6 +233,20 @@ def _parse_pair(s: str, arity: int) -> list[str]:
 # ring handles
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RingTables:
+    """A finite ring compiled to element indices: add[x][y], neg[x] and
+    mul[x][y] are indices, as are zero and one."""
+
+    elements: tuple
+    index: dict
+    add: tuple
+    neg: tuple
+    mul: tuple
+    zero: int
+    one: int
+
+
 class Ring:
     """Base class: exact ops on payloads, plus enumeration for finite rings."""
 
@@ -241,6 +257,7 @@ class Ring:
         self._index: Optional[dict] = None
         self._inv_table: Optional[dict] = None
         self._nil_table: Optional[dict] = None
+        self._tables: Optional[RingTables] = None
 
     # -- identity ------------------------------------------------------
     def spec_key(self) -> tuple:
@@ -363,6 +380,29 @@ class Ring:
         if self._index is None:
             self._index = {x: k for k, x in enumerate(self.elements())}
         return self._index[a]
+
+    def compile(self) -> "RingTables":
+        """Operation tables on element indices, built once per handle.
+
+        Index k stands for elements()[k].  The tables hold |R|^2 entries
+        each, so a ring past sqrt(MEMORY_CAP) elements is refused.
+        """
+        if self._tables is None:
+            els = self.elements()
+            q = len(els)
+            if q * q > MEMORY_CAP:
+                raise BoundExceeded(
+                    f"op tables of a ring with {q} elements ({q}^2 entries) "
+                    f"are past the memory cap of {MEMORY_CAP}")
+            zero = self.element_index(self.zero)  # builds self._index
+            index = self._index
+            self._tables = RingTables(
+                els, index,
+                tuple(tuple(index[self.add(a, b)] for b in els) for a in els),
+                tuple(index[self.neg(a)] for a in els),
+                tuple(tuple(index[self.mul(a, b)] for b in els) for a in els),
+                zero, index[self.one])
+        return self._tables
 
     # -- payload hygiene and strings ----------------------------------------
     def check(self, a):

@@ -196,6 +196,19 @@ def test_orbit_alt_relative_universe(capsys):
      "99ac9aa21fde12e0f017fe363240838771fef2599360b04b67b51f15d1a1d448"),
     ("orbit um --ring zmod:4 --ideal 2 --n 2",
      "885a37c2887c591cff1e5e5f2f30b90c70961521b2a0eadabe388f38798a8220"),
+    # absolute: the whole universe under the bare transvections
+    ("report vaserstein --ring f3",
+     "c1dd18a2f154913cdc32cbe2ab3820cfd3ac2313e426cce9cd6bd867835447d4"),
+    ("report vaserstein --ring f4",
+     "60703ab7ceb8cf4087ebca8ecabd2868d297e2ba2a2e1c83132c88ac060b4d09"),
+    ("report vaserstein --ring f5",
+     "a8127da2c5a135d7f5e750a07adb74ea849ee0a7429f974bbe1ebacfd6c83734"),
+    ("report vaserstein --ring zmod:4",
+     "217c1cf4043df19bd6db634e159c89c76d9a631b7b0f113a0ba69321fecd0c5d"),
+    ("orbit alt --ring f5 --size 4",
+     "b7f64d6aa856226aa48ca6610ecebb6a4ef10ddb1f59421ebc9f0eaed3206b18"),
+    ("orbit um --ring f4 --n 3",
+     "83f62e6f472d77b0287e616883a5ab6cea407851a468bdb6ec70a2276bd5892f"),
 ])
 def test_canonical_stdout_digests(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())

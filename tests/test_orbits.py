@@ -3,6 +3,7 @@ certificate search, and the bijectivity report."""
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -14,8 +15,11 @@ from symwitt import (
     Generator,
     Ideal,
     MalformedSpec,
+    NotCompleted,
+    NotRelative,
     RingMatrix,
     VerificationFailed,
+    WittSymbol,
     alt_orbit_partition,
     chi_n,
     complete,
@@ -25,6 +29,8 @@ from symwitt import (
     make_witt_symbol,
     nice_mult_check,
     orbit_bfs,
+    orth_sum,
+    parse_ring,
     pfaffian,
     standard_form_witness,
     token_matrix,
@@ -32,6 +38,7 @@ from symwitt import (
     um_row,
     unit_ideal,
     vaserstein_report,
+    vaserstein_symbol,
     vdk_product,
     vdk_product_aligned,
     verify_equivalence,
@@ -45,7 +52,13 @@ from symwitt.orbits import (
     INCONCLUSIVE,
     MEMORY_CAP,
     _additive_span,
+    _bfs,
+    _compile_moves,
+    _decode,
+    _encode,
     _partition,
+    _pf,
+    _upper,
 )
 
 F2 = zmod(2)
@@ -412,3 +425,276 @@ def test_vaserstein_report_inconclusive_when_capped():
     rep = vaserstein_report(F3, bound=2)
     assert rep.verdict == INCONCLUSIVE
     assert rep.notes
+
+
+# ---------------------------------------------------------------------------
+# the compiled engine against the generic-ring steps it replaced
+# ---------------------------------------------------------------------------
+
+def _row_neighbors(ring, n, gens):
+    """Reference row step: v -> v + a (v . u) w with the ring's own ops."""
+    zero = ring.zero
+
+    def step(state):
+        out = []
+        for g in gens:
+            s = zero
+            for x, ux in zip(state, g.u):
+                s = ring.add(s, ring.mul(x, ux))
+            s = ring.mul(g.a, s)
+            if s == zero:
+                out.append(state)
+                continue
+            out.append(tuple(ring.add(state[t], ring.mul(s, g.w[t]))
+                             for t in range(n)))
+        return out
+
+    return step
+
+
+def _congruence_neighbors(ring, n, gens):
+    """Reference congruence step on whole matrices: M + q w^T - w q^T with
+    q = a M u, which is g^T M g for alternating M."""
+    zero = ring.zero
+
+    def step(state):
+        out = []
+        for g in gens:
+            aq = []
+            for i in range(n):
+                s = zero
+                row = state[i * n:(i + 1) * n]
+                for x, ux in zip(row, g.u):
+                    s = ring.add(s, ring.mul(x, ux))
+                aq.append(ring.mul(g.a, s))
+            if all(x == zero for x in aq):
+                out.append(state)
+                continue
+            new = list(state)
+            for i in range(n):
+                for j in range(n):
+                    d = ring.sub(ring.mul(aq[i], g.w[j]),
+                                 ring.mul(g.w[i], aq[j]))
+                    if d != zero:
+                        new[i * n + j] = ring.add(new[i * n + j], d)
+            out.append(tuple(new))
+        return out
+
+    return step
+
+
+def _ref_neighbors(action, ring, n, gens):
+    return (_row_neighbors if action == ACTION_ROW else _congruence_neighbors)(ring, n, gens)
+
+
+def _ref_bfs(start, neighbors, gens, bound, goal=None):
+    links = {start: None}
+    queue = deque([start])
+    while queue and goal not in links:
+        x = queue.popleft()
+        for g, y in zip(gens, neighbors(x)):
+            if y in links:
+                continue
+            if bound is not None and len(links) >= bound:
+                return links, False
+            links[y] = (x, g.token)
+            queue.append(y)
+    return links, True
+
+
+def _ref_orbit_bfs(objects, action, gens, bound=None, closed=True):
+    """(ids, reps, saturation flags) of the generic-ring partition."""
+    ring, n = gens[0].matrix.ring, gens[0].matrix.rows
+    neighbors = _ref_neighbors(action, ring, n, gens)
+    index = {s: k for k, s in enumerate(objects)}
+    ids, reps, sat = [-1] * len(objects), [], []
+    for k, s in enumerate(objects):
+        if ids[k] >= 0:
+            continue
+        comp, saturated = _ref_bfs(s, neighbors, gens, bound)
+        members, overlap = [], False
+        for x in comp:
+            j = index.get(x)
+            if j is None:
+                if closed:
+                    raise VerificationFailed("orbit step left the object set")
+                continue
+            if ids[j] >= 0:
+                overlap = True
+                continue
+            members.append(j)
+        members.sort()
+        for j in members:
+            ids[j] = len(reps)
+        reps.append(objects[members[0]])
+        sat.append(saturated and not overlap)
+    return tuple(ids), tuple(reps), tuple(sat)
+
+
+def _ref_certificate(x, y, levels=1):
+    """(t, tokens) of the first path the generic-ring search finds."""
+    ring = x.ring
+    for t in range(levels + 1):
+        n = 2 * (x.half + y.half + t)
+        gens = elementary_generators(ring, n, x.ideal)
+        start = orth_sum(y.rep, chi_n(ring, x.half + t)).entries
+        goal = orth_sum(x.rep, chi_n(ring, y.half + t)).entries
+        links, _ = _ref_bfs(start, _congruence_neighbors(ring, n, gens), gens,
+                            None, goal)
+        if goal in links:
+            tokens, state = [], goal
+            while links[state] is not None:
+                state, tok = links[state]
+                tokens.append(tok)
+            return t, tuple(reversed(tokens))
+    return None
+
+
+def _compiled_links(ring, action, n, gens, start, bound):
+    tables = ring.compile()
+    moves = _compile_moves(tables, action, n, gens)
+    links, complete = _bfs(_encode(tables, action, n, start), moves, tables, bound)
+
+    def dec(state):
+        return _decode(tables, action, n, state)
+
+    return [(dec(y), None if step is None else (dec(step[0]), step[1]))
+            for y, step in links.items()], complete
+
+
+def _objects(ring, ideal, action, n):
+    if action == ACTION_ROW:
+        return tuple(r.entries for r in enumerate_um(ring, n, ideal))
+    return tuple(m.entries for m in
+                 witt_universe(ring, ideal if ideal is not None else unit_ideal(ring), n))
+
+
+def _gens(ring, ideal, n, kind):
+    if kind == "depth-2":
+        return _depth_k_generators(ring, n, ideal, 2)
+    return elementary_generators(ring, n, ideal)
+
+
+# (ring, ideal generator or None, action, n, generator kind, full search)
+ENGINE_CASES = [
+    ("f2", None, ACTION_CONGRUENCE, 4, "exact", True),
+    ("f3", None, ACTION_CONGRUENCE, 4, "exact", True),
+    ("f4", None, ACTION_CONGRUENCE, 4, "exact", False),
+    ("f5", None, ACTION_CONGRUENCE, 4, "exact", False),
+    ("zmod:4", None, ACTION_CONGRUENCE, 4, "exact", True),
+    ("zmod:6", None, ACTION_CONGRUENCE, 4, "exact", False),
+    ("f4", None, ACTION_ROW, 3, "exact", True),
+    ("f5", None, ACTION_ROW, 3, "exact", True),
+    ("zmod:6", None, ACTION_ROW, 3, "exact", True),
+    # the z_ij(x, a) at n = 3 and 4, the n = 2 conjugation closure, and
+    # the depth-k conjugates, whose u and w are general vectors
+    ("zmod:8", 2, ACTION_ROW, 3, "exact", True),
+    ("zmod:9", 3, ACTION_ROW, 3, "exact", True),
+    ("zmod:8", 4, ACTION_CONGRUENCE, 4, "exact", True),
+    ("zmod:12", 2, ACTION_ROW, 2, "exact", True),
+    ("zmod:8", 2, ACTION_ROW, 2, "exact", True),
+    ("zmod:4", 2, ACTION_ROW, 3, "depth-2", True),
+    ("zmod:4", 2, ACTION_CONGRUENCE, 4, "depth-2", True),
+]
+
+
+@pytest.mark.parametrize("spec, gen, action, n, kind, full", ENGINE_CASES)
+def test_compiled_bfs_matches_reference(spec, gen, action, n, kind, full):
+    ring = parse_ring(spec)
+    ideal = None if gen is None else ideal_of(ring, ring.parse(str(gen)))
+    gens = _gens(ring, ideal, n, kind)
+    objects = _objects(ring, ideal, action, n)
+    neighbors = _ref_neighbors(action, ring, n, gens)
+    for start in (objects[0], objects[len(objects) // 2]):
+        for bound in ((None, 40) if full else (40, 300)):
+            links, complete = _compiled_links(ring, action, n, gens, start, bound)
+            ref, ref_complete = _ref_bfs(start, neighbors, gens, bound)
+            assert links == list(ref.items())
+            assert complete == ref_complete
+            assert complete == (bound is None or len(ref) < bound)
+
+
+@pytest.mark.parametrize("spec, gen, action, n, kind, full", ENGINE_CASES)
+def test_compiled_partition_matches_reference(spec, gen, action, n, kind, full):
+    ring = parse_ring(spec)
+    ideal = None if gen is None else ideal_of(ring, ring.parse(str(gen)))
+    gens = _gens(ring, ideal, n, kind)
+    objects = _objects(ring, ideal, action, n)
+    # a cutting bound leaves orbits unsaturated and splits them
+    bounds = (None, 25) if full else (60,)
+    for seeds, bound in itertools.product((objects[::7], objects[1::11]), bounds):
+        part = orbit_bfs(seeds, action, gens, bound=bound, closed=False)
+        assert (part.ids, part.reps, part.orbit_saturated) == \
+            _ref_orbit_bfs(seeds, action, gens, bound, closed=False)
+    if full:
+        part = orbit_bfs(objects, action, gens)
+        assert (part.ids, part.reps, part.orbit_saturated) == \
+            _ref_orbit_bfs(objects, action, gens)
+        cut = objects[1::3]
+        with pytest.raises(VerificationFailed):
+            _ref_orbit_bfs(cut, action, gens)
+        with pytest.raises(VerificationFailed):
+            orbit_bfs(cut, action, gens)
+
+
+@pytest.mark.parametrize("spec, gen", [("f2", None), ("zmod:4", 2)])
+def test_certificates_match_reference_tokens(spec, gen):
+    ring = parse_ring(spec)
+    ideal = unit_ideal(ring) if gen is None else ideal_of(ring, gen)
+    e1 = vaserstein_symbol(um_row(ring, (ring.one, ring.zero, ring.zero), ideal))
+    for row in enumerate_um(ring, 3, ideal):
+        x = vaserstein_symbol(row)
+        cert = find_equivalence_certificate(x, e1)
+        assert cert is not None
+        assert (cert.t, cert.epsilon.tokens) == _ref_certificate(x, e1)
+
+
+def test_congruence_refuses_non_alternating_objects():
+    # the skew update is g^T M g only on alternating M: the identity under
+    # e_12(1) over Z/3 would come out (1, 1, 2, 1), not (1, 1, 1, 2)
+    gens = elementary_generators(F3, 2)
+    ident = RingMatrix.identity(F3, 2)
+    g = next(g for g in gens if g.token == Elem(1, 2, 1))
+    assert g.matrix.transpose().mul(ident).mul(g.matrix).entries == (1, 1, 1, 2)
+    assert _congruence_neighbors(F3, 2, [g])(ident.entries) == [(1, 1, 2, 1)]
+    with pytest.raises(MalformedSpec, match="alternating"):
+        orbit_bfs((ident.entries,), ACTION_CONGRUENCE, gens)
+    m9 = zmod(9)
+    for ring, ideal in ((F3, None), (m9, ideal_of(m9, 3))):
+        with pytest.raises(MalformedSpec, match="alternating"):
+            _partition(ring, (RingMatrix.identity(ring, 2).entries,),
+                       elementary_generators(ring, 2, ideal), ACTION_CONGRUENCE, 2,
+                       ideal, None)
+    x = make_witt_symbol(unit_ideal(F3), chi_n(F3, 1))
+    with pytest.raises(MalformedSpec, match="alternating"):
+        find_equivalence_certificate(x, WittSymbol(x.ideal, ident, x.witness))
+
+
+@pytest.mark.parametrize("ring", [zmod(2), zmod(6), zmod(9), f4()],
+                         ids=lambda r: r.describe())
+def test_table_pfaffian_matches_pfaffian(ring):
+    rng = random.Random(7)
+    tables = ring.compile()
+    els = ring.elements()
+    for size in (2, 4, 6):
+        for _ in range(25):
+            state = tuple(rng.randrange(len(els)) for _ in range(size * (size - 1) // 2))
+            m = RingMatrix(ring, size, size,
+                           _decode(tables, ACTION_CONGRUENCE, size, state))
+            a = [[None] * size for _ in range(size)]
+            for (i, j), x in zip(_upper(size), state):
+                a[i][j] = x
+            assert els[_pf(tables, a, tuple(range(size)))] == pfaffian(m)
+
+
+def test_nice_mult_check_errors_and_bound():
+    with pytest.raises(NotCompleted):
+        nice_mult_check(0, 1, (0, 0), F3)
+    with pytest.raises(NotRelative):
+        nice_mult_check(3, 3, (1, 0), M4, I24)
+    # the product (0, 2, 0) of (2, 1, 0) with itself is not (1, 1, 0), so
+    # a search cut off at its start state cannot reach (1, 1, 0)
+    prod = vdk_product(um_row(F3, (2, 1, 0)), um_row(F3, (2, 1, 0)))
+    assert prod.entries == (0, 2, 0)
+    assert nice_mult_check(2, 2, (1, 0), F3)
+    assert not nice_mult_check(2, 2, (1, 0), F3, bound=1)

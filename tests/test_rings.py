@@ -6,6 +6,7 @@ import pytest
 
 from conftest import Z, f4, ideal_of, zmod
 from symwitt import (
+    BoundExceeded,
     DoubleRing,
     ExcisionRing,
     ExtendedReesRing,
@@ -27,6 +28,7 @@ from symwitt import (
     excision_to_double,
     rees_contains,
     unit_ideal,
+    parse_ring,
     zero_ideal,
 )
 
@@ -258,3 +260,31 @@ def test_ring_identity_and_mismatch():
         DoubleRing(M8, ideal_of(M4, 2))
     with pytest.raises(MalformedSpec):
         ExcisionRing(M8, ideal_of(M4, 2))
+
+
+@pytest.mark.parametrize("ring", [
+    zmod(2), zmod(6), M8, zmod(9),
+    f4(), parse_ring("f8"), parse_ring("f9"),
+    QuotientRing(M8, (4,)),
+    ProductRing((zmod(2), zmod(3))),
+    ExcisionRing(M4, ideal_of(M4, 2)),
+    DoubleRing(M8, ideal_of(M8, 2)),
+], ids=lambda r: r.describe())
+def test_compiled_tables_match_ring_ops(ring):
+    tables = ring.compile()
+    els = tables.elements
+    assert els == ring.elements()
+    assert all(tables.index[x] == ring.element_index(x) == k for k, x in enumerate(els))
+    assert (els[tables.zero], els[tables.one]) == (ring.zero, ring.one)
+    for i, a in enumerate(els):
+        assert els[tables.neg[i]] == ring.neg(a)
+        for j, b in enumerate(els):
+            assert els[tables.add[i][j]] == ring.add(a, b)
+            assert els[tables.mul[i][j]] == ring.mul(a, b)
+    assert ring.compile() is tables
+
+
+def test_compile_refuses_past_cap():
+    # 2049^2 table entries pass the 2^22 cap; 2048^2 would not
+    with pytest.raises(BoundExceeded, match=r"2049 elements .* 4194304"):
+        zmod(2049).compile()
