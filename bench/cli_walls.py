@@ -1,17 +1,25 @@
-"""Wall time of `symwitt report vaserstein` on named rings.
+"""Wall time and peak RSS of `symwitt report vaserstein` on named rings.
 
     python3 bench/cli_walls.py                      # time this checkout
     python3 bench/cli_walls.py --src OTHER_CHECKOUT # time another checkout
+    python3 bench/cli_walls.py --large              # add the large-ring group
 
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
-import.  The median wall per command goes into the output file
-(BENCH_6.json at the root of this repository by default) under the timed
-checkout's commit, together with the machine: nproc, Python and
-platform.  Entries already in the file for other commits are kept, so
-one file holds a parent and a change side by side.  The sha256 of each
-command's stdout is recorded too, to show both sides printed the same
-bytes.  Standard library only.
+import.  The peak RSS of each run is the child's ru_maxrss, read with
+os.wait4.  The medians per command go into the output file (BENCH_7.json
+at the root of this repository by default) under the timed checkout's
+commit, together with the machine: nproc, Python and platform.  Entries
+already in the file for other commits are kept, so one file holds a
+parent and a change side by side.  The sha256 of each command's stdout
+and the error name of a failed run are recorded too, to show both sides
+printed the same bytes.
+
+The opt-in large-ring group holds commands over rings of 10^7 elements
+and more, which must be answered or refused without enumerating the
+ring.  Each of its runs is capped at LARGE_AS_LIMIT_MB of address space,
+so a checkout that does enumerate fails with a MemoryError at the cap
+instead of taking the machine's memory.  Standard library only.
 """
 
 import argparse
@@ -19,9 +27,12 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -43,6 +54,22 @@ CASES = (
     ("Z/8 (4)", "zmod:8", 4),
 )
 
+LARGE_AS_LIMIT_MB = 1536
+LARGE_CASES = (
+    ("eval Z/30000001 x Z/3",
+     ["ring", "eval", "--ring",
+      '{"kind":"product","factors":["zmod:30000001","zmod:3"]}',
+      "--op", "add", "--args", "(1|1)", "(2|1)"]),
+    ("eval Z/(20000003)",
+     ["ring", "eval", "--ring",
+      '{"kind":"quotient","base":"z","moduli":["20000003"]}',
+      "--op", "add", "--args", "20000002", "5"]),
+    ("report Z/50000017",
+     ["report", "vaserstein", "--ring", "zmod:50000017"]),
+    ("members Z/50000017 (7)",
+     ["ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"]),
+)
+
 LAUNCH = "import sys; from symwitt.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -56,28 +83,72 @@ def _git(src, *args):
     return out.stdout.strip()
 
 
-def time_case(src, argv):
-    """Walls of RUNS runs of one command, its exit code and stdout digest."""
-    env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONHASHSEED="0")
-    walls, codes, digests = [], set(), set()
-    for _ in range(RUNS):
+def run_once(src, argv, env, as_limit_mb):
+    """One run: wall seconds, exit code, stdout, stderr, peak RSS in MB."""
+    def cap():
+        limit = as_limit_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", LAUNCH] + argv, cwd=src,
-                              env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, timeout=RUN_LIMIT_S)
-        walls.append(time.perf_counter() - t0)
-        codes.add(proc.returncode)
-        digests.add(hashlib.sha256(proc.stdout).hexdigest())
-    return {"argv": argv, "median_s": round(statistics.median(walls), 3),
-            "runs_s": [round(w, 3) for w in walls],
-            "exit": sorted(codes), "stdout_sha256": sorted(digests)}
+        proc = subprocess.Popen([sys.executable, "-c", LAUNCH] + argv, cwd=src,
+                                env=env, stdout=out, stderr=err,
+                                preexec_fn=cap if as_limit_mb else None)
+        timer = threading.Timer(RUN_LIMIT_S, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        # ru_maxrss is in KB on Linux
+        return wall, proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024
+
+
+def _error_name(stderr):
+    """The structured error's name, else the last line of stderr."""
+    try:
+        return json.loads(stderr)["error"]
+    except (ValueError, KeyError, TypeError):
+        lines = stderr.decode(errors="replace").strip().splitlines()
+        return lines[-1] if lines else ""
+
+
+def time_case(src, argv, as_limit_mb=None):
+    """Walls and peak RSS of RUNS runs of one command, its exit code,
+    error name and stdout digest."""
+    env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONHASHSEED="0")
+    walls, rss, codes, digests, errors = [], [], set(), set(), set()
+    for _ in range(RUNS):
+        wall, code, stdout, stderr, peak = run_once(src, argv, env, as_limit_mb)
+        walls.append(wall)
+        rss.append(peak)
+        codes.add(code)
+        digests.add(hashlib.sha256(stdout).hexdigest())
+        if code:
+            errors.add(_error_name(stderr))
+    out = {"argv": argv, "median_s": round(statistics.median(walls), 3),
+           "runs_s": [round(w, 3) for w in walls],
+           "median_peak_rss_mb": round(statistics.median(rss), 1),
+           "runs_peak_rss_mb": [round(m, 1) for m in rss],
+           "exit": sorted(codes), "stdout_sha256": sorted(digests)}
+    if errors:
+        out["errors"] = sorted(errors)
+    if as_limit_mb:
+        out["as_limit_mb"] = as_limit_mb
+    return out
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
+    ap.add_argument("--large", action="store_true",
+                    help="also time the large-ring group")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {
@@ -89,12 +160,18 @@ def main():
         "runs_per_command": RUNS,
         "walls": {},
     }
+    cases = []
     for label, spec, gen in CASES:
         argv = ["report", "vaserstein", "--ring", spec]
         if gen is not None:
             argv += ["--ideal", str(gen)]
-        entry["walls"][label] = time_case(src, argv)
-        print(f"{label:10s} {entry['walls'][label]['median_s']:9.3f} s",
+        cases.append((label, argv, None))
+    if args.large:
+        cases += [(label, argv, LARGE_AS_LIMIT_MB) for label, argv in LARGE_CASES]
+    for label, argv, as_limit_mb in cases:
+        res = entry["walls"][label] = time_case(src, argv, as_limit_mb)
+        print(f"{label:24s} {res['median_s']:9.3f} s "
+              f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",
               file=sys.stderr, flush=True)
     doc = {"script": "bench/cli_walls.py", "entries": []}
     if args.out.exists():

@@ -134,9 +134,7 @@ def _h_ring_eval(ns):
     elif op == "pow":
         if len(args) != 1 or ns.exp is None:
             raise UsageError("pow takes one argument and --exp")
-        out = ring.one
-        for _ in range(ns.exp):
-            out = ring.mul(out, args[0])
+        out = ring.pow(args[0], ns.exp)
     else:
         raise UsageError(f"unknown op {op!r}")
     return {"schema": "ring-eval/1", "ring": ring_to_spec(ring), "op": op,

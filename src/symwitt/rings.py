@@ -36,7 +36,6 @@ from .errors import (
     UndecidableMembership,
 )
 
-_MEMO_SIZE_CAP = 512  # composite rings up to this size cache op tables
 MEMORY_CAP = 1 << 22  # entries any one enumeration, table or span may hold
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
@@ -236,13 +235,15 @@ def _parse_pair(s: str, arity: int) -> list[str]:
 @dataclass(frozen=True)
 class RingTables:
     """A finite ring compiled to element indices: add[x][y], neg[x] and
-    mul[x][y] are indices, as are zero and one."""
+    mul[x][y] are indices, as are zero and one; inv[x] is the index of
+    the inverse of x, or None when x is not a unit."""
 
     elements: tuple
     index: dict
     add: tuple
     neg: tuple
     mul: tuple
+    inv: tuple
     zero: int
     one: int
 
@@ -251,11 +252,11 @@ class Ring:
     """Base class: exact ops on payloads, plus enumeration for finite rings."""
 
     kind = "?"
+    _table_ops = True  # compile() rebinds add/neg/sub/mul to table lookups
 
     def __init__(self):
         self._elements: Optional[tuple] = None
         self._index: Optional[dict] = None
-        self._inv_table: Optional[dict] = None
         self._nil_table: Optional[dict] = None
         self._tables: Optional[RingTables] = None
 
@@ -314,26 +315,15 @@ class Ring:
 
     # -- units -----------------------------------------------------------
     def is_unit(self, a) -> bool:
-        self._build_inverses()
-        return a in self._inv_table
+        t = self.compile()
+        return t.inv[t.index[a]] is not None
 
     def inv(self, a):
-        self._build_inverses()
-        try:
-            return self._inv_table[a]
-        except KeyError:
+        t = self.compile()
+        k = t.inv[t.index[a]]
+        if k is None:
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-
-    def _build_inverses(self):
-        if self._inv_table is not None:
-            return
-        table = {}
-        for a in self.elements():
-            for b in self.elements():
-                if self.mul(a, b) == self.one:
-                    table[a] = b
-                    break
-        self._inv_table = table
+        return t.elements[k]
 
     def is_nilpotent(self, a) -> bool:
         if a == self.zero:
@@ -367,11 +357,22 @@ class Ring:
         return len(self.elements())
 
     def elements(self) -> tuple:
+        if self._elements is None:
+            els = self._take(MEMORY_CAP)
+            if len(els) > MEMORY_CAP:
+                raise BoundExceeded(
+                    f"{self.describe()} has more than {MEMORY_CAP} elements, "
+                    f"past the memory cap")
+            self._elements = els
+        return self._elements
+
+    def _take(self, cap: int) -> tuple:
+        """The elements in enumeration order, but at most cap + 1 of them."""
+        if self._elements is not None:
+            return self._elements
         if not self.is_finite:
             raise InfiniteRing(f"{self.describe()} has infinitely many elements")
-        if self._elements is None:
-            self._elements = tuple(self._iter_elements())
-        return self._elements
+        return tuple(itertools.islice(self._iter_elements(), cap + 1))
 
     def _iter_elements(self):
         raise InfiniteRing(self.describe())
@@ -385,23 +386,36 @@ class Ring:
         """Operation tables on element indices, built once per handle.
 
         Index k stands for elements()[k].  The tables hold |R|^2 entries
-        each, so a ring past sqrt(MEMORY_CAP) elements is refused.
+        each, so a ring past sqrt(MEMORY_CAP) elements is refused before
+        more than that many elements are drawn.  Unless _table_ops is
+        off (Z/n), the first compile also rebinds the handle's add, neg,
+        sub and mul to lookups in the tables.
         """
         if self._tables is None:
-            els = self.elements()
+            side = math.isqrt(MEMORY_CAP)
+            els = self._take(side)
             q = len(els)
-            if q * q > MEMORY_CAP:
+            if q > side:
                 raise BoundExceeded(
-                    f"op tables of a ring with {q} elements ({q}^2 entries) "
-                    f"are past the memory cap of {MEMORY_CAP}")
-            zero = self.element_index(self.zero)  # builds self._index
-            index = self._index
-            self._tables = RingTables(
+                    f"op tables of a ring with at least {q} elements (at least "
+                    f"{q}^2 entries) are past the memory cap of {MEMORY_CAP}")
+            self._elements = els
+            index = self._index = {x: k for k, x in enumerate(els)}
+            one = index[self.one]
+            mul = tuple(tuple(index[self.mul(a, b)] for b in els) for a in els)
+            t = self._tables = RingTables(
                 els, index,
                 tuple(tuple(index[self.add(a, b)] for b in els) for a in els),
                 tuple(index[self.neg(a)] for a in els),
-                tuple(tuple(index[self.mul(a, b)] for b in els) for a in els),
-                zero, index[self.one])
+                mul,
+                tuple(row.index(one) if one in row else None for row in mul),
+                index[self.zero], one)
+            if self._table_ops:
+                add, neg = t.add, t.neg
+                self.add = lambda a, b: els[add[index[a]][index[b]]]
+                self.neg = lambda a: els[neg[index[a]]]
+                self.sub = lambda a, b: els[add[index[a]][neg[index[b]]]]
+                self.mul = lambda a, b: els[mul[index[a]][index[b]]]
         return self._tables
 
     # -- payload hygiene and strings ----------------------------------------
@@ -414,32 +428,6 @@ class Ring:
 
     def parse(self, s: str):
         raise NotImplementedError
-
-    def _install_memo(self):
-        try:
-            if not self.is_finite or self.size > _MEMO_SIZE_CAP:
-                return
-        except InfiniteRing:
-            return
-        raw_add, raw_mul = self.add, self.mul
-        add_memo: dict = {}
-        mul_memo: dict = {}
-
-        def add(a, b):
-            k = (a, b)
-            v = add_memo.get(k)
-            if v is None:
-                v = add_memo[k] = raw_add(a, b)
-            return v
-
-        def mul(a, b):
-            k = (a, b)
-            v = mul_memo.get(k)
-            if v is None:
-                v = mul_memo[k] = raw_mul(a, b)
-            return v
-
-        self.add, self.mul = add, mul
 
 
 class IntegerRing(Ring):
@@ -542,6 +530,7 @@ class RationalField(Ring):
 
 class ModularRing(Ring):
     kind = "modular"
+    _table_ops = False  # % beats a table lookup
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
@@ -833,7 +822,6 @@ class QuotientRing(Ring):
                 "quotient needs base Z, a monic polynomial modulus, or a finite base")
         self.zero = self.reduce(base.zero)
         self.one = self.reduce(base.one)
-        self._install_memo()
 
     def reduce(self, x):
         if self._mode == "int":
@@ -901,7 +889,6 @@ class ProductRing(Ring):
         self.factors = tuple(factors)
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
-        self._install_memo()
 
     def spec_key(self):
         return ("product", tuple(f.spec_key() for f in self.factors))
@@ -967,7 +954,6 @@ class ExcisionRing(Ring):
         self._same = base == host
         self.zero = (base.zero, host.zero)
         self.one = (base.one, host.zero)
-        self._install_memo()
 
     def _act(self, b, j):
         """Multiply an ideal element by a base element inside the host."""
@@ -1064,7 +1050,6 @@ class DoubleRing(Ring):
         self.base, self.ideal = base, ideal
         self.zero = (base.zero, base.zero)
         self.one = (base.one, base.one)
-        self._install_memo()
 
     def spec_key(self):
         return ("double", self.base.spec_key(), self.ideal.gens)

@@ -106,18 +106,23 @@ def _int_complete(entries: tuple) -> Optional[tuple]:
     return None
 
 
-def _finite_complete(ring: Ring, entries: tuple) -> Optional[tuple]:
-    """DP over partial sums; first witness in enumeration order."""
+def _finite_complete(ring: Ring, entries: tuple, pool: Optional[tuple] = None,
+                     target=None) -> Optional[tuple]:
+    """A column b over pool (default: the ring) with entries . b = target
+    (default: one), by a DP over partial sums; the first witness in pool
+    order, or None."""
+    if pool is None:
+        pool = ring.elements()
     sums = {ring.zero: ()}
     for a in entries:
         nxt: dict = {}
         for s, prefix in sums.items():
-            for b in ring.elements():
+            for b in pool:
                 s2 = ring.add(s, ring.mul(a, b))
                 if s2 not in nxt:
                     nxt[s2] = prefix + (b,)
         sums = nxt
-    return sums.get(ring.one)
+    return sums.get(ring.one if target is None else target)
 
 
 def complete(v: UmRow) -> Optional[tuple]:
@@ -151,17 +156,7 @@ def complete_relative(v: UmRow) -> Optional[UmRow]:
         return None if b is None else um_row(ring, b, ideal)
     target = ring.sub(ring.one, v.entries[0])
     if ring.is_finite:
-        members = ideal.members()
-        sums = {ring.zero: ()}
-        for a in v.entries:
-            nxt: dict = {}
-            for s, prefix in sums.items():
-                for i in members:
-                    s2 = ring.add(s, ring.mul(i, a))
-                    if s2 not in nxt:
-                        nxt[s2] = prefix + (i,)
-            sums = nxt
-        shift = sums.get(target)
+        shift = _finite_complete(ring, v.entries, ideal.members(), target)
         if shift is None:
             return None
         return um_row(ring, tuple(ring.add(x, i) for x, i in zip(e1, shift)), ideal)

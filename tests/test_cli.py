@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +60,20 @@ def test_ring_eval_ops(capsys):
                       '{"kind":"poly","base":{"kind":"zmod","n":5},"var":"t"}',
                       "--args", "3*t^2+1")
     assert parsed["result"] == "3*t^2+1"
+
+
+def test_ring_eval_pow_uses_square_and_multiply(capsys):
+    inv = run_json(capsys, "ring", "eval", "--ring", "zmod:7",
+                   "--op", "pow", "--args", "3", "--exp", "-1")
+    assert inv["result"] == "5"
+    # 3^(10^11) mod 7: 3 has order 6 and 10^11 = 4 mod 6
+    big = run_json(capsys, "ring", "eval", "--ring", "zmod:7",
+                   "--op", "pow", "--args", "3", "--exp", "100000000000")
+    assert big["result"] == "4"
+    code, out, err = run(capsys, "ring", "eval", "--ring", "zmod:8",
+                         "--op", "pow", "--args", "2", "--exp", "-3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NotAUnit"
 
 
 def test_ring_eval_bad_op_is_usage_error(capsys):
@@ -333,3 +352,45 @@ def test_output_is_canonical_json(capsys):
     obj = json.loads(out)
     assert out == json.dumps(obj, sort_keys=True,
                              separators=(",", ":")) + "\n"
+
+
+# Large rings must be refused or answered without enumerating them: each
+# command runs in a child capped at 512 MB of address space.
+SRC = Path(__file__).resolve().parent.parent / "src"
+AS_LIMIT = 512 << 20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+
+
+def run_capped(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    launch = "import sys; from symwitt.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", launch, *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, timeout=10, preexec_fn=_cap_address_space)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("ring, args, result", [
+    ('{"kind":"product","factors":["zmod:30000001","zmod:3"]}',
+     ("(1|1)", "(2|1)"), "(3|2)"),
+    ('{"kind":"quotient","base":"z","moduli":["20000003"]}',
+     ("20000002", "5"), "4"),
+], ids=["product", "quotient"])
+def test_large_ring_eval_enumerates_nothing(ring, args, result):
+    code, out, err = run_capped("ring", "eval", "--ring", ring, "--op", "add",
+                                "--args", *args)
+    assert code == 0, err
+    assert json.loads(out)["result"] == result
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "vaserstein", "--ring", "zmod:50000017"),
+    ("ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"),
+], ids=["report", "members"])
+def test_large_ring_enumeration_fails_fast(argv):
+    code, out, err = run_capped(*argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BoundExceeded"

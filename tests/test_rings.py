@@ -271,17 +271,45 @@ def test_ring_identity_and_mismatch():
     DoubleRing(M8, ideal_of(M8, 2)),
 ], ids=lambda r: r.describe())
 def test_compiled_tables_match_ring_ops(ring):
+    # the oracle is the raw class methods: after compile, ring.add and the
+    # rest of a composite handle are lookups in the tables under test
+    raw = type(ring)
     tables = ring.compile()
     els = tables.elements
     assert els == ring.elements()
     assert all(tables.index[x] == ring.element_index(x) == k for k, x in enumerate(els))
     assert (els[tables.zero], els[tables.one]) == (ring.zero, ring.one)
     for i, a in enumerate(els):
-        assert els[tables.neg[i]] == ring.neg(a)
+        assert els[tables.neg[i]] == raw.neg(ring, a) == ring.neg(a)
+        inverses = [b for b in els if raw.mul(ring, a, b) == ring.one]
+        assert tables.inv[i] == (tables.index[inverses[0]] if inverses else None)
+        assert ring.is_unit(a) == bool(inverses)
+        if inverses:
+            assert ring.inv(a) == inverses[0]
         for j, b in enumerate(els):
-            assert els[tables.add[i][j]] == ring.add(a, b)
-            assert els[tables.mul[i][j]] == ring.mul(a, b)
+            assert els[tables.add[i][j]] == raw.add(ring, a, b) == ring.add(a, b)
+            assert els[tables.mul[i][j]] == raw.mul(ring, a, b) == ring.mul(a, b)
+            assert ring.sub(a, b) == raw.add(ring, a, raw.neg(ring, b))
     assert ring.compile() is tables
+
+
+def test_table_ops_bind_on_first_compile_only():
+    ring = QuotientRing(M8, (4,))
+    assert "add" not in vars(ring)  # raw ops until the first compile
+    ring.compile()
+    assert {"add", "neg", "sub", "mul"} <= set(vars(ring))
+    mod = zmod(12)
+    mod.compile()
+    assert "add" not in vars(mod)  # Z/n keeps its % ops
+
+
+def test_quotient_units_past_table_cap_fail_fast():
+    ring = QuotientRing(Z, (10007,))
+    assert ring.add(10006, 2) == 1
+    with pytest.raises(BoundExceeded, match=r"at least 2049 elements"):
+        ring.is_unit(3)
+    with pytest.raises(BoundExceeded):
+        ring.inv(3)
 
 
 def test_compile_refuses_past_cap():
