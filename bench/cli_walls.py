@@ -1,4 +1,4 @@
-"""Wall time and peak RSS of `symwitt report vaserstein` on named rings.
+"""Wall time and peak RSS of symwitt commands on named rings.
 
     python3 bench/cli_walls.py                      # time this checkout
     python3 bench/cli_walls.py --src OTHER_CHECKOUT # time another checkout
