@@ -2,7 +2,6 @@
 
     python3 bench/cli_walls.py                      # time this checkout
     python3 bench/cli_walls.py --src OTHER_CHECKOUT # time another checkout
-    python3 bench/cli_walls.py --large              # add the large-ring group
 
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
@@ -15,11 +14,12 @@ parent and a change side by side.  The sha256 of each command's stdout
 and the error name of a failed run are recorded too, to show both sides
 printed the same bytes.
 
-The opt-in large-ring group holds commands over rings of 10^7 elements
-and more, which must be answered or refused without enumerating the
-ring.  Each of its runs is capped at LARGE_AS_LIMIT_MB of address space,
-so a checkout that does enumerate fails with a MemoryError at the cap
-instead of taking the machine's memory.  Standard library only.
+The large-ring group holds commands over rings of 10^7 elements and
+more, which must be answered or refused without enumerating the ring.
+The child sets its own address-space limit of AS_LIMIT_MB before it
+imports symwitt, so a checkout that does enumerate fails with a
+MemoryError at the cap instead of taking the machine's memory; the
+reports stay far below it.  Standard library only.
 """
 
 import argparse
@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -54,7 +53,7 @@ CASES = (
     ("Z/8 (4)", "zmod:8", 4),
 )
 
-LARGE_AS_LIMIT_MB = 1536
+AS_LIMIT_MB = 1536
 LARGE_CASES = (
     ("eval Z/30000001 x Z/3",
      ["ring", "eval", "--ring",
@@ -70,7 +69,10 @@ LARGE_CASES = (
      ["ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"]),
 )
 
-LAUNCH = "import sys; from symwitt.cli import main; sys.exit(main(sys.argv[1:]))"
+LAUNCH = (
+    "import resource, sys; "
+    f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT_MB << 20}, {AS_LIMIT_MB << 20})); "
+    "from symwitt.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
 def _git(src, *args):
@@ -83,17 +85,12 @@ def _git(src, *args):
     return out.stdout.strip()
 
 
-def run_once(src, argv, env, as_limit_mb):
+def run_once(src, argv, env):
     """One run: wall seconds, exit code, stdout, stderr, peak RSS in MB."""
-    def cap():
-        limit = as_limit_mb << 20
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", LAUNCH] + argv, cwd=src,
-                                env=env, stdout=out, stderr=err,
-                                preexec_fn=cap if as_limit_mb else None)
+                                env=env, stdout=out, stderr=err)
         timer = threading.Timer(RUN_LIMIT_S, proc.kill)
         timer.start()
         try:
@@ -117,13 +114,13 @@ def _error_name(stderr):
         return lines[-1] if lines else ""
 
 
-def time_case(src, argv, as_limit_mb=None):
+def time_case(src, argv):
     """Walls and peak RSS of RUNS runs of one command, its exit code,
     error name and stdout digest."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONHASHSEED="0")
     walls, rss, codes, digests, errors = [], [], set(), set(), set()
     for _ in range(RUNS):
-        wall, code, stdout, stderr, peak = run_once(src, argv, env, as_limit_mb)
+        wall, code, stdout, stderr, peak = run_once(src, argv, env)
         walls.append(wall)
         rss.append(peak)
         codes.add(code)
@@ -137,8 +134,6 @@ def time_case(src, argv, as_limit_mb=None):
            "exit": sorted(codes), "stdout_sha256": sorted(digests)}
     if errors:
         out["errors"] = sorted(errors)
-    if as_limit_mb:
-        out["as_limit_mb"] = as_limit_mb
     return out
 
 
@@ -147,8 +142,6 @@ def main():
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
-    ap.add_argument("--large", action="store_true",
-                    help="also time the large-ring group")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {
@@ -158,6 +151,7 @@ def main():
         "python": platform.python_version(),
         "platform": platform.platform(),
         "runs_per_command": RUNS,
+        "as_limit_mb": AS_LIMIT_MB,
         "walls": {},
     }
     cases = []
@@ -165,11 +159,9 @@ def main():
         argv = ["report", "vaserstein", "--ring", spec]
         if gen is not None:
             argv += ["--ideal", str(gen)]
-        cases.append((label, argv, None))
-    if args.large:
-        cases += [(label, argv, LARGE_AS_LIMIT_MB) for label, argv in LARGE_CASES]
-    for label, argv, as_limit_mb in cases:
-        res = entry["walls"][label] = time_case(src, argv, as_limit_mb)
+        cases.append((label, argv))
+    for label, argv in cases + list(LARGE_CASES):
+        res = entry["walls"][label] = time_case(src, argv)
         print(f"{label:24s} {res['median_s']:9.3f} s "
               f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",
               file=sys.stderr, flush=True)

@@ -855,6 +855,18 @@ class QuotientRing(Ring):
             return True
         return self.base.base.is_finite
 
+    def is_unit(self, a):
+        if self._mode == "int":
+            return math.gcd(a, self._m) == 1
+        return super().is_unit(a)
+
+    def inv(self, a):
+        if self._mode != "int":
+            return super().inv(a)
+        if math.gcd(a, self._m) != 1:
+            raise NotAUnit(f"{a} is not a unit of {self.describe()}")
+        return pow(a, -1, self._m)
+
     def _iter_elements(self):
         if self._mode == "int":
             return iter(range(self._m))
@@ -1236,7 +1248,9 @@ class Ideal:
     def has_unit_generator(self) -> bool:
         try:
             return any(self.ring.is_unit(g) for g in self.gens)
-        except (UndecidableMembership, InfiniteRing):
+        except (UndecidableMembership, InfiniteRing, BoundExceeded):
+            # a unit generator makes the closure the whole ring, so callers
+            # that fall back to the closure still get the right answer
             return False
 
     # -- membership --------------------------------------------------------

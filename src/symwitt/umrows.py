@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    BoundExceeded,
     InfiniteRing,
     NoP0Found,
     NoRelativeCompletionFound,
@@ -134,7 +135,7 @@ def complete(v: UmRow) -> Optional[tuple]:
                 b = [ring.zero] * v.n
                 b[k] = ring.inv(a)
                 return tuple(b)
-        except (InfiniteRing, UndecidableMembership):
+        except (InfiniteRing, UndecidableMembership, BoundExceeded):
             break
     if ring.kind == "integers":
         return _int_complete(v.entries)

@@ -22,11 +22,13 @@ from symwitt import (
     RationalField,
     ReesRing,
     RingMismatch,
+    complete,
     double_to_excision,
     excision_project,
     excision_section,
     excision_to_double,
     rees_contains,
+    um_row,
     unit_ideal,
     parse_ring,
     zero_ideal,
@@ -303,13 +305,38 @@ def test_table_ops_bind_on_first_compile_only():
     assert "add" not in vars(mod)  # Z/n keeps its % ops
 
 
-def test_quotient_units_past_table_cap_fail_fast():
+def test_quotient_units_past_table_cap():
+    # a quotient of Z tests units by gcd, like Z/n, at any size
     ring = QuotientRing(Z, (10007,))
     assert ring.add(10006, 2) == 1
+    assert ring.is_unit(3) and ring.mul(3, ring.inv(3)) == 1
+    with pytest.raises(NotAUnit):
+        ring.inv(0)
+    # a monic quotient past the table cap refuses at once
+    big = QuotientRing(PolynomialRing(zmod(3)), ((0,) * 7 + (1,),))
     with pytest.raises(BoundExceeded, match=r"at least 2049 elements"):
-        ring.is_unit(3)
+        big.is_unit((1, 1))
     with pytest.raises(BoundExceeded):
-        ring.inv(3)
+        big.inv((1, 1))
+
+
+def test_ideals_and_rows_past_table_cap():
+    # membership and completion fall back to closures and the DP when the
+    # unit test is refused, as they do when it is undecidable
+    ring = QuotientRing(Z, (3003,))  # 3 * 7 * 11 * 13
+    ideal = Ideal(ring, (7,))
+    assert ideal.contains(14) and not ideal.contains(5)
+    assert Ideal(ring, (5,)).contains(1)
+    v = um_row(ring, (8, 14), ideal)
+    b = complete(v)
+    assert ring.dot(v.entries, b) == ring.one
+    QuotientRing(PolynomialRing(ring), ((1, 0, 1),))  # monic over Z/(3003)
+    big = QuotientRing(PolynomialRing(zmod(3)), ((0,) * 7 + (1,),))  # 3^7 elements
+    x = Ideal(big, ((0, 1),))
+    assert not x.has_unit_generator()
+    assert x.contains((0, 0, 1)) and not x.contains(big.one)
+    b = complete(um_row(big, ((1, 1),)))
+    assert big.mul((1, 1), b[0]) == big.one
 
 
 def test_compile_refuses_past_cap():
