@@ -25,7 +25,7 @@ from .errors import (
     TailAlignmentFailed,
     VerificationFailed,
 )
-from .rings import MEMORY_CAP, Ideal, Ring, unit_ideal
+from .rings import MEMORY_CAP, Ideal, Ring, additive_span, unit_ideal
 from .matrices import (
     Conj,
     Elem,
@@ -113,12 +113,12 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> 
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
-    if ideal is not None and ideal.ring != ring:
+    ideal = ideal if ideal is not None else unit_ideal(ring)
+    if ideal.ring != ring:
         raise RingMismatch("ideal over a different ring")
-    relative = ideal is not None and not ideal.has_unit_generator()
+    relative = not ideal.has_unit_generator()
     out = []
-    for i, j, a in _transvections(ring, n, ideal.members() if relative
-                                  else ring.elements()):
+    for i, j, a in _transvections(ring, n, ideal.members()):
         u, w = (tuple(ring.one if t == k else ring.zero for t in range(n))
                 for k in (i - 1, j - 1))
         out.append(Generator(Elem(i, j, a), a, u, w,
@@ -376,29 +376,6 @@ def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
     return tuple(map(getitem, map(add.__getitem__, x), d))
 
 
-def _additive_span(ring: Ring, width: int, deltas) -> set:
-    """Additive subgroup of R^width generated by deltas, as index vectors.
-
-    Each delta d extends the span H by whole cosets H + d, H + 2d, ...
-    until k*d already lies in it, so every element is built once.  A
-    span that would pass MEMORY_CAP entries raises before it is built.
-    """
-    tables = ring.compile()
-    add = tables.add
-    span = {(tables.zero,) * width}
-    for d in deltas:
-        coset, shift = span, d
-        while shift not in span:
-            if (len(span) + len(coset)) * width > MEMORY_CAP:
-                raise BoundExceeded(
-                    f"additive span of {len(span) + len(coset)} vectors x "
-                    f"{width} entries is past the memory cap of {MEMORY_CAP}")
-            coset = {_vec_add(add, x, d) for x in coset}
-            span |= coset
-            shift = _vec_add(add, shift, d)
-    return span
-
-
 def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
                            n: int, closed: bool = True) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
@@ -423,7 +400,8 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
         minus = tuple(map(neg.__getitem__, vecs[k]))
         moved = (_step(states[k], terms, add) for _, terms in moves)
         deltas = {_vec_add(add, _full(tables, action, n, y), minus) for y in moved}
-        span = _additive_span(ring, len(minus), deltas)
+        span = additive_span((tables.zero,) * len(minus),
+                             functools.partial(_vec_add, add), deltas, len(minus))
         members = [j for j in range(k, len(objects))
                    if ids[j] < 0 and _vec_add(add, vecs[j], minus) in span]
         if closed and len(members) < len(span):
@@ -456,11 +434,18 @@ def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
 
 def _row_pool(ring: Ring, n: int, ideal: Optional[Ideal]) -> tuple:
     """Entries a row of length n (in e1 + I^n, with an ideal) draws from,
-    once the rows are known to fit under MEMORY_CAP."""
-    relative = ideal is not None and not ideal.has_unit_generator()
-    pool = ideal.members() if relative else ring.elements()
+    once the rows are known to fit under MEMORY_CAP.  An absolute pool
+    draws at most one element more than fits, so a large ring is refused
+    without being enumerated."""
+    if ideal is not None and not ideal.has_unit_generator():
+        pool = ideal.members()
+    else:
+        side = round(MEMORY_CAP ** (1 / n))
+        while side ** n > MEMORY_CAP:
+            side -= 1
+        pool = ring._take(side)
     if len(pool) ** n > MEMORY_CAP:
-        raise BoundExceeded(f"{len(pool)}^{n} rows is past the memory cap")
+        raise BoundExceeded(f"at least {len(pool)}^{n} rows is past the memory cap")
     return pool
 
 
@@ -575,7 +560,7 @@ def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
             form = StandardForm(r, size // 2, signs).realize(ring)
             if not any(congruent_mod_ideal(form, g, ideal) for g in forms):
                 forms.append(form)
-    pool = ring.elements() if ideal.has_unit_generator() else ideal.members()
+    pool = ideal.members()
     if len(forms) * len(pool) ** len(pos) > MEMORY_CAP:
         raise BoundExceeded(
             f"{len(forms)} form cosets x {len(pool)}^{len(pos)} matrices "

@@ -97,6 +97,32 @@ def _poly_divmod(base: "Ring", p: tuple, g: tuple) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
+# additive spans (ideal members, quotient cosets, translation orbits)
+# ---------------------------------------------------------------------------
+
+def additive_span(zero, add, deltas, width: int = 1) -> set:
+    """Additive subgroup generated by deltas, with group law add(x, d).
+
+    Each delta d extends the span H by whole cosets H + d, H + 2d, ...
+    until k*d already lies in it, so every element is built once.  An
+    element holds `width` entries; a span that would pass MEMORY_CAP
+    entries raises before it is built.
+    """
+    span = {zero}
+    for d in deltas:
+        coset, shift = span, d
+        while shift not in span:
+            if (len(span) + len(coset)) * width > MEMORY_CAP:
+                raise BoundExceeded(
+                    f"additive span of {len(span) + len(coset)} vectors x "
+                    f"{width} entries is past the memory cap of {MEMORY_CAP}")
+            coset = {add(x, d) for x in coset}
+            span |= coset
+            shift = add(shift, d)
+    return span
+
+
+# ---------------------------------------------------------------------------
 # element string grammar
 # ---------------------------------------------------------------------------
 #
@@ -256,7 +282,6 @@ class Ring:
 
     def __init__(self):
         self._elements: Optional[tuple] = None
-        self._index: Optional[dict] = None
         self._nil_table: Optional[dict] = None
         self._tables: Optional[RingTables] = None
 
@@ -377,11 +402,6 @@ class Ring:
     def _iter_elements(self):
         raise InfiniteRing(self.describe())
 
-    def element_index(self, a) -> int:
-        if self._index is None:
-            self._index = {x: k for k, x in enumerate(self.elements())}
-        return self._index[a]
-
     def compile(self) -> "RingTables":
         """Operation tables on element indices, built once per handle.
 
@@ -400,7 +420,7 @@ class Ring:
                     f"op tables of a ring with at least {q} elements (at least "
                     f"{q}^2 entries) are past the memory cap of {MEMORY_CAP}")
             self._elements = els
-            index = self._index = {x: k for k, x in enumerate(els)}
+            index = {x: k for k, x in enumerate(els)}
             one = index[self.one]
             mul = tuple(tuple(index[self.mul(a, b)] for b in els) for a in els)
             t = self._tables = RingTables(
@@ -782,7 +802,8 @@ class QuotientRing(Ring):
       * base Z, one nonzero modulus: remainder mod |n|;
       * base a polynomial ring, one modulus with unit leading coefficient:
         remainder under polynomial division;
-      * any finite base: coset representatives from the ideal closure.
+      * any finite base: each coset is represented by its first element
+        in the base's enumeration order.
     """
 
     kind = "quotient"
@@ -805,17 +826,14 @@ class QuotientRing(Ring):
             self._mode = "monic"
         elif base.is_finite:
             self._mode = "coset"
-            closure = set(Ideal(base, moduli).members())
+            closure = Ideal(base, moduli).members()
             if base.one in closure:
                 raise MalformedSpec("quotient by the unit ideal collapses the ring")
             reps: dict = {}
             for x in base.elements():
-                if x in reps:
-                    continue
-                coset = sorted((base.add(x, d) for d in closure), key=base.element_index)
-                rep = coset[0]
-                for y in coset:
-                    reps[y] = rep
+                if x not in reps:
+                    for d in closure:
+                        reps[base.add(x, d)] = x
             self._reps = reps
         else:
             raise MalformedSpec(
@@ -871,8 +889,7 @@ class QuotientRing(Ring):
         if self._mode == "int":
             return iter(range(self._m))
         if self._mode == "coset":
-            seen = sorted(set(self._reps.values()), key=self.base.element_index)
-            return iter(seen)
+            return (x for x in self.base.elements() if self._reps[x] == x)
         deg = len(self.moduli[0]) - 1
         coeff = self.base.base
         return (_strip(coeff, tup) for tup in
@@ -1219,7 +1236,7 @@ class Ideal:
     Membership is structural for Z (gcd), principal ideals of Z[X] and
     single monic moduli (division), constant-generator ideals of
     polynomial rings (coefficientwise), and component-zero ideals of
-    excision/double rings.  Finite rings fall back to the closure set;
+    excision/double rings.  Finite rings fall back to the member set;
     anything else raises UndecidableMembership.
     """
 
@@ -1310,31 +1327,22 @@ class Ideal:
         sub = Ideal(host, tuple(g[1] for g in self.gens))
         return x[0] == zero0 and sub.contains(x[1])
 
-    # -- closure -------------------------------------------------------------
+    # -- enumeration ---------------------------------------------------------
     def members(self) -> tuple:
-        """All ideal elements, sorted in the ring's enumeration order."""
-        if self._members is not None:
-            return self._members
-        ring = self.ring
-        if not ring.is_finite:
-            raise InfiniteRing(f"cannot enumerate {self.describe()} over {ring.describe()}")
-        seeds = set()
-        for g in self.gens:
-            for r in ring.elements():
-                seeds.add(ring.mul(r, g))
-        group = {ring.zero}
-        for s in seeds:
-            if s in group:
-                continue
-            worklist = [s]
-            while worklist:
-                x = worklist.pop()
-                if x in group:
-                    continue
-                group.add(x)
-                worklist.extend(ring.add(x, y) for y in tuple(group))
-        self._members = tuple(sorted(group, key=ring.element_index))
-        self._member_set = frozenset(group)
+        """All ideal elements, in the ring's enumeration order: the
+        additive span of the r*g, r in R, g a generator."""
+        if self._members is None:
+            ring = self.ring
+            if not ring.is_finite:
+                raise InfiniteRing(
+                    f"cannot enumerate {self.describe()} over {ring.describe()}")
+            els = ring.elements()
+            if self.has_unit_generator():
+                self._members = els
+            else:
+                span = additive_span(ring.zero, ring.add,
+                                     (ring.mul(r, g) for g in self.gens for r in els))
+                self._members = tuple(x for x in els if x in span)
         return self._members
 
     def power(self, k: int) -> "Ideal":
@@ -1391,55 +1399,6 @@ def unit_ideal(ring: Ring) -> Ideal:
 
 def zero_ideal(ring: Ring) -> Ideal:
     return Ideal(ring, (ring.zero,))
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class El:
-    """A payload tagged with its ring, with operator sugar."""
-
-    ring: Ring
-    value: object
-
-    @classmethod
-    def make(cls, ring: Ring, value) -> "El":
-        return cls(ring, ring.check(value))
-
-    @classmethod
-    def parse(cls, ring: Ring, s: str) -> "El":
-        return cls(ring, ring.parse(s))
-
-    def _coerce(self, other) -> object:
-        if isinstance(other, El):
-            if other.ring != self.ring:
-                raise RingMismatch(
-                    f"{self.ring.describe()} vs {other.ring.describe()}")
-            return other.value
-        return other
-
-    def __add__(self, other):
-        return El(self.ring, self.ring.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return El(self.ring, self.ring.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return El(self.ring, self.ring.mul(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return El(self.ring, self.ring.neg(self.value))
-
-    def __str__(self):
-        return self.ring.fmt(self.value)
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.value)
-
-    def inv(self) -> "El":
-        return El(self.ring, self.ring.inv(self.value))
 
 
 # ---------------------------------------------------------------------------

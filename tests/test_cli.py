@@ -394,3 +394,12 @@ def test_large_ring_enumeration_fails_fast(argv):
     code, out, err = run_capped(*argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "BoundExceeded"
+
+
+def test_large_ideal_members_listed_by_linear_span():
+    code, out, err = run_capped("ideal", "members", "--ring", "zmod:200000",
+                                "--ideal", "2")
+    assert code == 0, err
+    members = json.loads(out)["members"]
+    assert len(members) == 100000
+    assert members[:3] == ["0", "2", "4"] and members[-1] == "199998"

@@ -1,6 +1,7 @@
 """Orbit engine: enumeration, BFS partitions, bounded Witt classes,
 certificate search, and the bijectivity report."""
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -51,7 +52,6 @@ from symwitt.orbits import (
     CONFIRMED,
     INCONCLUSIVE,
     MEMORY_CAP,
-    _additive_span,
     _bfs,
     _compile_moves,
     _decode,
@@ -59,7 +59,9 @@ from symwitt.orbits import (
     _partition,
     _pf,
     _upper,
+    _vec_add,
 )
+from symwitt.rings import ModularRing, additive_span
 
 F2 = zmod(2)
 F3 = zmod(3)
@@ -75,6 +77,26 @@ def test_enumerate_um_counts():
     assert len(rel) == 8
     assert [r.entries for r in rel[:4]] == [(1, 0, 0), (1, 0, 2), (1, 2, 0), (1, 2, 2)]
 
+
+
+@pytest.mark.parametrize("n, side", [(2, 2048), (3, 161)])
+def test_row_pool_refuses_without_enumerating_the_ring(n, side):
+    # side^n rows fit under the cap and (side + 1)^n do not, so the absolute
+    # pool draws side + 1 elements and refuses; it never lists all of Z/p
+    ring = ModularRing(50000017)
+    drawn = []
+
+    def counting():
+        for x in range(ring.n):
+            drawn.append(x)
+            yield x
+
+    ring._iter_elements = counting
+    assert side ** n <= MEMORY_CAP < (side + 1) ** n
+    with pytest.raises(BoundExceeded, match=rf"at least {side + 1}\^{n} rows"):
+        enumerate_um(ring, n)
+    assert len(drawn) == side + 1
+    assert ring._elements is None
 
 @pytest.mark.parametrize("ring", [F2, F3, f4()])
 def test_field_row_count_matches_completion_oracle(ring):
@@ -263,13 +285,20 @@ def test_two_by_two_set_is_conjugation_closed(n, gen):
             assert conj.entries in mats
 
 
+def _span(ring, width, deltas):
+    # as the translation partition calls it: index vectors under the table add
+    tables = ring.compile()
+    return additive_span((tables.zero,) * width, functools.partial(_vec_add, tables.add),
+                         deltas, width)
+
+
 def test_additive_span_refuses_past_cap():
     # 3^10 vectors of width 36 fit under the cap, the whole span of 3^11
     # would not (and stays small enough to build if the cap were missing)
     width = 36
     deltas = [tuple(int(t == k) for t in range(width)) for k in range(11)]
     with pytest.raises(BoundExceeded, match=rf"118098 vectors x 36 entries .* {MEMORY_CAP}"):
-        _additive_span(F3, width, deltas)
+        _span(F3, width, deltas)
 
 
 def _brute_span(n, width, deltas):
@@ -288,7 +317,7 @@ def _brute_span(n, width, deltas):
     (12, []),
 ])
 def test_additive_span_matches_brute_force(n, deltas):
-    assert _additive_span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
+    assert _span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
 
 
 def test_additive_span_random_deltas():
@@ -297,7 +326,7 @@ def test_additive_span_random_deltas():
         for _ in range(30):
             deltas = [tuple(rng.randrange(n) for _ in range(3))
                       for _ in range(rng.randint(1, 3))]
-            assert _additive_span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
+            assert _span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
 
 
 def test_witt_universe_counts():

@@ -193,6 +193,93 @@ def test_ideal_closure():
     assert not ideal.contains(3)
 
 
+
+def _worklist_members(ideal):
+    """The quadratic closure that enumerated ideals before the linear
+    span, kept as the reference: add every new element to every member."""
+    ring = ideal.ring
+    seeds = {ring.mul(r, g) for g in ideal.gens for r in ring.elements()}
+    group = {ring.zero}
+    for s in seeds:
+        worklist = [s]
+        while worklist:
+            x = worklist.pop()
+            if x not in group:
+                group.add(x)
+                worklist.extend(ring.add(x, y) for y in tuple(group))
+    order = {x: k for k, x in enumerate(ring.elements())}
+    return tuple(sorted(group, key=order.__getitem__))
+
+
+def _ideal_cases():
+    prod = ProductRing((M4, zmod(6)))
+    exc = ExcisionRing(M8, ideal_of(M8, 2))
+    dbl = DoubleRing(M8, ideal_of(M8, 2))
+    quo = QuotientRing(zmod(24), (8,))
+    f9 = parse_ring("f9")
+    return [
+        (M8, (2,)), (M8, (0,)), (M8, (3,)), (zmod(12), (4, 6)), (zmod(36), (6, 4)),
+        (zmod(30), (6, 10, 15)), (zmod(24), (8, 12)), (zmod(27), (9, 18)),
+        (f4(), (f4().zero,)), (f4(), (f4().parse("x"),)),
+        (f9, (f9.zero,)), (f9, (f9.parse("x+1"),)),
+        (prod, ((2, 0),)), (prod, ((2, 3), (0, 2))), (prod, ((0, 3), (2, 0))),
+        (exc, ((0, 2),)), (exc, ((2, 0),)), (exc, ((0, 4), (4, 0))),
+        (dbl, ((2, 2),)), (dbl, ((2, 0), (6, 6))), (dbl, ((4, 0),)),
+        (quo, (2,)), (quo, (4, 6)), (quo, (3,)),
+    ]
+
+
+@pytest.mark.parametrize("ring, gens", _ideal_cases(),
+                         ids=lambda v: v.describe() if hasattr(v, "describe") else repr(v))
+def test_members_match_worklist_reference(ring, gens):
+    ideal = Ideal(ring, gens)
+    assert ideal.members() == _worklist_members(ideal)
+    if ideal.has_unit_generator():
+        assert ideal.members() is ring.elements()  # no span is built
+
+
+@pytest.mark.parametrize("base, moduli", [
+    (M8, (4,)), (zmod(12), (4, 6)), (zmod(36), (6, 4)),
+    (ProductRing((M4, zmod(6))), ((2, 3),)),
+    (ProductRing((M8, zmod(9))), ((4, 3), (2, 0))),
+], ids=repr)
+def test_coset_quotient_reps_are_first_in_enumeration_order(base, moduli):
+    quo = QuotientRing(base, moduli)
+    ideal = Ideal(base, moduli)
+    els = base.elements()
+    firsts = []
+    for x in els:
+        first = next(y for y in els if ideal.contains(base.sub(x, y)))
+        assert quo.reduce(x) == first
+        if first == x:
+            firsts.append(x)
+    assert quo.elements() == tuple(firsts)
+
+
+def test_members_form_an_ideal_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rings = [zmod(n) for n in (2, 4, 6, 8, 9, 12, 16, 18, 30, 36)] + [
+        f4(), ProductRing((M4, zmod(6))), ProductRing((zmod(2), zmod(9))),
+        ExcisionRing(M8, ideal_of(M8, 4)), DoubleRing(zmod(9), ideal_of(zmod(9), 3)),
+        QuotientRing(zmod(24), (8,))]
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(rings), st.lists(st.integers(0, 10 ** 6), max_size=3))
+    def check(ring, picks):
+        els = ring.elements()
+        gens = tuple(els[k % len(els)] for k in picks)
+        members = Ideal(ring, gens).members()
+        group = set(members)
+        assert len(group) == len(members) and ring.zero in group
+        assert all(g in group for g in gens)
+        assert all(ring.add(x, y) in group for x in members for y in members)
+        assert all(ring.mul(r, x) in group for r in els for x in members)
+        assert len(els) % len(members) == 0
+
+    check()
+
 def test_ideal_power_and_vanishing():
     ideal = ideal_of(M8, 2)
     assert ideal.power(2).members() == (0, 4)
@@ -279,7 +366,7 @@ def test_compiled_tables_match_ring_ops(ring):
     tables = ring.compile()
     els = tables.elements
     assert els == ring.elements()
-    assert all(tables.index[x] == ring.element_index(x) == k for k, x in enumerate(els))
+    assert all(tables.index[x] == k for k, x in enumerate(els))
     assert (els[tables.zero], els[tables.one]) == (ring.zero, ring.one)
     for i, a in enumerate(els):
         assert els[tables.neg[i]] == raw.neg(ring, a) == ring.neg(a)
