@@ -6,7 +6,7 @@
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
 import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_8.json
+os.wait4.  The medians per command go into the output file (BENCH_9.json
 at the root of this repository by default) under the timed checkout's
 commit, together with the machine: nproc, Python and platform.  Entries
 already in the file for other commits are kept, so one file holds a
@@ -15,12 +15,14 @@ and the error name of a failed run are recorded too, to show both sides
 printed the same bytes.
 
 The large-ring group holds commands over rings of 10^7 elements and
-more, which must be answered or refused without enumerating the ring,
-and the 10^5 members of an ideal of Z/200000, which must be listed in
-time and memory linear in the ring.  The child sets its own address-space limit of AS_LIMIT_MB before it
-imports symwitt, so a checkout that does enumerate fails with a
-MemoryError at the cap instead of taking the machine's memory; the
-reports stay far below it.  Standard library only.
+more, which must be answered or refused without enumerating the ring;
+a row product over Z/211, whose 211^3 rows must be refused before any
+search; and the 10^5 members of an ideal of Z/200000, which must be
+listed in time and memory linear in the ring.  The child sets its own
+address-space limit of AS_LIMIT_MB before it imports symwitt, so a
+checkout that does enumerate fails with a MemoryError at the cap
+instead of taking the machine's memory; the reports stay far below it.
+Standard library only.
 """
 
 import argparse
@@ -68,6 +70,9 @@ LARGE_CASES = (
      ["report", "vaserstein", "--ring", "zmod:50000017"]),
     ("members Z/50000017 (7)",
      ["ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"]),
+    ("um vdk Z/211",
+     ["um", "vdk", "--ring", "zmod:211", "--u", '["2","1","0"]',
+      "--v", '["1","0","1"]']),
     ("members Z/200000 (2)",
      ["ideal", "members", "--ring", "zmod:200000", "--ideal", "2"]),
 )
@@ -144,7 +149,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {

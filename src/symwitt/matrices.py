@@ -213,30 +213,9 @@ def determinant(m: RingMatrix):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StandardForm:
-    """chi_r^{s1} (+) chi_{n-r}^{s2}: r leading blocks of sign s1, the rest s2."""
-
-    r: int
-    n: int
-    signs: tuple
-
-    def __post_init__(self):
-        if not (0 <= self.r <= self.n):
-            raise BadIndices(f"need 0 <= r <= n, got r={self.r}, n={self.n}")
-        if tuple(self.signs) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            raise BadIndices(f"signs must be a pair of +-1, got {self.signs!r}")
-
-    def sign_vector(self) -> tuple:
-        return (self.signs[0],) * self.r + (self.signs[1],) * (self.n - self.r)
-
-    def realize(self, ring: Ring) -> RingMatrix:
-        return chi_of_signs(ring, self.sign_vector())
-
-
-@dataclass(frozen=True)
 class FormWitness:
-    """One sign per 2x2 block; closed under orthogonal sums, unlike the
-    two-run StandardForm shape."""
+    """One sign per 2x2 block: the form chi_1^{s_1} (+) ... (+) chi_1^{s_n}.
+    Orthogonal sums concatenate the signs."""
 
     signs: tuple
 
@@ -247,24 +226,6 @@ class FormWitness:
     @property
     def n(self) -> int:
         return len(self.signs)
-
-    @classmethod
-    def from_standard(cls, form: StandardForm) -> "FormWitness":
-        return cls(form.sign_vector())
-
-    def as_standard(self) -> Union[StandardForm, None]:
-        """The (r, signs) shape if the sign vector has at most two runs."""
-        s = self.signs
-        if not s:
-            return StandardForm(0, 0, (1, 1))
-        r = 0
-        while r < len(s) and s[r] == s[0]:
-            r += 1
-        if any(x != s[r] for x in s[r:]):
-            return None
-        if r == len(s):
-            return StandardForm(0, len(s), (1, s[0]))
-        return StandardForm(r, len(s), (s[0], s[r]))
 
     def realize(self, ring: Ring) -> RingMatrix:
         return chi_of_signs(ring, self.signs)
@@ -278,10 +239,6 @@ def chi_of_signs(ring: Ring, signs: Sequence[int]) -> RingMatrix:
         out[(2 * k) * 2 * n + (2 * k + 1)] = v
         out[(2 * k + 1) * 2 * n + (2 * k)] = ring.neg(v)
     return RingMatrix(ring, 2 * n, 2 * n, tuple(out))
-
-
-def chi(ring: Ring, r: int, n: int, signs: tuple = (1, 1)) -> RingMatrix:
-    return StandardForm(r, n, tuple(signs)).realize(ring)
 
 
 def chi_n(ring: Ring, n: int) -> RingMatrix:

@@ -31,15 +31,14 @@ from .matrices import (
     Elem,
     GroupWord,
     RingMatrix,
-    StandardForm,
     chi_n,
     congruent_mod_ideal,
     orth_sum,
 )
 from .witt import (
-    _SIGN_PAIRS,
     EquivalenceCertificate,
     WittSymbol,
+    standard_forms,
     verify_equivalence,
 )
 from .umrows import UmRow, _finite_complete, um_row, vaserstein_symbol, vdk_product
@@ -48,7 +47,6 @@ ACTION_ROW = "row"
 ACTION_CONGRUENCE = "congruence"
 
 CONFIRMED = "confirmed-within-bounds"
-REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
@@ -58,9 +56,9 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class Generator:
-    """One elementary move, kept as a rank-one update I + a*u*w^T.
+    """One elementary move, the rank-one update I + a*u*w^T.
 
-    The token records how the matrix was written (a bare transvection or
+    The token records how the move was written (a bare transvection or
     a conjugate of one), so BFS paths can be replayed as group words.
     """
 
@@ -68,17 +66,13 @@ class Generator:
     a: object
     u: tuple
     w: tuple
-    matrix: RingMatrix
 
 
-def _rank_one_update(ring: Ring, n: int, a, u: tuple, w: tuple) -> RingMatrix:
-    ent = []
-    for i in range(n):
-        aui = ring.mul(a, u[i])
-        for j in range(n):
-            x = ring.one if i == j else ring.zero
-            ent.append(ring.add(x, ring.mul(aui, w[j])))
-    return RingMatrix(ring, n, n, tuple(ent))
+def _product_key(tables, g: Generator) -> tuple:
+    """Element indices of a*u*w^T, which fixes the matrix I + a*u*w^T."""
+    mul, ix = tables.mul, tables.index
+    w = [ix[x] for x in g.w]
+    return tuple(mul[mul[ix[g.a]][ix[x]]][y] for x in g.u for y in w)
 
 
 def _transvections(ring: Ring, n: int, pool) -> list:
@@ -88,17 +82,15 @@ def _transvections(ring: Ring, n: int, pool) -> list:
             for a in pool if a != ring.zero]
 
 
-def _conjugate(ring: Ring, n: int, g: Generator, i: int, j: int, b) -> Generator:
+def _conjugate(ring: Ring, g: Generator, i: int, j: int, b) -> Generator:
     """e_ij(b) g e_ij(-b): u gains b*u_j in row i, w loses b*w_i in
     column j, and the conjugator joins the front of the token's chain."""
     u, w = list(g.u), list(g.w)
     u[i - 1] = ring.add(u[i - 1], ring.mul(b, g.u[j - 1]))
     w[j - 1] = ring.sub(w[j - 1], ring.mul(b, g.w[i - 1]))
-    u, w = tuple(u), tuple(w)
     tok = g.token
     chain, core = (tok.conjugator, tok.core) if isinstance(tok, Conj) else ((), tok)
-    return Generator(Conj((Elem(i, j, b),) + chain, core), g.a, u, w,
-                     _rank_one_update(ring, n, g.a, u, w))
+    return Generator(Conj((Elem(i, j, b),) + chain, core), g.a, tuple(u), tuple(w))
 
 
 def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
@@ -109,32 +101,36 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> 
     a in R, which generate E_n(R, I) (Vaserstein-Suslin 1976; Suslin
     1977).  Relative, n <= 2: the e_ij(x), x in I, closed under
     conjugation by every transvection, so they generate the normal
-    closure of E_n(I).  Duplicates are kept once (first token wins).
+    closure of E_n(I).  Duplicates (equal a*u*w^T) are kept once, and
+    the first token wins.
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     if ideal.ring != ring:
         raise RingMismatch("ideal over a different ring")
-    relative = not ideal.has_unit_generator()
-    out = []
-    for i, j, a in _transvections(ring, n, ideal.members()):
-        u, w = (tuple(ring.one if t == k else ring.zero for t in range(n))
-                for k in (i - 1, j - 1))
-        out.append(Generator(Elem(i, j, a), a, u, w,
-                             _rank_one_update(ring, n, a, u, w)))
-    if not relative:
+    unit = [tuple(ring.one if t == k else ring.zero for t in range(n))
+            for k in range(n)]
+    out = [Generator(Elem(i, j, a), a, unit[i - 1], unit[j - 1])
+           for i, j, a in _transvections(ring, n, ideal.members())]
+    if ideal.has_unit_generator():
         return tuple(out)
-    seen = {g.matrix.entries for g in out}
-    conj = _transvections(ring, n, ring.elements())
-    # n <= 2 walks `out` while it grows, so the closure reaches a fixpoint
-    for g in (tuple(out) if n >= 3 else out):
-        for k, l, b in conj:
-            if n <= 2 or (k, l) == (g.token.j, g.token.i):
-                h = _conjugate(ring, n, g, k, l, b)
-                if h.matrix.entries not in seen:
-                    seen.add(h.matrix.entries)
-                    out.append(h)
+    tables = ring.compile()
+    seen = {_product_key(tables, g) for g in out}
+    if n >= 3:
+        scalars = [b for b in ring.elements() if b != ring.zero]
+        conj = ((g, [(g.token.j, g.token.i, b) for b in scalars]) for g in tuple(out))
+    else:
+        # walk `out` while it grows, so the closure reaches a fixpoint
+        every = _transvections(ring, n, ring.elements())
+        conj = ((g, every) for g in out)
+    for g, steps in conj:
+        for k, l, b in steps:
+            h = _conjugate(ring, g, k, l, b)
+            key = _product_key(tables, h)
+            if key not in seen:
+                seen.add(key)
+                out.append(h)
     return tuple(out)
 
 
@@ -165,19 +161,15 @@ def _encode(tables, action: str, n: int, obj: tuple) -> tuple:
     return tuple(ix[i * n + j] for i, j in _upper(n))
 
 
-def _full(tables, action: str, n: int, state: tuple) -> tuple:
-    """State -> index vector of the whole payload tuple."""
+def _decode(tables, action: str, n: int, state: tuple) -> tuple:
+    """State -> payload tuple."""
     if action == ACTION_ROW:
-        return state
+        return tuple(map(tables.elements.__getitem__, state))
     ent = [tables.zero] * (n * n)
     for (i, j), x in zip(_upper(n), state):
         ent[i * n + j] = x
         ent[j * n + i] = tables.neg[x]
-    return tuple(ent)
-
-
-def _decode(tables, action: str, n: int, state: tuple) -> tuple:
-    return tuple(map(tables.elements.__getitem__, _full(tables, action, n, state)))
+    return tuple(map(tables.elements.__getitem__, ent))
 
 
 def _compile_moves(tables, action: str, n: int, gens: Sequence[Generator]) -> tuple:
@@ -319,8 +311,9 @@ def _meta(action: str, n: int, gens) -> dict:
     return {"action": action, "shape": shape, "generators": len(gens)}
 
 
-def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
-              bound: Optional[int] = None, closed: bool = True) -> OrbitPartition:
+def orbit_bfs(ring: Ring, objects: Sequence, action: str,
+              generators: Sequence[Generator], bound: Optional[int] = None,
+              closed: bool = True) -> OrbitPartition:
     """Partition `objects` into orbits under the configured action.
 
     Closed mode asserts every BFS edge stays inside the object set (the
@@ -335,8 +328,7 @@ def orbit_bfs(objects: Sequence, action: str, generators: Sequence[Generator],
         raise MalformedSpec("nothing to partition")
     if not generators:
         raise MalformedSpec("empty generator set")
-    ring = generators[0].matrix.ring
-    n = generators[0].matrix.rows
+    n = len(generators[0].u)
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, generators)
     index = _index_map(objects)
@@ -384,26 +376,25 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
     vector, so each orbit is seed + (additive span of the per-generator
     deltas) and saturation is unconditional.  An orbit's members are the
     listed objects in that coset; closed mode asserts it was listed whole.
-    The span holds index vectors of whole payload tuples.
+    The span holds states, so a congruence vector is an upper triangle.
     """
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, gens)
     add, neg = tables.add, tables.neg
     index = _index_map(objects)
     states = [_encode(tables, action, n, s) for s in objects]
-    vecs = [_full(tables, action, n, st) for st in states]
     ids = [-1] * len(objects)
     reps = []
     for k, s in enumerate(objects):
         if ids[k] >= 0:
             continue
-        minus = tuple(map(neg.__getitem__, vecs[k]))
-        moved = (_step(states[k], terms, add) for _, terms in moves)
-        deltas = {_vec_add(add, _full(tables, action, n, y), minus) for y in moved}
+        minus = tuple(map(neg.__getitem__, states[k]))
+        deltas = {_vec_add(add, _step(states[k], terms, add), minus)
+                  for _, terms in moves}
         span = additive_span((tables.zero,) * len(minus),
                              functools.partial(_vec_add, add), deltas, len(minus))
         members = [j for j in range(k, len(objects))
-                   if ids[j] < 0 and _vec_add(add, vecs[j], minus) in span]
+                   if ids[j] < 0 and _vec_add(add, states[j], minus) in span]
         if closed and len(members) < len(span):
             raise VerificationFailed("translation left the object set")
         for j in members:
@@ -425,7 +416,7 @@ def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
     relative = ideal is not None and not ideal.has_unit_generator()
     if relative and ideal.products_vanish():
         return _translation_partition(ring, objects, gens, action, n, closed)
-    return orbit_bfs(objects, action, gens, bound=bound, closed=closed)
+    return orbit_bfs(ring, objects, action, gens, bound=bound, closed=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +546,10 @@ def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
         raise InfiniteRing(f"cannot enumerate matrices over {ring.describe()}")
     pos = _upper(size)
     forms = []
-    for r in range(size // 2 + 1):
-        for signs in _SIGN_PAIRS:
-            form = StandardForm(r, size // 2, signs).realize(ring)
-            if not any(congruent_mod_ideal(form, g, ideal) for g in forms):
-                forms.append(form)
+    for witness in standard_forms(size // 2):
+        form = witness.realize(ring)
+        if not any(congruent_mod_ideal(form, g, ideal) for g in forms):
+            forms.append(form)
     pool = ideal.members()
     if len(forms) * len(pool) ** len(pos) > MEMORY_CAP:
         raise BoundExceeded(
@@ -741,7 +731,8 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
 
     Both factors are moved within their elementary orbits until the
     tails agree (canonically: smallest matching pair in enumeration
-    order); the coordinate formula then applies.
+    order); the coordinate formula then applies.  Rows that would not
+    all fit under MEMORY_CAP are refused before any search.
     """
     if u.ring != v.ring:
         raise RingMismatch("rows over different rings")
@@ -752,6 +743,7 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
     if u.entries[1:] == v.entries[1:]:
         return vdk_product(u, v)
     ring, n = u.ring, u.n
+    _row_pool(ring, n, u.ideal)
     tables = ring.compile()
     moves = _compile_moves(tables, ACTION_ROW, n,
                            elementary_generators(ring, n, u.ideal))
@@ -817,7 +809,6 @@ class BijectivityReport:
     assignments: tuple
     claims: dict
     verdict: str
-    counterexample: Optional[dict]
     notes: tuple
 
     def to_obj(self) -> dict:
@@ -841,7 +832,7 @@ class BijectivityReport:
             "fibers": {str(k): v for k, v in sorted(fibers.items())},
             "claims": dict(self.claims),
             "verdict": self.verdict,
-            "counterexample": self.counterexample,
+            "counterexample": None,
             "notes": list(self.notes),
         }
 
@@ -853,9 +844,10 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
 
     Every unimodular row (not just class representatives) is pushed
     through the symbol map, so constancy on orbits is itself observed
-    rather than assumed.  Verdicts are three-valued; a failed claim
-    under fully saturated search is still only `inconclusive` because
-    the stabilization level is a bound too (`depth` is only recorded).
+    rather than assumed.  A claim is confirmed or inconclusive: a failed
+    claim under fully saturated search is still only `inconclusive`
+    because the stabilization level is a bound too (`depth` is only
+    recorded).
     """
     ideal = ideal if ideal is not None else unit_ideal(ring)
     rows = um_orbit_partition(ring, 3, ideal, depth, bound)
@@ -890,4 +882,4 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     claims["bijective"] = CONFIRMED if bijective else INCONCLUSIVE
     verdict = claims["bijective"]
     return BijectivityReport(ring, ideal, levels, depth, rows, classes,
-                             assignments, claims, verdict, None, tuple(notes))
+                             assignments, claims, verdict, tuple(notes))

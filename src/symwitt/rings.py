@@ -382,9 +382,14 @@ class Ring:
         return len(self.elements())
 
     def elements(self) -> tuple:
+        """Every element in enumeration order.  A ring past MEMORY_CAP
+        elements is refused, from its known size when it has one."""
         if self._elements is None:
-            els = self._take(MEMORY_CAP)
-            if len(els) > MEMORY_CAP:
+            size = self._known_size()
+            if size is None or size <= MEMORY_CAP:
+                els = self._take(MEMORY_CAP)
+                size = len(els)
+            if size > MEMORY_CAP:
                 raise BoundExceeded(
                     f"{self.describe()} has more than {MEMORY_CAP} elements, "
                     f"past the memory cap")
@@ -401,6 +406,10 @@ class Ring:
 
     def _iter_elements(self):
         raise InfiniteRing(self.describe())
+
+    def _known_size(self) -> Optional[int]:
+        """The number of elements where it is known without counting them."""
+        return None
 
     def compile(self) -> "RingTables":
         """Operation tables on element indices, built once per handle.
@@ -591,6 +600,9 @@ class ModularRing(Ring):
 
     def _iter_elements(self):
         return iter(range(self.n))
+
+    def _known_size(self):
+        return self.n
 
     def check(self, a):
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.n:
@@ -885,6 +897,9 @@ class QuotientRing(Ring):
             raise NotAUnit(f"{a} is not a unit of {self.describe()}")
         return pow(a, -1, self._m)
 
+    def _known_size(self):
+        return self._m if self._mode == "int" else None
+
     def _iter_elements(self):
         if self._mode == "int":
             return iter(range(self._m))
@@ -949,6 +964,10 @@ class ProductRing(Ring):
 
     def _iter_elements(self):
         return itertools.product(*(f.elements() for f in self.factors))
+
+    def _known_size(self):
+        sizes = [f._known_size() for f in self.factors]
+        return None if None in sizes else math.prod(sizes)
 
     def check(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.factors):

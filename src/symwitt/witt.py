@@ -29,7 +29,6 @@ from .matrices import (
     FormWitness,
     GroupWord,
     RingMatrix,
-    StandardForm,
     chi_n,
     congruent_mod_ideal,
     determinant,
@@ -60,10 +59,6 @@ class WittSymbol:
     def is_pfaffian_one(self) -> bool:
         return pfaffian(self.rep) == self.ring.one
 
-    @property
-    def standard_form(self) -> Optional[StandardForm]:
-        return self.witness.as_standard()
-
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
@@ -75,28 +70,31 @@ class EquivalenceCertificate:
             raise MalformedSpec(f"stabilization level must be >= 0, got {self.t}")
 
 
-_SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+def standard_forms(n: int):
+    """The standard forms chi_r^{s1} (+) chi_{n-r}^{s2} as sign vectors,
+    each once: r ascending, then (+,+), (+,-), (-,+), (-,-)."""
+    seen = set()
+    for r in range(n + 1):
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            signs = (s1,) * r + (s2,) * (n - r)
+            if signs not in seen:
+                seen.add(signs)
+                yield FormWitness(signs)
 
 
-def standard_form_witness(a: RingMatrix, ideal: Ideal) -> Optional[StandardForm]:
-    """First (r, signs) with a = chi_r^{s1} (+) chi_{n-r}^{s2} mod the ideal.
-
-    Scan order is r ascending, then (+,+), (+,-), (-,+), (-,-); absence
-    is a value, not an error.
-    """
+def standard_form_witness(a: RingMatrix, ideal: Ideal) -> Optional[FormWitness]:
+    """First standard form, in standard_forms order, congruent to a
+    modulo the ideal; absence is a value, not an error."""
     if a.rows != a.cols or a.rows % 2:
         raise SizeMismatch("witness scan needs an even square matrix")
-    n = a.rows // 2
-    for r in range(n + 1):
-        for signs in _SIGN_PAIRS:
-            form = StandardForm(r, n, signs)
-            if congruent_mod_ideal(a, form.realize(a.ring), ideal):
-                return form
+    for form in standard_forms(a.rows // 2):
+        if congruent_mod_ideal(a, form.realize(a.ring), ideal):
+            return form
     return None
 
 
 def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
-                     witness=None) -> WittSymbol:
+                     witness: Optional[FormWitness] = None) -> WittSymbol:
     """Validated constructor: alternating, invertible, witnessed mod I."""
     if ideal.ring != rep.ring:
         raise RingMismatch("ideal and representative over different rings")
@@ -108,8 +106,6 @@ def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
         witness = standard_form_witness(rep, ideal)
         if witness is None:
             raise VerificationFailed("no standard form witness modulo the ideal")
-    if isinstance(witness, StandardForm):
-        witness = FormWitness.from_standard(witness)
     if 2 * witness.n != rep.rows:
         raise SizeMismatch("witness size does not match the representative")
     if not congruent_mod_ideal(rep, witness.realize(rep.ring), ideal):

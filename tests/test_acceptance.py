@@ -16,7 +16,6 @@ from conftest import ACCEPTANCE_LINES, Z, f4, ideal_of, rand_alternating, rand_e
 from symwitt import (
     CONFIRMED,
     INCONCLUSIVE,
-    REFUTED,
     DoubleRing,
     MultiPoly,
     NonInvertibleIndex,
@@ -302,7 +301,7 @@ def _crit_bijectivity(seed):
     for ring, gen in cases:
         ideal = None if gen is None else ideal_of(ring, gen)
         report = vaserstein_report(ring, ideal, levels=1, depth=2)
-        assert report.verdict != REFUTED, "refuted verdict fails the build"
+        assert report.verdict != "refuted", "refuted verdict fails the build"
         obj = report.to_obj()
         if report.verdict == INCONCLUSIVE:
             assert (obj["mse"]["saturated"] is False

@@ -241,7 +241,7 @@ def test_report_span_past_cap_fails_fast(capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "BoundExceeded"
-    assert "vectors x 36 entries" in payload["message"]
+    assert "vectors x 15 entries" in payload["message"]
 
 
 def test_report_vaserstein_confirmed(capsys):
@@ -389,7 +389,9 @@ def test_large_ring_eval_enumerates_nothing(ring, args, result):
 @pytest.mark.parametrize("argv", [
     ("report", "vaserstein", "--ring", "zmod:50000017"),
     ("ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"),
-], ids=["report", "members"])
+    # 211^3 rows: the tail search is refused before it starts
+    ("um", "vdk", "--ring", "zmod:211", "--u", '["2","1","0"]', "--v", '["1","0","1"]'),
+], ids=["report", "members", "vdk"])
 def test_large_ring_enumeration_fails_fast(argv):
     code, out, err = run_capped(*argv)
     assert code == 1 and out == ""

@@ -15,8 +15,6 @@ from symwitt import (
     OddSize,
     RingMatrix,
     SizeMismatch,
-    StandardForm,
-    chi,
     chi_n,
     chi_of_signs,
     congruent_mod_ideal,
@@ -38,7 +36,7 @@ from symwitt import (
 def test_pfaffian_chi():
     for n in range(1, 5):
         assert pfaffian(chi_n(Z, n)) == 1
-    assert pfaffian(chi(Z, 0, 1, (1, -1))) == -1
+    assert pfaffian(chi_of_signs(Z, (-1,))) == -1
     assert chi_n(Z, 1).entries == (0, 1, -1, 0)
 
 
@@ -144,16 +142,11 @@ def test_congruent_mod_ideal():
 
 
 def test_chi_and_forms():
-    m = chi(Z, 1, 2, (1, -1))
-    assert m.entries == chi_of_signs(Z, (1, -1)).entries
+    m = chi_of_signs(Z, (1, -1))
     assert m.get(0, 1) == 1 and m.get(2, 3) == -1
-    f = StandardForm(1, 3, (1, -1))
-    assert f.sign_vector() == (1, -1, -1)
-    w = FormWitness.from_standard(f)
-    assert w.as_standard() == f
-    assert FormWitness((1, -1, 1)).as_standard() is None
-    with pytest.raises(BadIndices):
-        StandardForm(2, 1, (1, 1))
+    w = FormWitness((1, -1, 1))
+    assert w.n == 3
+    assert w.realize(Z) == orth_sum(m, chi_n(Z, 1))
     with pytest.raises(BadIndices):
         FormWitness((1, 0))
 

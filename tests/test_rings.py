@@ -21,6 +21,7 @@ from symwitt import (
     QuotientRing,
     RationalField,
     ReesRing,
+    Ring,
     RingMismatch,
     complete,
     double_to_excision,
@@ -430,3 +431,21 @@ def test_compile_refuses_past_cap():
     # 2049^2 table entries pass the 2^22 cap; 2048^2 would not
     with pytest.raises(BoundExceeded, match=r"2049 elements .* 4194304"):
         zmod(2049).compile()
+
+
+def test_known_size_refuses_without_drawing(monkeypatch):
+    # Z/n, a quotient of Z and their products know their size, so
+    # elements() refuses a ring past MEMORY_CAP before drawing any of it;
+    # 2048 * 2049 passes 2^22, though each factor is small
+    def no_draw(self, cap):
+        raise AssertionError("drew elements of a ring past the cap")
+
+    monkeypatch.setattr(Ring, "_take", no_draw)
+    for ring in (zmod(50000017), QuotientRing(Z, (20000003,)),
+                 ProductRing((zmod(2048), zmod(2049)))):
+        with pytest.raises(BoundExceeded, match=r"more than 4194304 elements"):
+            ring.elements()
+        with pytest.raises(BoundExceeded):
+            Ideal(ring, (ring.one,)).members()
+    monkeypatch.undo()
+    assert len(ProductRing((zmod(3), QuotientRing(Z, (5,)))).elements()) == 15

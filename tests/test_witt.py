@@ -17,7 +17,7 @@ from symwitt import (
     PolynomialRing,
     RingMatrix,
     RingMismatch,
-    StandardForm,
+    FormWitness,
     VerificationFailed,
     chi_n,
     compose_certificates,
@@ -33,6 +33,7 @@ from symwitt import (
     pfaffian,
     split_section,
     standard_form_witness,
+    standard_forms,
     symmetric_certificate,
     tilde_lift_alt,
     unipotent_root,
@@ -56,8 +57,12 @@ def _perturb(ring, ideal, size, pairs):
 
 
 def test_standard_form_witness_scan():
+    # chi_r^{s1} (+) chi_{n-r}^{s2}: the two-run sign vectors, each once
+    assert [f.signs for f in standard_forms(3)] == [
+        (1, 1, 1), (-1, -1, -1), (1, -1, -1), (-1, 1, 1), (1, 1, -1), (-1, -1, 1)]
     w = standard_form_witness(chi_n(Z, 2), ideal_of(Z, 2))
-    assert w == StandardForm(0, 2, (1, 1))
+    assert w == FormWitness((1, 1))
+    assert standard_form_witness(chi_n(Z, 2).neg(), ideal_of(Z, 5)) == FormWitness((-1, -1))
     bumped = _perturb(Z, None, 4, [(0, 2, 2)])
     assert standard_form_witness(bumped, ideal_of(Z, 2)) is not None
     mixed = orth_sum(chi_n(Z, 1), chi_n(Z, 1).scale(3))
