@@ -228,6 +228,38 @@ def test_orbit_alt_relative_universe(capsys):
      "b7f64d6aa856226aa48ca6610ecebb6a4ef10ddb1f59421ebc9f0eaed3206b18"),
     ("orbit um --ring f4 --n 3",
      "83f62e6f472d77b0287e616883a5ab6cea407851a468bdb6ec70a2276bd5892f"),
+    # the polynomial grammar: X1..Xd terms over Z/3, Z/9 and f4, with phi
+    ('poly nagata --ring zmod:3 --nvars 2 --poly 2*X1^2*X2+X2^2+X1+1',
+     "5160c1f1bc6de67bf101eb9eb3f4a4bbc8c28d01fd5709566b9b3ac4f089f0c7"),
+    ('poly nagata --ring zmod:3 --nvars 2 --poly X1^2*X2+X1*X2+1 --phi X1^2+X1+1',
+     "30c0655963cf36e96cd7dc5f31a42fd50e3c509b0f8463e03b8a4c1126179b05"),
+    ('poly nagata --ring zmod:9 --nvars 3 --poly 3*X1*X2+X2*X3^2-X3+4',
+     "222fc8f1a848618efed1f17c7e1742278e41ab8b9ad40760bc56b757d65afd24"),
+    ('poly nagata --ring f4 --nvars 2 --poly (x)*X2^2+(x+1)*X1*X2+X1+1',
+     "2c79b854464609c2abfbc9faa397b73c7a68ca406242f05802ecba1d6e001f28"),
+    ('poly nagata --ring f4 --nvars 2 --poly X2+(x)*X1 --phi X1^2+(x)*X1+(x+1)',
+     "deeab981a3b3add9c9aad0cca2f6024b882185bd952b1fc7d5d5c7c45385fa3f"),
+    # univariate, laurent, rees and extended rees payloads
+    ('ring eval --ring {"kind":"poly","base":"zmod:9","var":"X"} --op mul --args 3*X+1 X^2-2*X+4',
+     "d4a2ac200ff2959486db898354de1e2aaf0e0706467460c5b5c7729c5564bf0c"),
+    ('ring eval --ring {"kind":"poly","base":"zmod:9","var":"X"} --op inv --args 3*X+1',
+     "b678b31b7960dd3f976d4840ece7294f107a3ce5258f0d5d08a3c002897980d4"),
+    ('ring eval --ring {"kind":"poly","base":"f4","var":"X"} --op sub --args (x)*X^2+X X^2+(x+1)',
+     "00406cef70efe69ddc24604ca9af9be47dcca69b1ede97ad128a87fc96f339ba"),
+    ('ring eval --ring {"kind":"laurent","base":"f4","var":"t"} --op mul --args (x)*t^-1+1 t^2+(x+1)',
+     "9d77a95af8de5153b28f7a2df06e7e85630dae1603903c75f78b28afd8a74009"),
+    ('ring eval --ring {"kind":"laurent","base":"zmod:9","var":"t"} --op inv --args 3*t^2+t^-1',
+     "3aced5f97b171075e0ed246a0d5164a94cdc0130827a42412de86d0827af3a9f"),
+    ('ring eval --ring {"kind":"laurent","base":"zmod:4","var":"t"} --op add --args 2*t^-2+t 2*t^-2-t+3',
+     "084170856da436e24aeaa52de4805e453b7b64b7fee58c305fd3b119c5a0f4f5"),
+    ('ring eval --ring {"kind":"rees","ideal":{"ring":"zmod:8","generators":["2"]},"var":"t"} --op mul --args 2*t+1 2*t+3',
+     "906cf22a35f6c25272d693fe8c7c04b8f8867e81d82b4d5bf1034723da88faf6"),
+    ('ring eval --ring {"kind":"rees","ideal":{"ring":"zmod:9","generators":["3"]}} --op inv --args 3*t+2',
+     "a760f05fa87037914756a37f36c937b6ee782b8bf4aabc59c61716a88a35b9a1"),
+    ('ring eval --ring {"kind":"extended_rees","ideal":{"ring":"zmod:9","generators":["3"]}} --op pow --args 3*t+t^-1 --exp 3',
+     "5bbbeac4d4f5ae86d74b905192cc0fc9c07e042823c3abda62ac86117dc05875"),
+    ('ring eval --ring {"kind":"extended_rees","ideal":{"ring":"zmod:8","generators":["2"]}} --op add --args 2*t+t^-1 6*t+4*t^2',
+     "cad272e1a9b78e3881ccecec9e5300441d9046b485d4ba5e439a91e7df83ce9a"),
 ])
 def test_canonical_stdout_digests(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
@@ -405,3 +437,14 @@ def test_large_ideal_members_listed_by_linear_span():
     members = json.loads(out)["members"]
     assert len(members) == 100000
     assert members[:3] == ["0", "2", "4"] and members[-1] == "199998"
+
+
+def test_laurent_inverse_over_z6(capsys):
+    obj = run_json(capsys, "ring", "eval", "--ring",
+                   '{"kind":"laurent","base":"zmod:6","var":"t"}',
+                   "--op", "inv", "--args", "2+3*t")
+    assert obj["result"] == "2+3*t^-1"
+    code, out, err = run(capsys, "ring", "eval", "--ring",
+                         '{"kind":"laurent","base":"zmod:6","var":"t"}',
+                         "--op", "inv", "--args", "2+2*t")
+    assert code == 1 and json.loads(err)["error"] == "NotAUnit"

@@ -449,3 +449,76 @@ def test_known_size_refuses_without_drawing(monkeypatch):
             Ideal(ring, (ring.one,)).members()
     monkeypatch.undo()
     assert len(ProductRing((zmod(3), QuotientRing(Z, (5,)))).elements()) == 15
+
+
+def test_polynomial_inverse_by_nilpotent_tail():
+    p = PolynomialRing(M9, "X")
+    a = p.parse("1+3*X")
+    assert p.is_unit(a)
+    assert p.inv(a) == p.parse("1+6*X")
+    assert p.mul(a, p.inv(a)) == p.one
+    assert not p.is_unit(p.parse("3+X")) and not p.is_unit(p.zero)
+    with pytest.raises(NotAUnit):
+        p.inv(p.parse("3+X"))
+
+
+def test_laurent_add_and_units():
+    l = LaurentRing(M9, "t")
+    x, y = l.parse("3*t^2+t^-1"), l.parse("6*t^2+2")
+    assert l.add(x, y) == l.parse("2+t^-1") == (-1, (1, 2))
+    assert l.add(x, l.neg(x)) == l.zero
+    assert l.add(l.zero, x) == x == l.add(x, l.zero)
+    assert l.is_unit(x) and l.inv(x) == l.parse("6*t^4+t")
+    assert l.mul(x, l.inv(x)) == l.one
+    assert not l.is_unit(l.parse("t+t^-1")) and not l.is_unit(l.zero)
+    with pytest.raises(NotAUnit):
+        l.inv(l.parse("3*t"))
+    lz = LaurentRing(Z, "t")
+    assert lz.inv(lz.parse("-t^-3")) == lz.parse("-t^3")
+    assert not lz.is_unit(lz.parse("2*t"))
+
+
+def test_laurent_units_split_over_idempotents():
+    # Z/6 = Z/2 x Z/3: 3*(2+3t) = 3t and 4*(2+3t) = 2 are units of the
+    # two factors, so (2+3t)(2+3t^-1) = 1; 2+2t dies in the Z/2 factor
+    l = LaurentRing(zmod(6), "t")
+    a = l.parse("2+3*t")
+    assert l.is_unit(a)
+    assert l.inv(a) == l.parse("2+3*t^-1")
+    assert l.mul(a, l.inv(a)) == l.one
+    assert not l.is_unit(l.parse("2+2*t"))
+    with pytest.raises(NotAUnit):
+        l.inv(l.parse("2+2*t"))
+    # a unit with a nilpotent tail in one factor: Z/12 = Z/4 x Z/3
+    l12 = LaurentRing(zmod(12), "t")
+    b = l12.parse("4*t^-1+9+6*t")
+    assert l12.is_unit(b) and l12.mul(b, l12.inv(b)) == l12.one
+
+
+def test_rees_ops_and_escaping_inverse():
+    rees = ReesRing(M9, ideal_of(M9, 3), "t")
+    a = rees.parse("3*t+2")
+    assert rees.add(a, rees.parse("6*t+7")) == ()
+    assert rees.neg(a) == (7, 6)
+    assert rees.is_unit(a) and rees.inv(a) == (5, 6)
+    assert rees.mul(a, rees.inv(a)) == rees.one
+    assert rees.contains(a) and not rees.contains((1, 1))
+    assert not rees.is_unit(rees.parse("3*t"))
+    # 1+3t+3t^2 is not graded (3 is not in I^2 = 0); its inverse
+    # 1+6t+6t^2 is refused rather than returned
+    with pytest.raises(NotAUnit, match="escapes"):
+        rees.inv((1, 3, 3))
+
+
+def test_extended_rees_ops_and_escaping_inverse():
+    ext = ExtendedReesRing(M9, ideal_of(M9, 3), "t")
+    a = ext.parse("3*t+1")
+    assert ext.add(a, ext.parse("t^-1+6*t")) == (-1, (1, 1))
+    assert ext.neg(a) == (0, (8, 6))
+    assert ext.is_unit(a) and ext.inv(a) == ext.parse("6*t+1")
+    assert ext.contains(ext.parse("t^-2+3*t")) and not ext.contains((1, (1,)))
+    # t^-1 is a unit of the laurent ring, but its inverse t is not graded
+    for x in ("t^-1", "t^-1+3"):
+        assert ext.is_unit(ext.parse(x))
+        with pytest.raises(NotAUnit, match="escapes"):
+            ext.inv(ext.parse(x))
