@@ -6,13 +6,18 @@
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
 import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_9.json
+os.wait4.  The medians per command go into the output file (BENCH_10.json
 at the root of this repository by default) under the timed checkout's
 commit, together with the machine: nproc, Python and platform.  Entries
 already in the file for other commits are kept, so one file holds a
 parent and a change side by side.  The sha256 of each command's stdout
 and the error name of a failed run are recorded too, to show both sides
 printed the same bytes.
+
+The polynomial group monicizes X1^100+X2^100 over Z/2, whose
+substitution runs on the dict loops, and a dense input over Z/3 with a
+quartic phi, whose substitution runs on the packed big int; both parse
+and print through the shared term grammar.
 
 The large-ring group holds commands over rings of 10^7 elements and
 more, which must be answered or refused without enumerating the ring;
@@ -54,6 +59,16 @@ CASES = (
     ("Z/9", "zmod:9", None),
     ("Z/4 (2)", "zmod:4", 2),
     ("Z/8 (4)", "zmod:8", 4),
+)
+
+POLY_CASES = (
+    ("nagata Z/2 dict",
+     ["poly", "nagata", "--ring", "zmod:2", "--nvars", "2",
+      "--poly", "X1^100+X2^100"]),
+    ("nagata Z/3 packed",
+     ["poly", "nagata", "--ring", "zmod:3", "--nvars", "2",
+      "--poly", "X1^4*X2^6+2*X2^7+X1^3*X2^2+X1+1",
+      "--phi", "X1^4+X1^3+2*X1+1"]),
 )
 
 AS_LIMIT_MB = 1536
@@ -149,7 +164,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {
@@ -168,7 +183,7 @@ def main():
         if gen is not None:
             argv += ["--ideal", str(gen)]
         cases.append((label, argv))
-    for label, argv in cases + list(LARGE_CASES):
+    for label, argv in cases + list(POLY_CASES) + list(LARGE_CASES):
         res = entry["walls"][label] = time_case(src, argv)
         print(f"{label:24s} {res['median_s']:9.3f} s "
               f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",

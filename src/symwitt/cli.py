@@ -114,7 +114,7 @@ def _row_of(ns, ring, ideal, name="row"):
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload dict, exit code)
+# handlers: each returns its payload dict
 # ---------------------------------------------------------------------------
 
 def _h_ring_eval(ns):
@@ -138,7 +138,7 @@ def _h_ring_eval(ns):
     else:
         raise UsageError(f"unknown op {op!r}")
     return {"schema": "ring-eval/1", "ring": ring_to_spec(ring), "op": op,
-            "args": [ring.fmt(a) for a in args], "result": ring.fmt(out)}, 0
+            "args": [ring.fmt(a) for a in args], "result": ring.fmt(out)}
 
 
 def _h_ideal_members(ns):
@@ -146,7 +146,7 @@ def _h_ideal_members(ns):
     ideal = _ideal_of(ring, _need(ns, "ideal"))
     return {"schema": "ideal-members/1", "ring": ring_to_spec(ring),
             "generators": [ring.fmt(g) for g in ideal.gens],
-            "members": [ring.fmt(x) for x in ideal.members()]}, 0
+            "members": [ring.fmt(x) for x in ideal.members()]}
 
 
 def _h_poly_nagata(ns):
@@ -157,20 +157,20 @@ def _h_poly_nagata(ns):
     sub, c, h = nagata_transform(f, phi)
     return {"schema": "nagata/1", "ring": ring_to_spec(ring),
             "phi": sub.phi.fmt(), "exponents": list(sub.exponents),
-            "c": ring.fmt(c), "h": h.fmt()}, 0
+            "c": ring.fmt(c), "h": h.fmt()}
 
 
 def _h_mat_pf(ns):
     ring = _ring_of(ns)
     m = _matrix_of(ns, ring)
-    return {"schema": "pfaffian/1", "pfaffian": ring.fmt(pfaffian(m))}, 0
+    return {"schema": "pfaffian/1", "pfaffian": ring.fmt(pfaffian(m))}
 
 
 def _h_mat_det(ns):
     ring = _ring_of(ns)
     m = _matrix_of(ns, ring)
     return {"schema": "determinant/1",
-            "determinant": ring.fmt(determinant(m))}, 0
+            "determinant": ring.fmt(determinant(m))}
 
 
 def _h_word_eval(ns):
@@ -182,7 +182,7 @@ def _h_word_eval(ns):
         obj = {"size": _need(ns, "size"), "tokens": obj}
     word = word_from_obj(obj, ring)
     return {"schema": "word-eval/1",
-            "matrix": matrix_to_obj(word_eval(word))}, 0
+            "matrix": matrix_to_obj(word_eval(word))}
 
 
 def _cert_from_obj(ring, obj) -> EquivalenceCertificate:
@@ -200,7 +200,7 @@ def _h_witt_verify(ns):
     beta = make_witt_symbol(ideal, _matrix_of(ns, ring, "beta"))
     cert = _cert_from_obj(ring, _json_arg(ns, "cert"))
     ok = verify_equivalence(alpha, beta, cert)
-    return {"schema": "witt-verify/1", "verified": ok}, 0
+    return {"schema": "witt-verify/1", "verified": ok}
 
 
 def _h_witt_product(ns):
@@ -210,7 +210,7 @@ def _h_witt_product(ns):
     y = make_witt_symbol(ideal, _matrix_of(ns, ring, "beta"))
     z = witt_product(x, y)
     return {"schema": "witt-product/1", "matrix": matrix_to_obj(z.rep),
-            "witness": list(z.witness.signs)}, 0
+            "witness": list(z.witness.signs)}
 
 
 def _h_witt_lift(ns):
@@ -218,7 +218,7 @@ def _h_witt_lift(ns):
     ideal = _ideal_of(ring, ns.ideal, required=True)
     x = make_witt_symbol(ideal, _matrix_of(ns, ring, "alpha"))
     lifted = tilde_lift_alt(x)
-    return {"schema": "witt-lift/1", "matrix": matrix_to_obj(lifted)}, 0
+    return {"schema": "witt-lift/1", "matrix": matrix_to_obj(lifted)}
 
 
 def _h_witt_root(ns):
@@ -226,7 +226,7 @@ def _h_witt_root(ns):
     gamma = _matrix_of(ns, ring)
     delta = unipotent_root(gamma, _need(ns, "m"))
     return {"schema": "witt-root/1", "m": ns.m,
-            "matrix": matrix_to_obj(delta)}, 0
+            "matrix": matrix_to_obj(delta)}
 
 
 def _h_um_complete(ns):
@@ -239,7 +239,7 @@ def _h_um_complete(ns):
     else:
         found = complete_relative(row)
         coords = None if found is None else [ring.fmt(x) for x in found.entries]
-    return {"schema": "um-complete/1", "completion": coords}, 0
+    return {"schema": "um-complete/1", "completion": coords}
 
 
 def _h_um_theta(ns):
@@ -248,7 +248,7 @@ def _h_um_theta(ns):
     _, b = vector_from_obj(_json_arg(ns, "b"), ring)
     m = theta_matrix(ring, a, b)
     return {"schema": "um-theta/1", "matrix": matrix_to_obj(m),
-            "pfaffian": ring.fmt(pfaffian(m))}, 0
+            "pfaffian": ring.fmt(pfaffian(m))}
 
 
 def _h_um_symbol(ns):
@@ -258,7 +258,7 @@ def _h_um_symbol(ns):
     sym = vaserstein_symbol(row)
     return {"schema": "um-symbol/1", "matrix": matrix_to_obj(sym.rep),
             "witness": list(sym.witness.signs),
-            "pfaffian": ring.fmt(pfaffian(sym.rep))}, 0
+            "pfaffian": ring.fmt(pfaffian(sym.rep))}
 
 
 def _h_um_vdk(ns):
@@ -268,7 +268,7 @@ def _h_um_vdk(ns):
     v = _row_of(ns, ring, ideal, "v")
     prod = vdk_product_aligned(u, v, bound=ns.bound)
     return {"schema": "um-vdk/1",
-            "row": [ring.fmt(x) for x in prod.entries]}, 0
+            "row": [ring.fmt(x) for x in prod.entries]}
 
 
 def _h_um_lift(ns):
@@ -277,7 +277,7 @@ def _h_um_lift(ns):
     row = _row_of(ns, ring, ideal)
     lifted = tilde_row_lift(row)
     return {"schema": "um-lift/1", "ring": ring_to_spec(lifted.ring),
-            "row": [lifted.ring.fmt(x) for x in lifted.entries]}, 0
+            "row": [lifted.ring.fmt(x) for x in lifted.entries]}
 
 
 def _h_orbit_um(ns):
@@ -288,7 +288,7 @@ def _h_orbit_um(ns):
     obj = part.to_obj()
     obj["schema"] = "orbit-partition/1"
     obj["ring"] = ring_to_spec(ring)
-    return obj, 0
+    return obj
 
 
 def _h_orbit_alt(ns):
@@ -299,7 +299,7 @@ def _h_orbit_alt(ns):
     obj = part.to_obj()
     obj["schema"] = "orbit-partition/1"
     obj["ring"] = ring_to_spec(ring)
-    return obj, 0
+    return obj
 
 
 def _h_report_vaserstein(ns):
@@ -309,7 +309,7 @@ def _h_report_vaserstein(ns):
                                depth=ns.conj_depth, bound=ns.bound)
     obj = report.to_obj()
     obj["schema"] = "bijectivity-report/1"
-    return obj, 0
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +435,12 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         _apply_config(ns)
-        payload, code = ns.handler(ns)
+        payload = ns.handler(ns)
         if getattr(ns, "seed", None) is not None:
             payload["seed"] = ns.seed
         text = canonical_json(payload) + "\n"
         sys.stdout.write(_colorize(text) if _want_color() else text)
-        return code
+        return 0
     except UsageError as e:
         sys.stderr.write(f"{parser.prog}: error: {e}\n")
         return 64

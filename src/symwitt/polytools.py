@@ -1,9 +1,9 @@
 """Multivariate polynomials and the monicization change of variables.
 
 Variables are X1..Xd.  A polynomial is a sorted tuple of (exponent
-vector, coefficient) pairs over any ring handle; the string grammar
-matches the univariate one ("X1^2*X2-3" style, non-integer coefficients
-parenthesised).
+vector, coefficient) pairs over any ring handle; strings use the
+univariate grammar of rings.parse_terms and rings.fmt_terms
+("X1^2*X2-3" style, non-integer coefficients parenthesised).
 
 Over Z/n, `substitute` runs on a packed form (Kronecker
 substitution): coefficients lifted to [0, n) sit in fixed-width byte
@@ -35,7 +35,7 @@ from .errors import (
     SizeMismatch,
     ZeroPolynomial,
 )
-from .rings import Ideal, ModularRing, Ring, _fmt_coeff, _split_top, _unwrap
+from .rings import Ideal, ModularRing, Ring, fmt_terms, parse_terms
 
 _VAR_RE = re.compile(r"X([0-9]+)(?:\^([0-9]+))?\Z")
 
@@ -254,66 +254,25 @@ class MultiPoly:
 
     # -- strings -------------------------------------------------------------
     def fmt(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.terms:
-            vp = "*".join(f"X{k + 1}" if e == 1 else f"X{k + 1}^{e}"
-                          for k, e in enumerate(exps) if e)
-            cs = _fmt_coeff(self.ring, c)
-            if not vp:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(vp)
-            elif cs == "-1":
-                parts.append("-" + vp)
-            else:
-                parts.append(cs + "*" + vp)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return fmt_terms(self.ring, (
+            ("*".join(f"X{k + 1}" if e == 1 else f"X{k + 1}^{e}"
+                      for k, e in enumerate(exps) if e), c)
+            for exps, c in self.terms))
 
     @classmethod
     def parse(cls, ring: Ring, nvars: int, s: str) -> "MultiPoly":
         s = s.replace(" ", "")
-        if not s:
-            raise MalformedSpec("empty polynomial string")
-        toks = _split_top(s, "+-")
-        signed: list[tuple[int, str]] = []
-        next_sign = 1
-        for tok in toks:
-            if tok == "+":
-                continue
-            if tok == "-":
-                next_sign = -next_sign
-                continue
-            if tok == "":
-                continue
-            signed.append((next_sign, tok))
-            next_sign = 1
-        if not signed:
-            raise MalformedSpec(f"no terms in {s!r}")
-        acc: dict = {}
-        for sg, term in signed:
-            coeff = ring.one
-            exps = [0] * nvars
-            for factor in _split_top(term, "*"):
-                if factor == "*":
-                    continue
-                m = _VAR_RE.match(factor)
-                if m and not factor.startswith("("):
-                    j = int(m.group(1))
-                    if not (1 <= j <= nvars):
-                        raise MalformedSpec(f"variable X{j} out of range in {s!r}")
-                    exps[j - 1] += int(m.group(2)) if m.group(2) else 1
-                else:
-                    coeff = ring.mul(coeff, ring.parse(_unwrap(factor)))
-            if sg < 0:
-                coeff = ring.neg(coeff)
-            e = tuple(exps)
-            acc[e] = ring.add(acc.get(e, ring.zero), coeff)
-        return cls.make(ring, nvars, acc)
+
+        def read_var(factor):
+            m = _VAR_RE.match(factor)
+            if m is None:
+                return None
+            j = int(m.group(1))
+            if not (1 <= j <= nvars):
+                raise MalformedSpec(f"variable X{j} out of range in {s!r}")
+            return j - 1, int(m.group(2) or 1)
+
+        return cls.make(ring, nvars, parse_terms(ring, s, read_var, nvars, "polynomial"))
 
 
 # ---------------------------------------------------------------------------

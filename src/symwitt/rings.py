@@ -129,10 +129,13 @@ def additive_span(zero, add, deltas, width: int = 1) -> set:
 # integers/modular      -42, 3
 # polynomial in t       3*t^2+t+1, (X+1)*t^2   (non-integer coefficients
 #                       are parenthesised so parsing never backtracks)
-# laurent               t^2+3*t^-1
+# laurent, rees         t^2+3*t^-1
+# X1..Xd (polytools)    X1^2*X2-3
 # pairs / tuples        (a|b), (a|b|c)
 #
-# parse(fmt(x)) == x holds payload-exactly for every ring variant.
+# Every polynomial string is read by parse_terms and written by
+# fmt_terms.  parse(fmt(x)) == x holds payload-exactly for every ring
+# variant.
 
 def _split_top(s: str, seps: str) -> list[str]:
     parts, depth, cur = [], 0, []
@@ -170,73 +173,82 @@ def _unwrap(s: str) -> str:
     return s[1:-1] if depth == 0 else s
 
 
-def _fmt_coeff(base: "Ring", c) -> str:
-    s = base.fmt(c)
-    return s if _INT_RE.match(s) else "(" + s + ")"
+def fmt_terms(base: "Ring", terms) -> str:
+    """Join (monomial, coefficient) pairs, in print order, into a sum.
 
-
-def _fmt_terms(base: "Ring", var: str, terms: list[tuple[int, object]]) -> str:
-    """terms: (exponent, coefficient) with nonzero coefficients."""
-    if not terms:
-        return "0"
-    parts = []
-    for exp, c in sorted(terms, key=lambda t: -t[0]):
-        cs = _fmt_coeff(base, c)
-        if exp == 0:
-            parts.append(cs)
-            continue
-        vp = var if exp == 1 else f"{var}^{exp}"
-        if cs == "1":
-            parts.append(vp)
-        elif cs == "-1":
-            parts.append("-" + vp)
+    A monomial is its printed variable part, "" for the constant term;
+    coefficients are nonzero and parenthesised unless integer literals.
+    """
+    out = ""
+    for mono, c in terms:
+        cs = base.fmt(c)
+        if not _INT_RE.match(cs):
+            cs = "(" + cs + ")"
+        if not mono:
+            part = cs
+        elif cs in ("1", "-1"):
+            part = cs[:-1] + mono  # 1*m prints as m, -1*m as -m
         else:
-            parts.append(cs + "*" + vp)
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+            part = cs + "*" + mono
+        out += "+" + part if out and not part.startswith("-") else part
+    return out or "0"
 
 
-def _parse_terms(base: "Ring", var: str, s: str) -> dict[int, object]:
+def parse_terms(base: "Ring", s: str, read_var, nvars: int = 1,
+                what: str = "element") -> dict:
+    """Parse a sum of signed terms into {exponent tuple: nonzero coefficient}.
+
+    A term is a "*"-product of factors.  read_var(factor) returns the
+    (variable slot, exponent) a variable factor contributes, or None for a
+    coefficient factor, which the base parses; a parenthesised factor is
+    always a coefficient.  Signs bind to the next term.
+    """
     s = s.replace(" ", "")
     if not s:
-        raise MalformedSpec("empty element string")
-    toks = _split_top(s, "+-")
-    # group into signed term strings; separators bind to the next term
-    terms: list[tuple[int, str]] = []
-    next_sign = 1
-    for tok in toks:
-        if tok == "+":
-            continue
+        raise MalformedSpec(f"empty {what} string")
+    acc: dict = {}
+    sign = 1
+    for tok in _split_top(s, "+-"):
         if tok == "-":
-            next_sign = -next_sign
-            continue
-        if tok == "":
-            continue
-        terms.append((next_sign, tok))
-        next_sign = 1
-    if not terms:
+            sign = -sign
+        elif tok not in ("", "+"):
+            coeff, exps = base.one, [0] * nvars
+            for factor in _split_top(tok, "*")[::2]:  # odd places hold "*"
+                hit = None if factor.startswith("(") else read_var(factor)
+                if hit is None:
+                    coeff = base.mul(coeff, base.parse(_unwrap(factor)))
+                else:
+                    exps[hit[0]] += hit[1]
+            if sign < 0:
+                coeff = base.neg(coeff)
+            key = tuple(exps)
+            acc[key] = base.add(acc.get(key, base.zero), coeff)
+            sign = 1
+    if not acc:
         raise MalformedSpec(f"no terms in {s!r}")
-    acc: dict[int, object] = {}
-    vpat = re.compile(re.escape(var) + r"(?:\^(-?[0-9]+))?\Z")
-    for sg, term in terms:
-        if term == "":
-            raise MalformedSpec(f"dangling sign in {s!r}")
-        coeff = base.one
-        exp = 0
-        for factor in _split_top(term, "*"):
-            if factor == "*":
-                continue
-            m = vpat.match(factor)
-            if m and not factor.startswith("("):
-                exp += int(m.group(1)) if m.group(1) else 1
-            else:
-                coeff = base.mul(coeff, base.parse(_unwrap(factor)))
-        if sg < 0:
-            coeff = base.neg(coeff)
-        acc[exp] = base.add(acc.get(exp, base.zero), coeff)
     return {e: c for e, c in acc.items() if c != base.zero}
+
+
+def _fmt_univariate(base: "Ring", var: str, val: int, coeffs: tuple) -> str:
+    """Print sum(coeffs[k] * var^(val + k)), highest power first."""
+    return fmt_terms(base, (("" if e == 0 else var if e == 1 else f"{var}^{e}", c)
+                            for e, c in reversed(list(enumerate(coeffs, val)))
+                            if c != base.zero))
+
+
+def _parse_univariate(base: "Ring", var: str, s: str) -> tuple[int, tuple]:
+    """The laurent payload (valuation, coefficients) of s."""
+    vpat = re.compile(re.escape(var) + r"(?:\^(-?[0-9]+))?\Z")
+
+    def read_var(factor):
+        m = vpat.match(factor)
+        return m and (0, int(m.group(1) or 1))
+
+    terms = {e: c for (e,), c in parse_terms(base, s, read_var).items()}
+    if not terms:
+        return 0, ()
+    lo = min(terms)
+    return lo, tuple(terms.get(k, base.zero) for k in range(lo, max(terms) + 1))
 
 
 def _fmt_pair(items: Iterable[str]) -> str:
@@ -247,8 +259,7 @@ def _parse_pair(s: str, arity: int) -> list[str]:
     s = s.strip().replace(" ", "")
     if not (s.startswith("(") and s.endswith(")")):
         raise MalformedSpec(f"expected parenthesised tuple, got {s!r}")
-    toks = _split_top(s[1:-1], "|")
-    comps = [t for t in toks if t != "|"]
+    comps = _split_top(s[1:-1], "|")[::2]
     if len(comps) != arity:
         raise MalformedSpec(f"expected {arity} components in {s!r}")
     return comps
@@ -282,7 +293,6 @@ class Ring:
 
     def __init__(self):
         self._elements: Optional[tuple] = None
-        self._nil_table: Optional[dict] = None
         self._tables: Optional[RingTables] = None
 
     # -- identity ------------------------------------------------------
@@ -356,21 +366,13 @@ class Ring:
         if not self.is_finite:
             raise UndecidableMembership(
                 f"no nilpotency test over {self.describe()}")
-        if self._nil_table is None:
-            self._nil_table = {}
-        cached = self._nil_table.get(a)
-        if cached is not None:
-            return cached
-        seen, x = set(), a
-        result = False
+        seen, x = set(), a  # the powers of a repeat within |R| steps
         while x not in seen:
             seen.add(x)
             x = self.mul(x, a)
             if x == self.zero:
-                result = True
-                break
-        self._nil_table[a] = result
-        return result
+                return True
+        return False
 
     # -- enumeration -------------------------------------------------------
     @property
@@ -690,16 +692,13 @@ class PolynomialRing(Ring):
         return a
 
     def fmt(self, a):
-        return _fmt_terms(self.base, self.var, [(k, c) for k, c in enumerate(a) if c != self.base.zero])
+        return _fmt_univariate(self.base, self.var, 0, a)
 
     def parse(self, s):
-        terms = _parse_terms(self.base, self.var, s)
-        if any(e < 0 for e in terms):
+        lo, coeffs = _parse_univariate(self.base, self.var, s)
+        if lo < 0:
             raise MalformedSpec(f"negative exponent outside a laurent ring: {s!r}")
-        if not terms:
-            return ()
-        deg = max(terms)
-        return _strip(self.base, tuple(terms.get(k, self.base.zero) for k in range(deg + 1)))
+        return (self.base.zero,) * lo + coeffs
 
 
 class LaurentRing(Ring):
@@ -716,71 +715,84 @@ class LaurentRing(Ring):
     def describe(self):
         return f"{self.base.describe()}[{self.var},{self.var}^-1]"
 
-    def _norm(self, val: int, coeffs: list) -> tuple:
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == self.base.zero:
-            lo += 1
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == self.base.zero:
-            hi -= 1
-        if lo == hi:
+    def _norm(self, val: int, coeffs: tuple) -> tuple:
+        """The payload of sum(coeffs[k] * t^(val + k)); coeffs has no trailing zero."""
+        if not coeffs:
             return (0, ())
-        return (val + lo, tuple(coeffs[lo:hi]))
+        lo = 0
+        while coeffs[lo] == self.base.zero:
+            lo += 1
+        return (val + lo, coeffs[lo:])
 
     def add(self, a, b):
         (va, ca), (vb, cb) = a, b
-        if not ca:
-            return b
-        if not cb:
-            return a
-        lo = min(va, vb)
-        hi = max(va + len(ca), vb + len(cb))
-        out = [self.base.zero] * (hi - lo)
-        for k, c in enumerate(ca):
-            out[va - lo + k] = self.base.add(out[va - lo + k], c)
-        for k, c in enumerate(cb):
-            out[vb - lo + k] = self.base.add(out[vb - lo + k], c)
-        return self._norm(lo, out)
+        lo, pad = min(va, vb), (self.base.zero,)
+        return self._norm(lo, _poly_add(self.base, pad * (va - lo) + ca,
+                                        pad * (vb - lo) + cb))
 
     def neg(self, a):
         return (a[0], _poly_neg(self.base, a[1]))
 
     def mul(self, a, b):
         (va, ca), (vb, cb) = a, b
-        if not ca or not cb:
-            return (0, ())
-        return self._norm(va + vb, list(_poly_mul(self.base, ca, cb)))
+        return self._norm(va + vb, _poly_mul(self.base, ca, cb))
 
     def scalar_int(self, n):
         c = self.base.scalar_int(n)
         return (0, (c,)) if c != self.base.zero else (0, ())
 
-    def is_unit(self, a):
-        # some power of the variable times a unit, up to nilpotent noise
+    def _unit_parts(self, a) -> Optional[list]:
+        """Split a by the primitive idempotents e of the base, R = prod eR.
+
+        Over a local ring a unit is a unit monomial u*t^d plus nilpotent
+        terms, so a is a unit iff each e*a has exactly one coefficient
+        that is a unit of eR and nilpotent others.  Returns (e, d, u^-1
+        in eR) per e, or None when a is not a unit.  An infinite base is
+        taken to have no idempotents but 0 and 1.
+        """
+        base = self.base
+        blocks = (base.one,)
+        if base.is_finite:
+            idem = [x for x in base.elements()
+                    if x != base.zero and base.mul(x, x) == x]
+            blocks = [e for e in idem
+                      if all(base.mul(e, f) in (base.zero, e) for f in idem)]
         val, coeffs = a
-        if not coeffs:
-            return False
-        hits = [k for k, c in enumerate(coeffs) if self.base.is_unit(c)]
-        if len(hits) != 1:
-            return False
-        return all(self.base.is_nilpotent(c) for k, c in enumerate(coeffs) if k != hits[0])
+        parts = []
+        for e in blocks:
+            off = base.sub(base.one, e)
+            # e*c + 1 - e is a unit of R iff e*c is a unit of eR
+            lifts = [base.add(base.mul(e, c), off) for c in coeffs]
+            units = [k for k, x in enumerate(lifts) if base.is_unit(x)]
+            if len(units) != 1 or not all(
+                    base.is_nilpotent(base.mul(e, c))
+                    for k, c in enumerate(coeffs) if k != units[0]):
+                return None
+            k = units[0]
+            parts.append((e, val + k, base.mul(e, base.inv(lifts[k]))))
+        return parts
+
+    def is_unit(self, a):
+        return self._unit_parts(a) is not None
 
     def inv(self, a):
-        if not self.is_unit(a):
+        parts = self._unit_parts(a)
+        if parts is None:
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        val, coeffs = a
-        k = next(k for k, c in enumerate(coeffs) if self.base.is_unit(c))
-        # a = u*t^d + n with n nilpotent; invert by a geometric series
-        m_inv = (-(val + k), (self.base.inv(coeffs[k]),))
-        rest = self.sub(a, (val + k, (coeffs[k],)))
-        ratio = self.mul(rest, m_inv)
-        out = term = self.one
-        while True:
-            term = self.mul(term, self.neg(ratio))
-            if term == (0, ()):
-                break
-            out = self.add(out, term)
-        return self.mul(out, m_inv)
+        out = self.zero
+        for e, d, u_inv in parts:
+            # e*a = m*(e + r) with m = e*u*t^d and r nilpotent: invert
+            # e + r in eR by a geometric series
+            ident, m_inv = (0, (e,)), (-d, (u_inv,))
+            ratio = self.sub(self.mul(self.mul(ident, a), m_inv), ident)
+            part = term = ident
+            while True:
+                term = self.mul(term, self.neg(ratio))
+                if term == self.zero:
+                    break
+                part = self.add(part, term)
+            out = self.add(out, self.mul(part, m_inv))
+        return out
 
     def check(self, a):
         if not (isinstance(a, tuple) and len(a) == 2 and isinstance(a[0], int)):
@@ -795,16 +807,10 @@ class LaurentRing(Ring):
         return a
 
     def fmt(self, a):
-        val, coeffs = a
-        return _fmt_terms(self.base, self.var,
-                          [(val + k, c) for k, c in enumerate(coeffs) if c != self.base.zero])
+        return _fmt_univariate(self.base, self.var, *a)
 
     def parse(self, s):
-        terms = _parse_terms(self.base, self.var, s)
-        if not terms:
-            return (0, ())
-        lo, hi = min(terms), max(terms)
-        return self._norm(lo, [terms.get(k, self.base.zero) for k in range(lo, hi + 1)])
+        return _parse_univariate(self.base, self.var, s)
 
 
 class QuotientRing(Ring):
@@ -1152,43 +1158,21 @@ class DoubleRing(Ring):
         return self.check((self.base.parse(x), self.base.parse(y)))
 
 
-class ReesRing(Ring):
-    """R[It]: polynomials in t whose degree-i coefficient lies in I^i."""
-
-    kind = "rees"
-    _extended = False
+class _Graded:
+    """The Rees rings: the payloads of a polynomial (laurent) ring whose
+    degree-i coefficient lies in I^i for every i >= 1."""
 
     def __init__(self, base: Ring, ideal: "Ideal", var: str = "t"):
         if ideal.ring != base:
             raise MalformedSpec("rees ideal must live over the base ring")
-        super().__init__()
-        self.base, self.ideal, self.var = base, ideal, var
-        self._inner = PolynomialRing(base, var)
-        self.zero, self.one = self._inner.zero, self._inner.one
+        super().__init__(base, var)
+        self.ideal = ideal
 
     def spec_key(self):
-        return ("rees", self.base.spec_key(), self.ideal.gens, self.var)
-
-    def describe(self):
-        return f"{self.base.describe()}[{self.ideal.describe()}{self.var}]"
-
-    def add(self, a, b):
-        return self._inner.add(a, b)
-
-    def neg(self, a):
-        return self._inner.neg(a)
-
-    def mul(self, a, b):
-        return self._inner.mul(a, b)
-
-    def scalar_int(self, n):
-        return self._inner.scalar_int(n)
-
-    def is_unit(self, a):
-        return self._inner.is_unit(a)
+        return (self.kind, self.base.spec_key(), self.ideal.gens, self.var)
 
     def inv(self, a):
-        out = self._inner.inv(a)
+        out = super().inv(a)
         if not self.contains(out):
             raise NotAUnit("inverse escapes the graded subring")
         return out
@@ -1197,41 +1181,37 @@ class ReesRing(Ring):
         return rees_contains(self, a)
 
     def check(self, a):
-        self._inner.check(a)
+        super().check(a)
         if not self.contains(a):
             raise RingMismatch(
-                f"{self._inner.fmt(a)} violates the grading of {self.describe()}")
+                f"{self.fmt(a)} violates the grading of {self.describe()}")
         return a
 
-    def fmt(self, a):
-        return self._inner.fmt(a)
-
     def parse(self, s):
-        return self.check(self._inner.parse(s))
+        return self.check(super().parse(s))
 
 
-class ExtendedReesRing(ReesRing):
+class ReesRing(_Graded, PolynomialRing):
+    """R[It]: polynomials in t whose degree-i coefficient lies in I^i."""
+
+    kind = "rees"
+    _extended = False
+
+    def describe(self):
+        return f"{self.base.describe()}[{self.ideal.describe()}{self.var}]"
+
+
+class ExtendedReesRing(_Graded, LaurentRing):
     """R[It, t^-1]: laurent polynomials, graded only in positive degrees."""
 
     kind = "extended_rees"
     _extended = True
 
-    def __init__(self, base: Ring, ideal: "Ideal", var: str = "t"):
-        if ideal.ring != base:
-            raise MalformedSpec("rees ideal must live over the base ring")
-        Ring.__init__(self)
-        self.base, self.ideal, self.var = base, ideal, var
-        self._inner = LaurentRing(base, var)
-        self.zero, self.one = self._inner.zero, self._inner.one
-
-    def spec_key(self):
-        return ("extended_rees", self.base.spec_key(), self.ideal.gens, self.var)
-
     def describe(self):
         return f"{self.base.describe()}[{self.ideal.describe()}{self.var},{self.var}^-1]"
 
 
-def rees_contains(ring: ReesRing, a) -> bool:
+def rees_contains(ring: _Graded, a) -> bool:
     """Graded membership: the t^i coefficient must lie in I^i for i >= 1."""
     base, ideal = ring.base, ring.ideal
     if ring._extended:
@@ -1263,7 +1243,7 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(ring.check(g) for g in generators)
         self._members: Optional[tuple] = None
-        self._member_set: Optional[frozenset] = None
+        self._span: Optional[set] = None
         self._powers: dict[int, "Ideal"] = {}
 
     def spec_key(self):
@@ -1310,9 +1290,8 @@ class Ideal:
             if verdict is not None:
                 return verdict
         if ring.is_finite:
-            if self._member_set is None:
-                self._member_set = frozenset(self.members())
-            return x in self._member_set
+            self.members()  # no unit generator, so this builds the span
+            return x in self._span
         raise UndecidableMembership(
             f"no membership rule for {self.describe()} over {ring.describe()}")
 
@@ -1359,8 +1338,8 @@ class Ideal:
             if self.has_unit_generator():
                 self._members = els
             else:
-                span = additive_span(ring.zero, ring.add,
-                                     (ring.mul(r, g) for g in self.gens for r in els))
+                span = self._span = additive_span(
+                    ring.zero, ring.add, (ring.mul(r, g) for g in self.gens for r in els))
                 self._members = tuple(x for x in els if x in span)
         return self._members
 
