@@ -6,7 +6,7 @@
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
 import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_10.json
+os.wait4.  The medians per command go into the output file (BENCH_11.json
 at the root of this repository by default) under the timed checkout's
 commit, together with the machine: nproc, Python and platform.  Entries
 already in the file for other commits are kept, so one file holds a
@@ -21,9 +21,11 @@ and print through the shared term grammar.
 
 The large-ring group holds commands over rings of 10^7 elements and
 more, which must be answered or refused without enumerating the ring;
-a row product over Z/211, whose 211^3 rows must be refused before any
-search; and the 10^5 members of an ideal of Z/200000, which must be
-listed in time and memory linear in the ring.  The child sets its own
+a report over Z/72, whose 72^6 symbol candidates must be refused before
+its 373,248 rows are completed one by one; a row product over Z/211,
+whose 211^3 rows must be refused before any search; and the 10^5
+members of an ideal of Z/200000, which must be listed in time and
+memory linear in the ring.  The child sets its own
 address-space limit of AS_LIMIT_MB before it imports symwitt, so a
 checkout that does enumerate fails with a MemoryError at the cap
 instead of taking the machine's memory; the reports stay far below it.
@@ -83,6 +85,8 @@ LARGE_CASES = (
       "--op", "add", "--args", "20000002", "5"]),
     ("report Z/50000017",
      ["report", "vaserstein", "--ring", "zmod:50000017"]),
+    ("report Z/72",
+     ["report", "vaserstein", "--ring", "zmod:72"]),
     ("members Z/50000017 (7)",
      ["ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"]),
     ("um vdk Z/211",
@@ -164,7 +168,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {

@@ -113,7 +113,7 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> 
             for k in range(n)]
     out = [Generator(Elem(i, j, a), a, unit[i - 1], unit[j - 1])
            for i, j, a in _transvections(ring, n, ideal.members())]
-    if ideal.has_unit_generator():
+    if ideal.contains(ring.one):
         return tuple(out)
     tables = ring.compile()
     seen = {_product_key(tables, g) for g in out}
@@ -413,7 +413,7 @@ _translation_partition_open = _translation_partition
 def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
                ideal: Optional[Ideal], bound: Optional[int],
                closed: bool = True) -> OrbitPartition:
-    relative = ideal is not None and not ideal.has_unit_generator()
+    relative = ideal is not None and not ideal.contains(ring.one)
     if relative and ideal.products_vanish():
         return _translation_partition(ring, objects, gens, action, n, closed)
     return orbit_bfs(ring, objects, action, gens, bound=bound, closed=closed)
@@ -428,7 +428,7 @@ def _row_pool(ring: Ring, n: int, ideal: Optional[Ideal]) -> tuple:
     once the rows are known to fit under MEMORY_CAP.  An absolute pool
     draws at most one element more than fits, so a large ring is refused
     without being enumerated."""
-    if ideal is not None and not ideal.has_unit_generator():
+    if ideal is not None and not ideal.contains(ring.one):
         pool = ideal.members()
     else:
         side = round(MEMORY_CAP ** (1 / n))
@@ -450,7 +450,7 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
         raise InfiniteRing(f"cannot enumerate rows over {ring.describe()}")
     if n < 1:
         raise MalformedSpec(f"row length must be >= 1, got {n}")
-    relative = ideal is not None and not ideal.has_unit_generator()
+    relative = ideal is not None and not ideal.contains(ring.one)
     pool = _row_pool(ring, n, ideal)
     rows = []
     for combo in itertools.product(pool, repeat=n):
@@ -471,7 +471,7 @@ def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
     gens = elementary_generators(ring, n, ideal)
     part = _partition(ring, states, gens, ACTION_ROW, n, ideal, bound)
     part.meta.update({"kind": "um", "n": n, "depth": depth,
-                      "relative": ideal is not None and not ideal.has_unit_generator()})
+                      "relative": ideal is not None and not ideal.contains(ring.one)})
     return part
 
 
@@ -850,8 +850,10 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     recorded).
     """
     ideal = ideal if ideal is not None else unit_ideal(ring)
-    rows = um_orbit_partition(ring, 3, ideal, depth, bound)
+    # the symbol universe's size check (|R|^6, or |I|^6 relative) refuses
+    # a large ring before the row enumeration's (|R|^3) would
     classes = witt_classes_bounded(ring, ideal, 4, levels, depth, bound)
+    rows = um_orbit_partition(ring, 3, ideal, depth, bound)
 
     notes = []
     per_class: dict = {}

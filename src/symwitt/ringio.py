@@ -205,13 +205,11 @@ def ideal_from_spec(obj: dict, ring: Ring = None) -> Ideal:
 # matrices and vectors
 # ---------------------------------------------------------------------------
 
-def matrix_to_obj(m: RingMatrix, embed_ring: bool = True) -> dict:
-    out = {"rows": m.rows,
-           "entries": [[m.ring.fmt(m.get(i, j)) for j in range(m.cols)]
-                       for i in range(m.rows)]}
-    if embed_ring:
-        out["ring"] = ring_to_spec(m.ring)
-    return out
+def matrix_to_obj(m: RingMatrix) -> dict:
+    return {"rows": m.rows,
+            "entries": [[m.ring.fmt(m.get(i, j)) for j in range(m.cols)]
+                        for i in range(m.rows)],
+            "ring": ring_to_spec(m.ring)}
 
 
 def matrix_from_obj(obj, ring: Ring = None) -> RingMatrix:
@@ -234,11 +232,8 @@ def matrix_from_obj(obj, ring: Ring = None) -> RingMatrix:
                                        for row in entries])
 
 
-def vector_to_obj(ring: Ring, coords: tuple, embed_ring: bool = True) -> dict:
-    out = {"coords": [ring.fmt(c) for c in coords]}
-    if embed_ring:
-        out["ring"] = ring_to_spec(ring)
-    return out
+def vector_to_obj(ring: Ring, coords: tuple) -> dict:
+    return {"coords": [ring.fmt(c) for c in coords], "ring": ring_to_spec(ring)}
 
 
 def vector_from_obj(obj, ring: Ring = None) -> tuple:
@@ -294,12 +289,10 @@ def _token_from_obj(ring: Ring, obj: dict) -> Token:
     raise MalformedSpec(f"unknown token op {op!r}")
 
 
-def word_to_obj(word: GroupWord, embed_ring: bool = True) -> dict:
-    out = {"size": word.size,
-           "tokens": [_token_to_obj(word.ring, t) for t in word.tokens]}
-    if embed_ring:
-        out["ring"] = ring_to_spec(word.ring)
-    return out
+def word_to_obj(word: GroupWord) -> dict:
+    return {"size": word.size,
+            "tokens": [_token_to_obj(word.ring, t) for t in word.tokens],
+            "ring": ring_to_spec(word.ring)}
 
 
 def word_from_obj(obj: dict, ring: Ring = None) -> GroupWord:

@@ -206,6 +206,8 @@ def parse_terms(base: "Ring", s: str, read_var, nvars: int = 1,
     s = s.replace(" ", "")
     if not s:
         raise MalformedSpec(f"empty {what} string")
+    if s == "0":  # fmt_terms' zero, which a tuple base cannot read
+        return {}
     acc: dict = {}
     sign = 1
     for tok in _split_top(s, "+-"):
@@ -216,7 +218,7 @@ def parse_terms(base: "Ring", s: str, read_var, nvars: int = 1,
             for factor in _split_top(tok, "*")[::2]:  # odd places hold "*"
                 hit = None if factor.startswith("(") else read_var(factor)
                 if hit is None:
-                    coeff = base.mul(coeff, base.parse(_unwrap(factor)))
+                    coeff = base.mul(coeff, _parse_coeff(base, factor))
                 else:
                     exps[hit[0]] += hit[1]
             if sign < 0:
@@ -227,6 +229,22 @@ def parse_terms(base: "Ring", s: str, read_var, nvars: int = 1,
     if not acc:
         raise MalformedSpec(f"no terms in {s!r}")
     return {e: c for e, c in acc.items() if c != base.zero}
+
+
+def _parse_coeff(base: "Ring", factor: str):
+    """A coefficient factor, read by the base with one pair of parentheses
+    stripped (fmt_terms wraps every non-integer coefficient in one), or
+    else as written, so a tuple coefficient may be wrapped once or twice."""
+    inner = _unwrap(factor)
+    try:
+        return base.parse(inner)
+    except MalformedSpec as err:
+        if inner == factor:
+            raise
+        try:
+            return base.parse(factor)
+        except MalformedSpec:
+            raise err from None
 
 
 def _fmt_univariate(base: "Ring", var: str, val: int, coeffs: tuple) -> str:
@@ -647,18 +665,10 @@ class PolynomialRing(Ring):
         return _poly_mul(self.base, a, b)
 
     def scalar_int(self, n):
-        c = self.base.scalar_int(n)
-        return (c,) if c != self.base.zero else ()
+        return self.constant(self.base.scalar_int(n))
 
     def constant(self, c):
         return (c,) if c != self.base.zero else ()
-
-    def gen(self):
-        return (self.base.zero, self.base.one)
-
-    def degree(self, a) -> int:
-        """Degree with deg 0 = -1 for the zero polynomial."""
-        return len(a) - 1
 
     def is_unit(self, a):
         # unit iff constant term is a unit and the rest is nilpotent
@@ -669,7 +679,8 @@ class PolynomialRing(Ring):
         return all(self.base.is_nilpotent(c) for c in a[1:])
 
     def inv(self, a):
-        if not self.is_unit(a):
+        # the ungraded rule: the Rees ring's is_unit calls this inv
+        if not PolynomialRing.is_unit(self, a):
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
         # geometric series against the nilpotent tail
         c0_inv = self.constant(self.base.inv(a[0]))
@@ -1005,15 +1016,10 @@ class ExcisionRing(Ring):
         if base != host and base.kind != "integers":
             raise MalformedSpec("excision base must match the ideal's ring or be Z")
         self.base, self.ideal, self.host = base, ideal, host
-        self._same = base == host
+        # a base element acts on I through its image in the host
+        self._lift = (lambda r: r) if base == host else host.scalar_int
         self.zero = (base.zero, host.zero)
         self.one = (base.one, host.zero)
-
-    def _act(self, b, j):
-        """Multiply an ideal element by a base element inside the host."""
-        if self._same:
-            return self.host.mul(b, j)
-        return self.host.mul(self.host.scalar_int(b), j)
 
     def spec_key(self):
         return ("excision", self.base.spec_key(), self.host.spec_key(), self.ideal.gens)
@@ -1028,26 +1034,22 @@ class ExcisionRing(Ring):
         return (self.base.neg(a[0]), self.host.neg(a[1]))
 
     def mul(self, a, b):
-        (r, i), (s, j) = a, b
-        cross = self.host.add(self._act(r, j), self._act(s, i))
-        return (self.base.mul(r, s), self.host.add(cross, self.host.mul(i, j)))
+        (r, i), (s, j), host = a, b, self.host
+        cross = host.add(host.mul(self._lift(r), j), host.mul(self._lift(s), i))
+        return (self.base.mul(r, s), host.add(cross, host.mul(i, j)))
 
     def scalar_int(self, n):
         return (self.base.scalar_int(n), self.host.zero)
 
     def retract(self, a):
         """(r, i) -> r*1 + i in the host ring."""
-        if self._same:
-            return self.host.add(a[0], a[1])
-        return self.host.add(self.host.scalar_int(a[0]), a[1])
+        return self.host.add(self._lift(a[0]), a[1])
 
     def is_unit(self, a):
         try:
             if not self.base.is_unit(a[0]):
                 return False
             return self.host.is_unit(self.retract(a))
-        except UndecidableMembership:
-            raise
         except InfiniteRing:
             raise UndecidableMembership("unit test unavailable here")
 
@@ -1056,15 +1058,8 @@ class ExcisionRing(Ring):
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
         r_inv = self.base.inv(a[0])
         # (r+i)^-1 - r^-1 lies in I, giving the ideal component of the inverse
-        j = self.host.sub(self.host.inv(self.retract(a)),
-                          self._inv_base_in_host(a[0]))
+        j = self.host.sub(self.host.inv(self.retract(a)), self._lift(r_inv))
         return (r_inv, j)
-
-    def _inv_base_in_host(self, r):
-        if self._same:
-            return self.host.inv(r)
-        # r = +-1 in Z; its image inverts to itself
-        return self.host.scalar_int(self.base.inv(r))
 
     @property
     def is_finite(self):
@@ -1092,18 +1087,17 @@ class ExcisionRing(Ring):
         return self.check((self.base.parse(r), self.host.parse(i)))
 
 
-class DoubleRing(Ring):
-    """Fibre product {(a, b) in R x R : a - b in I}, componentwise ops."""
+class DoubleRing(ProductRing):
+    """Fibre product {(a, b) in R x R : a - b in I}: the subring of the
+    product R x R cut out by the congruence, with the product's ops."""
 
     kind = "double"
 
     def __init__(self, base: Ring, ideal: "Ideal"):
         if ideal.ring != base:
             raise MalformedSpec("double ring ideal must live over the base ring")
-        super().__init__()
+        super().__init__((base, base))
         self.base, self.ideal = base, ideal
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.one)
 
     def spec_key(self):
         return ("double", self.base.spec_key(), self.ideal.gens)
@@ -1111,51 +1105,29 @@ class DoubleRing(Ring):
     def describe(self):
         return f"D({self.base.describe()},{self.ideal.describe()})"
 
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
-        return (self.base.mul(a[0], b[0]), self.base.mul(a[1], b[1]))
-
-    def scalar_int(self, n):
-        c = self.base.scalar_int(n)
-        return (c, c)
-
-    def is_unit(self, a):
-        # inverse of a congruent pair is again congruent
-        return self.base.is_unit(a[0]) and self.base.is_unit(a[1])
-
     def inv(self, a):
+        # the inverse of a congruent pair is again congruent
         if not self.is_unit(a):
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        return (self.base.inv(a[0]), self.base.inv(a[1]))
-
-    @property
-    def is_finite(self):
-        return self.base.is_finite
+        return super().inv(a)
 
     def _iter_elements(self):
         members = self.ideal.members()
         return ((a, self.base.sub(a, d)) for a in self.base.elements() for d in members)
 
+    def _known_size(self):
+        return None  # |I| * |R|, not the product's |R|^2
+
     def check(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
             raise RingMismatch(f"double payload must be a pair, got {a!r}")
-        self.base.check(a[0])
-        self.base.check(a[1])
+        super().check(a)
         if not self.ideal.contains(self.base.sub(a[0], a[1])):
             raise RingMismatch("components do not agree modulo the ideal")
         return a
 
-    def fmt(self, a):
-        return _fmt_pair((self.base.fmt(a[0]), self.base.fmt(a[1])))
-
     def parse(self, s):
-        x, y = _parse_pair(s, 2)
-        return self.check((self.base.parse(x), self.base.parse(y)))
+        return self.check(super().parse(s))
 
 
 class _Graded:
@@ -1170,6 +1142,9 @@ class _Graded:
 
     def spec_key(self):
         return (self.kind, self.base.spec_key(), self.ideal.gens, self.var)
+
+    def is_unit(self, a):
+        return super().is_unit(a) and self.contains(super().inv(a))
 
     def inv(self, a):
         out = super().inv(a)
@@ -1319,7 +1294,7 @@ class Ideal:
         zero0 = ring.base.zero
         if not all(g[0] == zero0 for g in self.gens):
             return None
-        if ring.kind == "excision" and not ring._same:
+        if ring.kind == "excision" and ring.base != ring.host:
             return None  # the Z (+) I case has no clean structural rule
         host = ring.host if ring.kind == "excision" else ring.base
         sub = Ideal(host, tuple(g[1] for g in self.gens))
@@ -1427,7 +1402,7 @@ def double_to_excision(double: DoubleRing, x) -> tuple[ExcisionRing, tuple]:
 
 def excision_to_double(exc: ExcisionRing, x) -> tuple[DoubleRing, tuple]:
     """Inverse of double_to_excision: (r, i) -> (r + i, r)."""
-    if not exc._same:
+    if exc.base != exc.host:
         raise MalformedSpec("only R (+) I excision rings match a double ring")
     target = DoubleRing(exc.base, exc.ideal)
     r, i = x

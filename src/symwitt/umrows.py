@@ -41,28 +41,8 @@ class UmRow:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def is_relative(self) -> bool:
-        return self.ideal is not None
-
     def dot(self, coeffs: tuple):
         return self.ring.dot(self.entries, coeffs)
-
-    def times(self, mat: RingMatrix) -> "UmRow":
-        """Right action v -> v * mat (the elementary-group action)."""
-        if mat.ring != self.ring:
-            raise RingMismatch("matrix over a different ring")
-        if mat.rows != self.n or mat.cols != self.n:
-            raise SizeMismatch("matrix size does not match the row")
-        r = self.ring
-        out = []
-        for j in range(self.n):
-            acc = r.zero
-            for k, a in enumerate(self.entries):
-                if a != r.zero:
-                    acc = r.add(acc, r.mul(a, mat.get(k, j)))
-            out.append(acc)
-        return UmRow(self.ring, tuple(out), self.ideal)
 
 
 def um_row(ring: Ring, entries, ideal: Optional[Ideal] = None) -> UmRow:

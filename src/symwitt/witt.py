@@ -55,10 +55,6 @@ class WittSymbol:
     def half(self) -> int:
         return self.rep.rows // 2
 
-    @property
-    def is_pfaffian_one(self) -> bool:
-        return pfaffian(self.rep) == self.ring.one
-
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:

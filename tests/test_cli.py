@@ -276,6 +276,14 @@ def test_report_span_past_cap_fails_fast(capsys):
     assert "vectors x 15 entries" in payload["message"]
 
 
+def test_unit_ideal_decided_by_membership(capsys):
+    # (2, 3) is the unit ideal of Z/6 though neither generator is a unit
+    spelled = run(capsys, "orbit", "um", "--ring", "zmod:6", "--ideal", "2,3", "--n", "2")
+    unit = run(capsys, "orbit", "um", "--ring", "zmod:6", "--ideal", "unit", "--n", "2")
+    assert spelled == unit and spelled[0] == 0
+    assert json.loads(unit[1])["relative"] is False
+
+
 def test_report_vaserstein_confirmed(capsys):
     code, out, err = run(capsys, "report", "vaserstein", "--ring", "f3")
     assert code == 0
@@ -423,7 +431,9 @@ def test_large_ring_eval_enumerates_nothing(ring, args, result):
     ("ideal", "members", "--ring", "zmod:50000017", "--ideal", "7"),
     # 211^3 rows: the tail search is refused before it starts
     ("um", "vdk", "--ring", "zmod:211", "--u", '["2","1","0"]', "--v", '["1","0","1"]'),
-], ids=["report", "members", "vdk"])
+    # 72^6 symbol candidates are refused before any of the 72^3 rows is completed
+    ("report", "vaserstein", "--ring", "zmod:72"),
+], ids=["report", "members", "vdk", "report-z72"])
 def test_large_ring_enumeration_fails_fast(argv):
     code, out, err = run_capped(*argv)
     assert code == 1 and out == ""

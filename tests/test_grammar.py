@@ -8,10 +8,14 @@ import pytest
 
 from conftest import f4, ideal_of, zmod
 from symwitt import (
+    DoubleRing,
+    ExcisionRing,
     ExtendedReesRing,
     LaurentRing,
+    MalformedSpec,
     MultiPoly,
     PolynomialRing,
+    ProductRing,
     ReesRing,
 )
 
@@ -27,6 +31,7 @@ def _univariate_rings():
     return [
         PolynomialRing(m9, "X"), PolynomialRing(f4(), "X"),
         LaurentRing(zmod(6), "t"), LaurentRing(f4(), "t"),
+        LaurentRing(ProductRing((zmod(2), m9)), "t"),
         ReesRing(m8, ideal_of(m8, 2), "t"),
         ExtendedReesRing(m9, ideal_of(m9, 3), "t"),
     ]
@@ -94,7 +99,7 @@ def test_univariate_grammar_and_arithmetic_property(which, lo1, p1, lo2, p2):
     assert ring.add(x, ring.neg(x)) == ring.zero
 
 
-MULTI_BASES = [zmod(6), zmod(9), f4()]
+MULTI_BASES = [zmod(6), zmod(9), f4(), ProductRing((zmod(2), zmod(3)))]
 
 
 @SETTINGS
@@ -118,3 +123,23 @@ def test_multipoly_grammar_and_arithmetic_property(which, nvars, p1, p2):
         mul[e] = ring.add(mul[e], ring.mul(c1, c2))
     assert f.add(g) == MultiPoly.make(ring, nvars, add)
     assert f.mul(g) == MultiPoly.make(ring, nvars, mul)
+
+
+def test_pair_coefficients_wrapped_once_or_twice():
+    """A tuple coefficient reads the same with its own parentheses only
+    as with the extra pair fmt prints around every coefficient."""
+    m8, m9 = zmod(8), zmod(9)
+    laurent = LaurentRing(ProductRing((zmod(2), m9)), "t")
+    once = laurent.parse("(1|3)+(0|1)*t")
+    assert once == laurent.parse("((1|3))+((0|1))*t") == (0, ((1, 3), (0, 1)))
+    assert laurent.parse("(1|3)*t^-1-t") == (-1, ((1, 3), (0, 0), (1, 8)))
+    for base, text in ((ProductRing((zmod(2), m9)), "(1|3)*X1^2*X2-(0|1)"),
+                       (ExcisionRing(m8, ideal_of(m8, 2)), "(1|2)*X1+(3|0)*X2^2"),
+                       (DoubleRing(m8, ideal_of(m8, 2)), "(1|3)*X1*X2+(5|5)")):
+        f = MultiPoly.parse(base, 2, text)
+        twice = text.replace("(", "((").replace(")", "))")
+        assert f == MultiPoly.parse(base, 2, twice)
+        assert MultiPoly.parse(base, 2, f.fmt()) == f
+    # a factor the base rejects either way keeps the unwrapped error
+    with pytest.raises(MalformedSpec, match="'1\\|x'"):
+        laurent.parse("(1|x)+t")

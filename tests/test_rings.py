@@ -505,7 +505,8 @@ def test_rees_ops_and_escaping_inverse():
     assert rees.contains(a) and not rees.contains((1, 1))
     assert not rees.is_unit(rees.parse("3*t"))
     # 1+3t+3t^2 is not graded (3 is not in I^2 = 0); its inverse
-    # 1+6t+6t^2 is refused rather than returned
+    # 1+6t+6t^2 is refused rather than returned, and is_unit agrees
+    assert not rees.is_unit((1, 3, 3))
     with pytest.raises(NotAUnit, match="escapes"):
         rees.inv((1, 3, 3))
 
@@ -519,6 +520,6 @@ def test_extended_rees_ops_and_escaping_inverse():
     assert ext.contains(ext.parse("t^-2+3*t")) and not ext.contains((1, (1,)))
     # t^-1 is a unit of the laurent ring, but its inverse t is not graded
     for x in ("t^-1", "t^-1+3"):
-        assert ext.is_unit(ext.parse(x))
+        assert not ext.is_unit(ext.parse(x))
         with pytest.raises(NotAUnit, match="escapes"):
             ext.inv(ext.parse(x))
