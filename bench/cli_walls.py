@@ -6,7 +6,7 @@
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
 import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_11.json
+os.wait4.  The medians per command go into the output file (BENCH_12.json
 at the root of this repository by default) under the timed checkout's
 commit, together with the machine: nproc, Python and platform.  Entries
 already in the file for other commits are kept, so one file holds a
@@ -19,13 +19,17 @@ substitution runs on the dict loops, and a dense input over Z/3 with a
 quartic phi, whose substitution runs on the packed big int; both parse
 and print through the shared term grammar.
 
+The orbit group partitions the relative symbol universe of Z/16 (2)
+at size 4, a BFS over 96 basis moves (378 exact generators).
+
 The large-ring group holds commands over rings of 10^7 elements and
 more, which must be answered or refused without enumerating the ring;
 a report over Z/72, whose 72^6 symbol candidates must be refused before
 its 373,248 rows are completed one by one; a row product over Z/211,
-whose 211^3 rows must be refused before any search; and the 10^5
-members of an ideal of Z/200000, which must be listed in time and
-memory linear in the ring.  The child sets its own
+whose 211^3 rows must be refused before any search; the members of
+a double ring of 3000 * 3000 pairs, which must be refused before any
+pair is drawn; and the 10^5 members of an ideal of Z/200000, which must
+be listed in time and memory linear in the ring.  The child sets its own
 address-space limit of AS_LIMIT_MB before it imports symwitt, so a
 checkout that does enumerate fails with a MemoryError at the cap
 instead of taking the machine's memory; the reports stay far below it.
@@ -73,6 +77,11 @@ POLY_CASES = (
       "--phi", "X1^4+X1^3+2*X1+1"]),
 )
 
+ORBIT_CASES = (
+    ("alt Z/16 (2)",
+     ["orbit", "alt", "--ring", "zmod:16", "--ideal", "2", "--size", "4"]),
+)
+
 AS_LIMIT_MB = 1536
 LARGE_CASES = (
     ("eval Z/30000001 x Z/3",
@@ -94,6 +103,10 @@ LARGE_CASES = (
       "--v", '["1","0","1"]']),
     ("members Z/200000 (2)",
      ["ideal", "members", "--ring", "zmod:200000", "--ideal", "2"]),
+    ("members D(Z/3000,(1))",
+     ["ideal", "members", "--ring",
+      '{"kind":"double","ideal":{"ring":"zmod:3000","generators":["1"]}}',
+      "--ideal", "(1|1)"]),
 )
 
 LAUNCH = (
@@ -168,7 +181,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_12.json")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {
@@ -187,7 +200,7 @@ def main():
         if gen is not None:
             argv += ["--ideal", str(gen)]
         cases.append((label, argv))
-    for label, argv in cases + list(POLY_CASES) + list(LARGE_CASES):
+    for label, argv in cases + list(POLY_CASES) + list(ORBIT_CASES) + list(LARGE_CASES):
         res = entry["walls"][label] = time_case(src, argv)
         print(f"{label:24s} {res['median_s']:9.3f} s "
               f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",

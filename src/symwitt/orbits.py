@@ -9,7 +9,7 @@ reported unsaturated, never complete.
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
 import functools
@@ -93,16 +93,26 @@ def _conjugate(ring: Ring, g: Generator, i: int, j: int, b) -> Generator:
     return Generator(Conj((Elem(i, j, b),) + chain, core), g.a, tuple(u), tuple(w))
 
 
-def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
-    """Exact generating set of the elementary action at size n.
+def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
+                          basis: bool = False) -> tuple:
+    """Generating set of the elementary action at size n.
 
     Absolute (no ideal, or a unit ideal): the transvections e_ij(a).
     Relative, n >= 3: the z_ij(x, a) = e_ji(a) e_ij(x) e_ji(-a), x in I,
     a in R, which generate E_n(R, I) (Vaserstein-Suslin 1976; Suslin
     1977).  Relative, n <= 2: the e_ij(x), x in I, closed under
-    conjugation by every transvection, so they generate the normal
-    closure of E_n(I).  Duplicates (equal a*u*w^T) are kept once, and
-    the first token wins.
+    conjugation by every transvection e_kl(b), so they generate the
+    normal closure of E_n(I).  Duplicates (equal a*u*w^T) are kept once,
+    and the first token wins.
+
+    By default x (or a, absolute) runs over every member: the exact set,
+    whose tokens certificates replay.  With basis it runs over the
+    ideal's additive basis only, and the n <= 2 closure conjugates only
+    by b in R's basis.  e_ij(x + y) = e_ij(x) e_ij(y) and
+    z_ij(x + y, a) = z_ij(x, a) z_ij(y, a), and a finite set closed under
+    conjugation by generators of a finite group is closed under the
+    whole group, so the smaller set generates the same group: it has the
+    same orbits, and fewer moves to try.
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
@@ -112,7 +122,8 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> 
     unit = [tuple(ring.one if t == k else ring.zero for t in range(n))
             for k in range(n)]
     out = [Generator(Elem(i, j, a), a, unit[i - 1], unit[j - 1])
-           for i, j, a in _transvections(ring, n, ideal.members())]
+           for i, j, a in _transvections(
+               ring, n, ideal.basis() if basis else ideal.members())]
     if ideal.contains(ring.one):
         return tuple(out)
     tables = ring.compile()
@@ -122,7 +133,8 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> 
         conj = ((g, [(g.token.j, g.token.i, b) for b in scalars]) for g in tuple(out))
     else:
         # walk `out` while it grows, so the closure reaches a fixpoint
-        every = _transvections(ring, n, ring.elements())
+        every = _transvections(
+            ring, n, unit_ideal(ring).basis() if basis else ring.elements())
         conj = ((g, every) for g in out)
     for g, steps in conj:
         for k, l, b in steps:
@@ -161,15 +173,22 @@ def _encode(tables, action: str, n: int, obj: tuple) -> tuple:
     return tuple(ix[i * n + j] for i, j in _upper(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _entries(n: int):
+    """Getter of the n x n entries, row-major, from an upper triangle t
+    extended to t + (-t) + (zero,)."""
+    m = len(_upper(n))
+    slot = {p: k for k, p in enumerate(_upper(n))}
+    return itemgetter(*(slot[i, j] if i < j else m + slot[j, i] if i > j else 2 * m
+                        for i in range(n) for j in range(n)))
+
+
 def _decode(tables, action: str, n: int, state: tuple) -> tuple:
     """State -> payload tuple."""
-    if action == ACTION_ROW:
-        return tuple(map(tables.elements.__getitem__, state))
-    ent = [tables.zero] * (n * n)
-    for (i, j), x in zip(_upper(n), state):
-        ent[i * n + j] = x
-        ent[j * n + i] = tables.neg[x]
-    return tuple(map(tables.elements.__getitem__, ent))
+    if action == ACTION_CONGRUENCE:
+        state = _entries(n)(state + tuple(map(tables.neg.__getitem__, state))
+                            + (tables.zero,))
+    return tuple(map(tables.elements.__getitem__, state))
 
 
 def _compile_moves(tables, action: str, n: int, gens: Sequence[Generator]) -> tuple:
@@ -313,7 +332,8 @@ def _meta(action: str, n: int, gens) -> dict:
 
 def orbit_bfs(ring: Ring, objects: Sequence, action: str,
               generators: Sequence[Generator], bound: Optional[int] = None,
-              closed: bool = True) -> OrbitPartition:
+              closed: bool = True, states: Optional[tuple] = None
+              ) -> OrbitPartition:
     """Partition `objects` into orbits under the configured action.
 
     Closed mode asserts every BFS edge stays inside the object set (the
@@ -321,7 +341,9 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
     excursions and assigns ids only to listed objects.  A capped orbit is
     flagged unsaturated and later objects it failed to reach start their
     own (possibly spurious) orbit.  Congruence objects must be
-    alternating.
+    alternating.  `states`, when given, are the objects' states in the
+    same order, and are trusted: this module passes them where it built
+    the objects from them.
     """
     objects = tuple(objects)
     if not objects:
@@ -332,7 +354,8 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, generators)
     index = _index_map(objects)
-    states = [_encode(tables, action, n, s) for s in objects]
+    if states is None:
+        states = tuple(_encode(tables, action, n, s) for s in objects)
     at = {st: k for k, st in enumerate(states)}
 
     ids = [-1] * len(objects)
@@ -369,7 +392,8 @@ def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
 
 
 def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
-                           n: int, closed: bool = True) -> OrbitPartition:
+                           n: int, closed: bool = True,
+                           states: Optional[tuple] = None) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
 
     Every generator then moves a whole congruence coset by a constant
@@ -382,7 +406,8 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
     moves = _compile_moves(tables, action, n, gens)
     add, neg = tables.add, tables.neg
     index = _index_map(objects)
-    states = [_encode(tables, action, n, s) for s in objects]
+    if states is None:
+        states = tuple(_encode(tables, action, n, s) for s in objects)
     ids = [-1] * len(objects)
     reps = []
     for k, s in enumerate(objects):
@@ -412,11 +437,27 @@ _translation_partition_open = _translation_partition
 
 def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
                ideal: Optional[Ideal], bound: Optional[int],
-               closed: bool = True) -> OrbitPartition:
-    relative = ideal is not None and not ideal.contains(ring.one)
-    if relative and ideal.products_vanish():
-        return _translation_partition(ring, objects, gens, action, n, closed)
-    return orbit_bfs(ring, objects, action, gens, bound=bound, closed=closed)
+               closed: bool = True, states: Optional[tuple] = None
+               ) -> OrbitPartition:
+    """Orbits of the group that the exact generating set gens generates.
+
+    The search moves over the basis set when the ideal's basis is
+    smaller than its nonzero members; the payload still counts gens.
+    Both sets generate one group, so ids and reps are the same, but a
+    bound can cut the two searches off at different states.
+    """
+    ideal = ideal if ideal is not None else unit_ideal(ring)
+    moves = gens
+    if len(ideal.basis()) < len(ideal.members()) - 1:
+        moves = elementary_generators(ring, n, ideal, basis=True)
+    if not ideal.contains(ring.one) and ideal.products_vanish():
+        part = _translation_partition(ring, objects, moves, action, n, closed,
+                                      states)
+    else:
+        part = orbit_bfs(ring, objects, action, moves, bound=bound, closed=closed,
+                         states=states)
+    part.meta["generators"] = len(gens)
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +570,16 @@ def _pfaffian_one(tables, n: int, values: Sequence) -> list:
 def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
     """Alternating size x size matrices with Pfaffian one and a standard
     witness modulo the ideal.  det = Pf^2, so these are all invertible.
+    They are the states of _universe_states, as matrices."""
+    states = _universe_states(ring, ideal, size)
+    tables = ring.compile()
+    return tuple(RingMatrix(ring, size, size,
+                            _decode(tables, ACTION_CONGRUENCE, size, st))
+                 for st in states)
+
+
+def _universe_states(ring: Ring, ideal: Ideal, size: int) -> list:
+    """The witt universe as congruence states (upper triangles).
 
     A matrix has a witness iff it lies in F + Alt(I) for a standard form
     F, where Alt(I) holds the alternating matrices with upper-triangle
@@ -563,9 +614,7 @@ def witt_universe(ring: Ring, ideal: Ideal, size: int) -> tuple:
         states += _pfaffian_one(tables, size, [
             tuple(add[ix[form.get(i, j)]][x] for x in pool) for i, j in pos])
     states.sort()
-    return tuple(RingMatrix(ring, size, size,
-                            _decode(tables, ACTION_CONGRUENCE, size, st))
-                 for st in states)
+    return states
 
 
 def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
@@ -575,10 +624,12 @@ def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
     if depth < 0:  # generator sets are exact: depth is only recorded
         raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
-    mats = witt_universe(ring, ideal, size)
-    states = tuple(m.entries for m in mats)
+    states = tuple(_universe_states(ring, ideal, size))
+    tables = ring.compile()
+    objects = tuple(_decode(tables, ACTION_CONGRUENCE, size, st) for st in states)
     gens = elementary_generators(ring, size, ideal)
-    part = _partition(ring, states, gens, ACTION_CONGRUENCE, size, ideal, bound)
+    part = _partition(ring, objects, gens, ACTION_CONGRUENCE, size, ideal, bound,
+                      states=states)
     part.meta.update({"kind": "alt", "size": size, "depth": depth})
     return part
 
@@ -746,7 +797,7 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
     _row_pool(ring, n, u.ideal)
     tables = ring.compile()
     moves = _compile_moves(tables, ACTION_ROW, n,
-                           elementary_generators(ring, n, u.ideal))
+                           elementary_generators(ring, n, u.ideal, basis=True))
     orb_u, sat_u = _bfs(_encode(tables, ACTION_ROW, n, u.entries), moves,
                         tables, bound)
     orb_v, sat_v = _bfs(_encode(tables, ACTION_ROW, n, v.entries), moves,
@@ -787,7 +838,8 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     n = len(tail) + 1
     _row_pool(ring, n, ideal)
     tables = ring.compile()
-    moves = _compile_moves(tables, ACTION_ROW, n, elementary_generators(ring, n, ideal))
+    moves = _compile_moves(tables, ACTION_ROW, n,
+                           elementary_generators(ring, n, ideal, basis=True))
     goal = _encode(tables, ACTION_ROW, n, target.entries)
     links, _ = _bfs(_encode(tables, ACTION_ROW, n, prod.entries), moves, tables,
                     bound, goal)

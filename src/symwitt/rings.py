@@ -1069,6 +1069,10 @@ class ExcisionRing(Ring):
         members = self.ideal.members()
         return ((b, i) for b in self.base.elements() for i in members)
 
+    def _known_size(self):
+        size = self.base._known_size()
+        return None if size is None else size * len(self.ideal.members())
+
     def check(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
             raise RingMismatch(f"excision payload must be a pair, got {a!r}")
@@ -1116,7 +1120,9 @@ class DoubleRing(ProductRing):
         return ((a, self.base.sub(a, d)) for a in self.base.elements() for d in members)
 
     def _known_size(self):
-        return None  # |I| * |R|, not the product's |R|^2
+        # |R| * |I|, not the product's |R|^2
+        size = self.base._known_size()
+        return None if size is None else size * len(self.ideal.members())
 
     def check(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
@@ -1218,6 +1224,7 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(ring.check(g) for g in generators)
         self._members: Optional[tuple] = None
+        self._basis: Optional[tuple] = None
         self._span: Optional[set] = None
         self._powers: dict[int, "Ideal"] = {}
 
@@ -1317,6 +1324,21 @@ class Ideal:
                     ring.zero, ring.add, (ring.mul(r, g) for g in self.gens for r in els))
                 self._members = tuple(x for x in els if x in span)
         return self._members
+
+    def basis(self) -> tuple:
+        """Additive generating set, greedy in enumeration order: each
+        member that is not in the span of the members kept before it.
+        Over a unit ideal this is R's own basis.  Every member is a sum
+        of basis elements, so e_ij(x + y) = e_ij(x) e_ij(y) lets moves
+        over the basis stand for moves over every member."""
+        if self._basis is None:
+            ring, basis, span = self.ring, [], {self.ring.zero}
+            for x in self.members():
+                if x not in span:
+                    basis.append(x)
+                    span = additive_span(ring.zero, ring.add, basis)
+            self._basis = tuple(basis)
+        return self._basis
 
     def power(self, k: int) -> "Ideal":
         if k < 0:

@@ -433,7 +433,11 @@ def test_large_ring_eval_enumerates_nothing(ring, args, result):
     ("um", "vdk", "--ring", "zmod:211", "--u", '["2","1","0"]', "--v", '["1","0","1"]'),
     # 72^6 symbol candidates are refused before any of the 72^3 rows is completed
     ("report", "vaserstein", "--ring", "zmod:72"),
-], ids=["report", "members", "vdk", "report-z72"])
+    # 3000 * 3000 congruent pairs are refused before any pair is drawn
+    ("ideal", "members", "--ring",
+     '{"kind":"double","ideal":{"ring":"zmod:3000","generators":["1"]}}',
+     "--ideal", "(1|1)"),
+], ids=["report", "members", "vdk", "report-z72", "members-double"])
 def test_large_ring_enumeration_fails_fast(argv):
     code, out, err = run_capped(*argv)
     assert code == 1 and out == ""

@@ -792,3 +792,154 @@ def test_nice_mult_check_errors_and_bound():
     assert prod.entries == (0, 2, 0)
     assert nice_mult_check(2, 2, (1, 0), F3)
     assert not nice_mult_check(2, 2, (1, 0), F3, bound=1)
+
+
+# ---------------------------------------------------------------------------
+# moves over an additive basis against the exact generating sets
+# ---------------------------------------------------------------------------
+
+F2_EPS = '{"kind":"quotient","base":{"kind":"poly","base":"zmod:2","var":"t"},"moduli":["t^2"]}'
+EXC4 = '{"kind":"excision","ideal":{"ring":"zmod:4","generators":["2"]}}'
+DBL4 = '{"kind":"double","ideal":{"ring":"zmod:4","generators":["2"]}}'
+
+
+def _ring_ideal(spec, gen):
+    ring = parse_ring(spec)
+    return ring, None if gen is None else Ideal(ring, (ring.parse(str(gen)),))
+
+
+@pytest.mark.parametrize("spec, gen", [
+    ("f2", None), ("f4", None), ("zmod:9", None), ("zmod:6", None),
+    ("zmod:16", 4), ("zmod:8", 2), ("zmod:6", 3), ("zmod:12", 2),
+    (Z2xZ4, None), (Z2xZ4, "(1|2)"), (F2_EPS, None), (F2_EPS, "t"),
+    (EXC4, None), (DBL4, None), (DBL4, "(2|0)"),
+])
+def test_ideal_basis_is_a_greedy_generating_set(spec, gen):
+    ring, ideal = _ring_ideal(spec, gen)
+    ideal = ideal if ideal is not None else unit_ideal(ring)
+    basis, members = ideal.basis(), ideal.members()
+    assert _ordered_subset(basis, members)
+    # each basis element lies outside the span of those before it, and
+    # the whole basis spans the ideal
+    for k, x in enumerate(basis):
+        assert x not in additive_span(ring.zero, ring.add, basis[:k])
+    assert additive_span(ring.zero, ring.add, basis) == set(members)
+    # greedy: every member the basis skipped lies in the span before it
+    for x in members:
+        before = [b for b in basis if members.index(b) < members.index(x)]
+        assert x in basis or x in additive_span(ring.zero, ring.add, before)
+
+
+def _ordered_subset(small, big):
+    pos = [big.index(x) for x in small]
+    return pos == sorted(pos)
+
+
+# (ring, ideal generator or None, action, n); n is a row length or a
+# matrix size.  Translation cases have I^2 = 0.
+BASIS_CASES = [
+    ("f2", None, ACTION_ROW, 4), ("f2", None, ACTION_CONGRUENCE, 4),
+    ("f3", None, ACTION_ROW, 3), ("f3", None, ACTION_CONGRUENCE, 4),
+    ("f4", None, ACTION_ROW, 2), ("f4", None, ACTION_ROW, 3),
+    ("f4", None, ACTION_CONGRUENCE, 4),
+    ("zmod:4", None, ACTION_ROW, 4), ("zmod:4", None, ACTION_CONGRUENCE, 4),
+    ("zmod:8", None, ACTION_ROW, 3), ("zmod:8", None, ACTION_CONGRUENCE, 2),
+    ("zmod:9", None, ACTION_ROW, 2), ("zmod:9", None, ACTION_ROW, 3),
+    ("zmod:6", None, ACTION_ROW, 3), ("zmod:6", None, ACTION_CONGRUENCE, 2),
+    (Z2xZ4, None, ACTION_ROW, 3), (Z2xZ4, "(1|2)", ACTION_ROW, 2),
+    (Z2xZ4, "(1|2)", ACTION_ROW, 3),
+    (EXC4, None, ACTION_ROW, 3), (DBL4, None, ACTION_ROW, 3),
+    (DBL4, "(2|0)", ACTION_ROW, 3),
+    (F2_EPS, None, ACTION_ROW, 3), (F2_EPS, None, ACTION_CONGRUENCE, 4),
+    (F2_EPS, "t", ACTION_ROW, 3),
+    # relative, on the BFS path: the n = 2 closure and the z_ij(x, a)
+    ("zmod:8", 2, ACTION_ROW, 2), ("zmod:8", 2, ACTION_ROW, 3),
+    ("zmod:8", 2, ACTION_CONGRUENCE, 2), ("zmod:12", 2, ACTION_ROW, 2),
+    ("zmod:6", 3, ACTION_ROW, 3),
+    # relative, on the translation path
+    ("zmod:9", 3, ACTION_ROW, 2), ("zmod:9", 3, ACTION_ROW, 4),
+    ("zmod:9", 3, ACTION_CONGRUENCE, 2), ("zmod:9", 3, ACTION_CONGRUENCE, 4),
+    ("zmod:16", 4, ACTION_ROW, 3), ("zmod:16", 4, ACTION_CONGRUENCE, 4),
+]
+
+
+@pytest.mark.parametrize("spec, gen, action, n", BASIS_CASES)
+def test_basis_partition_matches_exact_generators(spec, gen, action, n):
+    ring, ideal = _ring_ideal(spec, gen)
+    if action == ACTION_ROW:
+        part = um_orbit_partition(ring, n, ideal)
+    else:
+        part = alt_orbit_partition(ring, ideal, n)
+    exact = elementary_generators(ring, n, ideal)
+    ref = orbit_bfs(ring, part.objects, action, exact)
+    assert (part.ids, part.reps) == (ref.ids, ref.reps)
+    assert part.saturated and part.meta["generators"] == len(exact)
+    relative = ideal is not None and not ideal.contains(ring.one)
+    translation = relative and ideal.products_vanish()
+    assert ("fast_path" in part.meta) == translation
+    if translation:
+        # open mode on seed subsets, as the stabilization levels use it
+        for seeds in filter(None, (part.objects[::3], part.objects[1::5])):
+            fast = _partition(ring, seeds, exact, action, n, ideal, None,
+                              closed=False)
+            slow = orbit_bfs(ring, seeds, action, exact, closed=False)
+            assert (fast.ids, fast.reps) == (slow.ids, slow.reps)
+
+
+def test_basis_moves_are_fewer_where_the_basis_is():
+    # the absolute report's moves: e_ij(1) only over Z/n
+    m9 = zmod(9)
+    assert len(elementary_generators(m9, 4)) == 96
+    assert len(elementary_generators(m9, 4, basis=True)) == 12
+    assert len(elementary_generators(f4(), 4, basis=True)) == 24
+    assert len(elementary_generators(zmod(16), 3, ideal_of(zmod(16), 4),
+                                     basis=True)) < \
+        len(elementary_generators(zmod(16), 3, ideal_of(zmod(16), 4)))
+    # the pinned payloads count the exact set
+    assert alt_orbit_partition(m9, None, 2).meta["generators"] == 16
+    assert um_orbit_partition(M4, 3, I24).meta["generators"] == 9
+
+
+def _exact_only(monkeypatch):
+    """Make the module build the exact set wherever it asks for the basis."""
+    import symwitt.orbits as orbits
+    build = orbits.elementary_generators
+    monkeypatch.setattr(orbits, "elementary_generators",
+                        lambda ring, n, ideal=None, basis=False: build(ring, n, ideal))
+
+
+@pytest.mark.parametrize("spec, gen", [("f3", None), ("f4", None), ("zmod:4", 2)])
+def test_row_searches_match_exact_generators(monkeypatch, spec, gen):
+    ring, ideal = _ring_ideal(spec, gen)
+    rows = enumerate_um(ring, 3, ideal)
+    rng = random.Random(12)
+    pairs = [(rng.choice(rows), rng.choice(rows)) for _ in range(40)]
+    tails = sorted({r.entries[1:] for r in rows})[:6]
+    firsts = sorted({r.entries[0] for r in rows})[:3]
+    cases = [(a, b, t) for a in firsts for b in firsts for t in tails]
+
+    def answers():
+        out = [vdk_product_aligned(u, v).entries for u, v in pairs]
+        for a, b, t in cases:
+            try:
+                out.append(nice_mult_check(a, b, t, ring, ideal))
+            except (NotCompleted, NotRelative) as e:
+                out.append(type(e).__name__)
+        return out
+
+    fast = answers()
+    assert True in fast
+    _exact_only(monkeypatch)
+    assert answers() == fast
+
+
+@pytest.mark.parametrize("spec, gen, size", [
+    ("f2", None, 4), ("f3", None, 4), ("zmod:4", None, 4),
+    ("zmod:8", 4, 4), ("zmod:9", 3, 4),
+])
+def test_alt_partition_objects_are_the_universe(spec, gen, size):
+    ring, ideal = _ring_ideal(spec, gen)
+    part = alt_orbit_partition(ring, ideal, size)
+    universe = witt_universe(ring, ideal if ideal is not None else unit_ideal(ring), size)
+    assert part.objects == tuple(m.entries for m in universe)
+    assert part.index == {m.entries: k for k, m in enumerate(universe)}

@@ -451,6 +451,30 @@ def test_known_size_refuses_without_drawing(monkeypatch):
     assert len(ProductRing((zmod(3), QuotientRing(Z, (5,)))).elements()) == 15
 
 
+def test_pair_rings_refuse_without_drawing_pairs(monkeypatch):
+    # |R| * |I| follows from the base's size and the ideal's members, so a
+    # double or excision ring past MEMORY_CAP is refused before any pair
+    # is drawn: 3000 * 3000 and 3000 * 1500 both pass 2^22
+    def no_draw(self):
+        raise AssertionError("drew pairs of a ring past the cap")
+
+    monkeypatch.setattr(DoubleRing, "_iter_elements", no_draw)
+    monkeypatch.setattr(ExcisionRing, "_iter_elements", no_draw)
+    m = zmod(3000)
+    for ideal in (Ideal(m, (1,)), ideal_of(m, 2)):
+        for ring in (DoubleRing(m, ideal), ExcisionRing(m, ideal)):
+            with pytest.raises(BoundExceeded, match=r"more than 4194304 elements"):
+                ring.elements()
+            with pytest.raises(BoundExceeded):
+                Ideal(ring, (ring.one,)).members()
+    monkeypatch.undo()
+    m = zmod(12)
+    for ideal, size in ((ideal_of(m, 4), 36), (ideal_of(m, 5), 144)):
+        for ring in (DoubleRing(m, ideal), ExcisionRing(m, ideal)):
+            assert ring._known_size() == size == len(ring.elements())
+    assert ExcisionRing(Z, ideal_of(m, 4))._known_size() is None
+
+
 def test_polynomial_inverse_by_nilpotent_tail():
     p = PolynomialRing(M9, "X")
     a = p.parse("1+3*X")
