@@ -6,6 +6,7 @@ internal error, 64 usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -60,12 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-def _common(parser):
-    parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--seed", type=int, help="recorded in the output")
-    return parser
 
 
 def _need(ns, name):
@@ -316,80 +311,59 @@ def _h_report_vaserstein(ns):
 # wiring
 # ---------------------------------------------------------------------------
 
+_S, _I = {"type": str}, {"type": int}
+
+# (group, command, handler, flags) in --help order; a row without a group
+# is a top-level alias.  Every command also takes --config and --seed.
+_COMMANDS = (
+    ("ring", "eval", _h_ring_eval,
+     dict(ring=_S, op=_S, args={"type": str, "nargs": "*"}, exp=_I)),
+    ("ideal", "members", _h_ideal_members, dict(ring=_S, ideal=_S)),
+    ("poly", "nagata", _h_poly_nagata,
+     dict(ring=_S, nvars=_I, poly=_S, phi=_S)),
+    ("mat", "pf", _h_mat_pf, dict(ring=_S, matrix=_S)),
+    ("mat", "det", _h_mat_det, dict(ring=_S, matrix=_S)),
+    ("word", "eval", _h_word_eval, dict(ring=_S, size=_I, word=_S)),
+    ("witt", "verify", _h_witt_verify,
+     dict(ring=_S, ideal=_S, alpha=_S, beta=_S, cert=_S)),
+    ("witt", "product", _h_witt_product,
+     dict(ring=_S, ideal=_S, alpha=_S, beta=_S)),
+    ("witt", "lift", _h_witt_lift, dict(ring=_S, ideal=_S, alpha=_S)),
+    ("witt", "root", _h_witt_root, dict(ring=_S, matrix=_S, m=_I)),
+    ("um", "complete", _h_um_complete, dict(ring=_S, ideal=_S, row=_S)),
+    ("um", "theta", _h_um_theta, dict(ring=_S, a=_S, b=_S)),
+    ("um", "symbol", _h_um_symbol, dict(ring=_S, ideal=_S, row=_S)),
+    ("um", "vdk", _h_um_vdk, dict(ring=_S, ideal=_S, u=_S, v=_S, bound=_I)),
+    ("um", "lift", _h_um_lift, dict(ring=_S, ideal=_S, row=_S)),
+    ("orbit", "um", _h_orbit_um,
+     dict(ring=_S, ideal=_S, n=_I, conj_depth=dict(_I, default=1), bound=_I)),
+    ("orbit", "alt", _h_orbit_alt,
+     dict(ring=_S, ideal=_S, size=_I, conj_depth=dict(_I, default=1),
+          bound=_I)),
+    ("report", "vaserstein", _h_report_vaserstein,
+     dict(ring=_S, ideal=_S, stab=dict(_I, default=1),
+          conj_depth=dict(_I, default=2), bound=_I)),
+    (None, "pf", _h_mat_pf, dict(ring=_S, matrix=_S)),
+)
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of _COMMANDS, built on first use and then shared:
+    parse_args leaves it unchanged and returns a fresh namespace."""
     top = _Parser(prog="symwitt", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def cmd(group_sub, name, handler, **flags):
-        p = _common(group_sub.add_parser(name))
+    subs = {None: groups}
+    for group, name, handler, flags in _COMMANDS:
+        if group not in subs:
+            subs[group] = groups.add_parser(group).add_subparsers(
+                dest="command", required=True)
+        p = subs[group].add_parser(name)
+        p.add_argument("--config", help="JSON file with default option values")
+        p.add_argument("--seed", type=int, help="recorded in the output")
         for flag, spec in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, **spec)
-        p.set_defaults(handler=handler)
-        return p
-
-    s = lambda: {"type": str}
-    i = lambda: {"type": int}
-    multi = {"type": str, "nargs": "*"}
-
-    g_ring = groups.add_parser("ring").add_subparsers(dest="command",
-                                                      required=True)
-    cmd(g_ring, "eval", _h_ring_eval, ring=s(), op=s(), args=dict(multi),
-        exp=i())
-
-    g_ideal = groups.add_parser("ideal").add_subparsers(dest="command",
-                                                        required=True)
-    cmd(g_ideal, "members", _h_ideal_members, ring=s(), ideal=s())
-
-    g_poly = groups.add_parser("poly").add_subparsers(dest="command",
-                                                      required=True)
-    cmd(g_poly, "nagata", _h_poly_nagata, ring=s(), nvars=i(), poly=s(),
-        phi=s())
-
-    g_mat = groups.add_parser("mat").add_subparsers(dest="command",
-                                                    required=True)
-    cmd(g_mat, "pf", _h_mat_pf, ring=s(), matrix=s())
-    cmd(g_mat, "det", _h_mat_det, ring=s(), matrix=s())
-
-    g_word = groups.add_parser("word").add_subparsers(dest="command",
-                                                      required=True)
-    cmd(g_word, "eval", _h_word_eval, ring=s(), size=i(), word=s())
-
-    g_witt = groups.add_parser("witt").add_subparsers(dest="command",
-                                                      required=True)
-    cmd(g_witt, "verify", _h_witt_verify, ring=s(), ideal=s(), alpha=s(),
-        beta=s(), cert=s())
-    cmd(g_witt, "product", _h_witt_product, ring=s(), ideal=s(), alpha=s(),
-        beta=s())
-    cmd(g_witt, "lift", _h_witt_lift, ring=s(), ideal=s(), alpha=s())
-    cmd(g_witt, "root", _h_witt_root, ring=s(), matrix=s(), m=i())
-
-    g_um = groups.add_parser("um").add_subparsers(dest="command",
-                                                  required=True)
-    cmd(g_um, "complete", _h_um_complete, ring=s(), ideal=s(), row=s())
-    cmd(g_um, "theta", _h_um_theta, ring=s(), a=s(), b=s())
-    cmd(g_um, "symbol", _h_um_symbol, ring=s(), ideal=s(), row=s())
-    cmd(g_um, "vdk", _h_um_vdk, ring=s(), ideal=s(), u=s(), v=s(), bound=i())
-    cmd(g_um, "lift", _h_um_lift, ring=s(), ideal=s(), row=s())
-
-    g_orbit = groups.add_parser("orbit").add_subparsers(dest="command",
-                                                        required=True)
-    cmd(g_orbit, "um", _h_orbit_um, ring=s(), ideal=s(), n=i(),
-        conj_depth={"type": int, "default": 1}, bound=i())
-    cmd(g_orbit, "alt", _h_orbit_alt, ring=s(), ideal=s(), size=i(),
-        conj_depth={"type": int, "default": 1}, bound=i())
-
-    g_report = groups.add_parser("report").add_subparsers(dest="command",
-                                                          required=True)
-    cmd(g_report, "vaserstein", _h_report_vaserstein, ring=s(), ideal=s(),
-        stab={"type": int, "default": 1},
-        conj_depth={"type": int, "default": 2}, bound=i())
-
-    # top-level alias used throughout the docs
-    p_pf = _common(groups.add_parser("pf"))
-    p_pf.add_argument("--ring", type=str)
-    p_pf.add_argument("--matrix", type=str)
-    p_pf.set_defaults(handler=_h_mat_pf, command="pf")
-
+        p.set_defaults(handler=handler, command=name)
     return top
 
 

@@ -752,6 +752,7 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
     hx, hy = x.half, y.half
     for t in range(levels + 1):
         n = 2 * (hx + hy + t)
+        # exact set, not basis: measured to reach more, faster on Z/9 (README)
         moves = _compile_moves(tables, ACTION_CONGRUENCE, n,
                                elementary_generators(ring, n, x.ideal))
         start, goal = (_encode(tables, ACTION_CONGRUENCE, n,

@@ -99,12 +99,13 @@ def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
     if not rep.ring.is_unit(determinant(rep)):
         raise NotAUnit("representative is not invertible")
     if witness is None:
+        # the scan has already checked the congruence of the form it returns
         witness = standard_form_witness(rep, ideal)
         if witness is None:
             raise VerificationFailed("no standard form witness modulo the ideal")
-    if 2 * witness.n != rep.rows:
+    elif 2 * witness.n != rep.rows:
         raise SizeMismatch("witness size does not match the representative")
-    if not congruent_mod_ideal(rep, witness.realize(rep.ring), ideal):
+    elif not congruent_mod_ideal(rep, witness.realize(rep.ring), ideal):
         raise VerificationFailed("witness congruence fails modulo the ideal")
     return WittSymbol(ideal, rep, witness)
 

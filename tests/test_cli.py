@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from symwitt import cli
 from symwitt.cli import main
 
 
@@ -462,3 +463,39 @@ def test_laurent_inverse_over_z6(capsys):
                          '{"kind":"laurent","base":"zmod:6","var":"t"}',
                          "--op", "inv", "--args", "2+2*t")
     assert code == 1 and json.loads(err)["error"] == "NotAUnit"
+
+
+# One parser serves every call in a process: nothing a call parses or reads
+# from its config may reach the next call.
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_config_values_do_not_carry_over(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ring": "zmod:5",
+                               "matrix": "[[0,1],[-1,0]]"}))
+    assert run(capsys, "pf", "--config", str(cfg))[0] == 0
+    code, out, err = run(capsys, "pf")
+    assert code == 64 and out == ""
+    assert "missing --ring" in err
+
+
+def test_defaults_do_not_carry_over(capsys):
+    argv = ("report", "vaserstein", "--ring", "zmod:4", "--ideal", "2")
+    assert run_json(capsys, *argv, "--conj-depth", "1")["depth"] == 1
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert '"depth":2' in out
+    assert (code, out, err) == run_capped(*argv)
+
+
+@pytest.mark.parametrize("argv", [[part for part in row[:2] if part]
+                                  for row in cli._COMMANDS], ids="-".join)
+def test_every_command_has_help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: symwitt {' '.join(argv)} [-h]")
+    assert "--config CONFIG" in out and "--seed SEED" in out

@@ -18,6 +18,7 @@ from symwitt import (
     RingMatrix,
     RingMismatch,
     FormWitness,
+    SizeMismatch,
     VerificationFailed,
     chi_n,
     compose_certificates,
@@ -83,6 +84,18 @@ def test_make_witt_symbol_errors():
     with pytest.raises(RingMismatch):
         make_witt_symbol(ideal, chi_n(zmod(3), 1))
 
+
+
+def test_make_witt_symbol_wrong_size_witness():
+    with pytest.raises(SizeMismatch, match="witness size"):
+        make_witt_symbol(I2_M8, chi_n(M8, 2), FormWitness((1,)))
+
+
+def test_make_witt_symbol_non_congruent_witness():
+    # chi_2 and -chi_2 differ by 2, which lies in (2) but not in (4)
+    assert make_witt_symbol(I2_M8, chi_n(M8, 2), FormWitness((-1, -1)))
+    with pytest.raises(VerificationFailed, match="witness congruence fails"):
+        make_witt_symbol(ideal_of(M8, 4), chi_n(M8, 2), FormWitness((-1, -1)))
 
 def test_verify_reflexive():
     x = make_witt_symbol(I2_M8, chi_n(M8, 2))
