@@ -85,7 +85,6 @@ def test_make_witt_symbol_errors():
         make_witt_symbol(ideal, chi_n(zmod(3), 1))
 
 
-
 def test_make_witt_symbol_wrong_size_witness():
     with pytest.raises(SizeMismatch, match="witness size"):
         make_witt_symbol(I2_M8, chi_n(M8, 2), FormWitness((1,)))
@@ -96,6 +95,7 @@ def test_make_witt_symbol_non_congruent_witness():
     assert make_witt_symbol(I2_M8, chi_n(M8, 2), FormWitness((-1, -1)))
     with pytest.raises(VerificationFailed, match="witness congruence fails"):
         make_witt_symbol(ideal_of(M8, 4), chi_n(M8, 2), FormWitness((-1, -1)))
+
 
 def test_verify_reflexive():
     x = make_witt_symbol(I2_M8, chi_n(M8, 2))
