@@ -163,6 +163,9 @@ def _upper(n: int) -> tuple:
 
 def _encode(tables, action: str, n: int, obj: tuple) -> tuple:
     """Payload tuple -> state; a congruence object must be alternating."""
+    size = n if action == ACTION_ROW else n * n
+    if len(obj) != size:
+        raise SizeMismatch(f"object of {len(obj)} entries, expected {size}")
     ix = tuple(map(tables.index.__getitem__, obj))
     if action == ACTION_ROW:
         return ix
@@ -207,6 +210,8 @@ def _compile_moves(tables, action: str, n: int, gens: Sequence[Generator]) -> tu
     slot = {p: k for k, p in enumerate(_upper(n))}
     moves = []
     for g in gens:
+        if len(g.u) != n or len(g.w) != n:
+            raise SizeMismatch(f"generator of size {len(g.u)} in an action at size {n}")
         au = [mul[ix[g.a]][ix[x]] for x in g.u]
         w = [ix[x] for x in g.w]
         if action == ACTION_ROW:
@@ -377,11 +382,10 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
                 overlap = True
                 continue
             members.append(j)
-        members.sort()
-        oid = len(reps)
+        # every earlier object already has an id, so k is the smallest
         for j in members:
-            ids[j] = oid
-        reps.append(objects[members[0]])
+            ids[j] = len(reps)
+        reps.append(objects[k])
         sat_flags.append(saturated and not overlap)
     return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
                           tuple(sat_flags), bound, _meta(action, n, generators))
@@ -435,19 +439,19 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
 _translation_partition_open = _translation_partition
 
 
-def _partition(ring: Ring, objects: tuple, gens, action: str, n: int,
+def _partition(ring: Ring, objects: tuple, action: str, n: int,
                ideal: Optional[Ideal], bound: Optional[int],
                closed: bool = True, states: Optional[tuple] = None
                ) -> OrbitPartition:
-    """Orbits of the group that the exact generating set gens generates.
+    """Orbits of E_n(R, I); every partition picks its generating set here.
 
     The search moves over the basis set when the ideal's basis is
-    smaller than its nonzero members; the payload still counts gens.
+    smaller than its nonzero members; the payload counts the exact set.
     Both sets generate one group, so ids and reps are the same, but a
     bound can cut the two searches off at different states.
     """
     ideal = ideal if ideal is not None else unit_ideal(ring)
-    moves = gens
+    gens = moves = elementary_generators(ring, n, ideal)
     if len(ideal.basis()) < len(ideal.members()) - 1:
         moves = elementary_generators(ring, n, ideal, basis=True)
     if not ideal.contains(ring.one) and ideal.products_vanish():
@@ -481,6 +485,20 @@ def _row_pool(ring: Ring, n: int, ideal: Optional[Ideal]) -> tuple:
     return pool
 
 
+def _search_moves(ring: Ring, action: str, n: int,
+                  ideal: Optional[Ideal]) -> tuple:
+    """Tables and compiled moves of a path search at size n: row searches
+    move over the basis set once their rows are known to fit under
+    MEMORY_CAP, certificate searches over the exact set, measured to
+    reach more, faster on Z/9 (README)."""
+    rows = action == ACTION_ROW
+    if rows:
+        _row_pool(ring, n, ideal)
+    tables = ring.compile()
+    return tables, _compile_moves(tables, action, n, elementary_generators(
+        ring, n, ideal, basis=rows))
+
+
 def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
     """All unimodular rows of length n, in enumeration order.
 
@@ -509,8 +527,7 @@ def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
         raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     rows = enumerate_um(ring, n, ideal)
     states = tuple(r.entries for r in rows)
-    gens = elementary_generators(ring, n, ideal)
-    part = _partition(ring, states, gens, ACTION_ROW, n, ideal, bound)
+    part = _partition(ring, states, ACTION_ROW, n, ideal, bound)
     part.meta.update({"kind": "um", "n": n, "depth": depth,
                       "relative": ideal is not None and not ideal.contains(ring.one)})
     return part
@@ -595,6 +612,8 @@ def _universe_states(ring: Ring, ideal: Ideal, size: int) -> list:
         raise SizeMismatch(f"universe size must be even and positive, got {size}")
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate matrices over {ring.describe()}")
+    if ideal.ring != ring:
+        raise RingMismatch("ideal over a different ring")
     pos = _upper(size)
     forms = []
     for witness in standard_forms(size // 2):
@@ -627,8 +646,7 @@ def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
     states = tuple(_universe_states(ring, ideal, size))
     tables = ring.compile()
     objects = tuple(_decode(tables, ACTION_CONGRUENCE, size, st) for st in states)
-    gens = elementary_generators(ring, size, ideal)
-    part = _partition(ring, objects, gens, ACTION_CONGRUENCE, size, ideal, bound,
+    part = _partition(ring, objects, ACTION_CONGRUENCE, size, ideal, bound,
                       states=states)
     part.meta.update({"kind": "alt", "size": size, "depth": depth})
     return part
@@ -703,9 +721,8 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
         pad = chi_n(ring, t)
         seeds = tuple(orth_sum(RingMatrix(ring, size, size, base.reps[c]),
                                pad).entries for c in roots)
-        gens = elementary_generators(ring, padded, ideal)
-        part = _partition(ring, seeds, gens, ACTION_CONGRUENCE, padded, ideal,
-                          bound, closed=False)
+        part = _partition(ring, seeds, ACTION_CONGRUENCE, padded, ideal, bound,
+                          closed=False)
         merged = []
         for oid in range(part.norbits):
             group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
@@ -719,11 +736,9 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
                           "saturated": part.saturated})
 
     final_root = [_find(parent, c) for c in range(base.norbits)]
-    relabel, order = {}, []
-    for r in final_root:
-        if r not in relabel:
-            relabel[r] = len(order)
-            order.append(r)
+    # a root is its class's smallest member: classes keep level-zero order
+    order = sorted(set(final_root))
+    relabel = {r: k for k, r in enumerate(order)}
     final_ids = tuple(relabel[final_root[base.ids[k]]]
                       for k in range(len(base.objects)))
     final_reps = tuple(base.reps[r] for r in order)
@@ -748,13 +763,10 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
     if x.ideal != y.ideal:
         raise RingMismatch("symbols relative to different ideals")
     ring = x.ring
-    tables = ring.compile()
     hx, hy = x.half, y.half
     for t in range(levels + 1):
         n = 2 * (hx + hy + t)
-        # exact set, not basis: measured to reach more, faster on Z/9 (README)
-        moves = _compile_moves(tables, ACTION_CONGRUENCE, n,
-                               elementary_generators(ring, n, x.ideal))
+        tables, moves = _search_moves(ring, ACTION_CONGRUENCE, n, x.ideal)
         start, goal = (_encode(tables, ACTION_CONGRUENCE, n,
                                orth_sum(rep, chi_n(ring, h + t)).entries)
                        for rep, h in ((y.rep, hx), (x.rep, hy)))
@@ -795,10 +807,7 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
     if u.entries[1:] == v.entries[1:]:
         return vdk_product(u, v)
     ring, n = u.ring, u.n
-    _row_pool(ring, n, u.ideal)
-    tables = ring.compile()
-    moves = _compile_moves(tables, ACTION_ROW, n,
-                           elementary_generators(ring, n, u.ideal, basis=True))
+    tables, moves = _search_moves(ring, ACTION_ROW, n, u.ideal)
     orb_u, sat_u = _bfs(_encode(tables, ACTION_ROW, n, u.entries), moves,
                         tables, bound)
     orb_v, sat_v = _bfs(_encode(tables, ACTION_ROW, n, v.entries), moves,
@@ -837,10 +846,7 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     target = um_row(ring, rows[2], ideal)
     prod = vdk_product(left, right)
     n = len(tail) + 1
-    _row_pool(ring, n, ideal)
-    tables = ring.compile()
-    moves = _compile_moves(tables, ACTION_ROW, n,
-                           elementary_generators(ring, n, ideal, basis=True))
+    tables, moves = _search_moves(ring, ACTION_ROW, n, ideal)
     goal = _encode(tables, ACTION_ROW, n, target.entries)
     links, _ = _bfs(_encode(tables, ACTION_ROW, n, prod.entries), moves, tables,
                     bound, goal)

@@ -96,6 +96,17 @@ def _poly_divmod(base: "Ring", p: tuple, g: tuple) -> tuple[tuple, tuple]:
     return _strip(base, tuple(quo)), _strip(base, tuple(rem))
 
 
+def _neumann(ring: "Ring", start, ratio):
+    """start * (1 - ratio + ratio^2 - ...), a finite sum for a nilpotent
+    ratio: the inverse of 1 + ratio, times start."""
+    out = term = start
+    while True:
+        term = ring.mul(term, ring.neg(ratio))
+        if term == ring.zero:
+            return out
+        out = ring.add(out, term)
+
+
 # ---------------------------------------------------------------------------
 # additive spans (ideal members, quotient cosets, translation orbits)
 # ---------------------------------------------------------------------------
@@ -682,16 +693,10 @@ class PolynomialRing(Ring):
         # the ungraded rule: the Rees ring's is_unit calls this inv
         if not PolynomialRing.is_unit(self, a):
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        # geometric series against the nilpotent tail
+        # a = c0 (1 + tail) with tail nilpotent
         c0_inv = self.constant(self.base.inv(a[0]))
         tail = self.mul(c0_inv, _poly_add(self.base, a, _poly_neg(self.base, (a[0],))))
-        out, term = self.one, self.one
-        while True:
-            term = self.mul(term, self.neg(tail))
-            if term == self.zero:
-                break
-            out = self.add(out, term)
-        return self.mul(out, c0_inv)
+        return _neumann(self, c0_inv, tail)
 
     def check(self, a):
         if not isinstance(a, tuple):
@@ -796,13 +801,7 @@ class LaurentRing(Ring):
             # e + r in eR by a geometric series
             ident, m_inv = (0, (e,)), (-d, (u_inv,))
             ratio = self.sub(self.mul(self.mul(ident, a), m_inv), ident)
-            part = term = ident
-            while True:
-                term = self.mul(term, self.neg(ratio))
-                if term == self.zero:
-                    break
-                part = self.add(part, term)
-            out = self.add(out, self.mul(part, m_inv))
+            out = self.add(out, self.mul(_neumann(self, ident, ratio), m_inv))
         return out
 
     def check(self, a):
@@ -1176,7 +1175,6 @@ class ReesRing(_Graded, PolynomialRing):
     """R[It]: polynomials in t whose degree-i coefficient lies in I^i."""
 
     kind = "rees"
-    _extended = False
 
     def describe(self):
         return f"{self.base.describe()}[{self.ideal.describe()}{self.var}]"
@@ -1186,7 +1184,6 @@ class ExtendedReesRing(_Graded, LaurentRing):
     """R[It, t^-1]: laurent polynomials, graded only in positive degrees."""
 
     kind = "extended_rees"
-    _extended = True
 
     def describe(self):
         return f"{self.base.describe()}[{self.ideal.describe()}{self.var},{self.var}^-1]"
@@ -1195,7 +1192,7 @@ class ExtendedReesRing(_Graded, LaurentRing):
 def rees_contains(ring: _Graded, a) -> bool:
     """Graded membership: the t^i coefficient must lie in I^i for i >= 1."""
     base, ideal = ring.base, ring.ideal
-    if ring._extended:
+    if isinstance(ring, LaurentRing):
         val, coeffs = a
         pairs = [(val + k, c) for k, c in enumerate(coeffs)]
     else:
@@ -1259,10 +1256,7 @@ class Ideal:
         if x == ring.zero or self.has_unit_generator():
             return True
         if ring.kind == "integers":
-            g = 0
-            for a in self.gens:
-                g = math.gcd(g, abs(a))
-            return x % g == 0
+            return x % math.gcd(*self.gens) == 0
         if ring.kind in ("polynomial", "laurent"):
             verdict = self._poly_contains(x)
             if verdict is not None:
@@ -1287,7 +1281,10 @@ class Ideal:
             if len(self.gens) == 1:
                 g = self.gens[0]
                 if base.kind == "integers":
-                    return _zx_divides(g, x)
+                    # x = g q in Z[X] iff the quotient over Q is integral
+                    quo, rem = _poly_divmod(RationalField(), tuple(map(Fraction, x)),
+                                            tuple(map(Fraction, g)))
+                    return rem == () and all(c.denominator == 1 for c in quo)
                 if base.is_unit(g[-1]):
                     return _poly_divmod(base, x, g)[1] == ()
         else:  # laurent
@@ -1363,29 +1360,6 @@ class Ideal:
         z = self.ring.zero
         return all(self.ring.mul(g, h) == z
                    for g in self.gens for h in self.gens)
-
-
-def _zx_divides(g: tuple, x: tuple) -> bool:
-    """Divisibility in Z[X] via exact division over Q."""
-    if not g:
-        return not x
-    if not x:
-        return True
-    gq = [Fraction(c) for c in g]
-    rem = [Fraction(c) for c in x]
-    lead = gq[-1]
-    quo: list[Fraction] = []
-    while len(rem) >= len(g):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(g):
-            break
-        f = rem[-1] / lead
-        quo.append(f)
-        shift = len(rem) - len(g)
-        for k, c in enumerate(gq):
-            rem[shift + k] -= f * c
-    return all(c == 0 for c in rem) and all(f.denominator == 1 for f in quo)
 
 
 def unit_ideal(ring: Ring) -> Ideal:

@@ -9,6 +9,7 @@ iterated extended Euclid over the integers.  Nothing is ever sampled.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,10 +143,7 @@ def complete_relative(v: UmRow) -> Optional[UmRow]:
             return None
         return um_row(ring, tuple(ring.add(x, i) for x, i in zip(e1, shift)), ideal)
     if ring.kind == "integers":
-        from math import gcd
-        d = 0
-        for g in ideal.gens:
-            d = gcd(d, g)
+        d = math.gcd(*ideal.gens)
         if d == 0:
             return um_row(ring, e1, ideal) if v.entries == e1 else None
         coeffs = _int_complete(v.entries)
@@ -246,13 +244,10 @@ def _find_p0(ring: Ring, a0, tail: tuple, ideal: Optional[Ideal]):
                 return p0
         return None
     if ring.kind == "integers":
-        from math import gcd
-        g = 0
-        for x in tail:
-            g = gcd(g, x)
+        g = math.gcd(*tail)
         if g == 0:
             return a0 if a0 in (1, -1) else None
-        if gcd(a0, g) != 1:
+        if math.gcd(a0, g) != 1:
             return None
         return pow(a0 % g, -1, g) if g > 1 else 0
     raise UndecidableCompletion(f"no p0 search over {ring.describe()}")

@@ -19,6 +19,8 @@ from symwitt import (
     NotCompleted,
     NotRelative,
     RingMatrix,
+    RingMismatch,
+    SizeMismatch,
     VerificationFailed,
     WittSymbol,
     alt_orbit_partition,
@@ -202,15 +204,14 @@ def test_translation_fast_path_matches_generic_bfs():
     for ring, ideal, action, n, objects in cases:
         gens = elementary_generators(ring, n, ideal)
         for seeds in (objects, objects[::3], objects[1::5]):
-            fast = _partition(ring, seeds, gens, action, n, ideal, None,
-                              closed=False)
+            fast = _partition(ring, seeds, action, n, ideal, None, closed=False)
             slow = orbit_bfs(ring, seeds, action, gens, closed=False)
             assert fast.meta["fast_path"] == "translation"
             assert fast.ids == slow.ids
             assert fast.reps == slow.reps
         # closed mode refuses a subset that cuts an orbit
         with pytest.raises(VerificationFailed):
-            _partition(ring, objects[::3], gens, action, n, ideal, None)
+            _partition(ring, objects[::3], action, n, ideal, None)
 
 
 def _depth_k_generators(ring, n, ideal, depth):
@@ -742,6 +743,40 @@ def test_certificates_match_reference_tokens(spec, gen):
         assert (cert.t, cert.epsilon.tokens) == _ref_certificate(x, e1)
 
 
+def test_partitions_refuse_mismatched_sizes():
+    gens3 = elementary_generators(M4, 3)
+    cases = [
+        # a row longer or shorter than the generators
+        (ACTION_ROW, (1, 0, 0, 0), gens3),
+        (ACTION_ROW, (1, 0), gens3),
+        # a 2 x 2 alternating object under size-4 generators
+        (ACTION_CONGRUENCE, chi_n(M4, 1).entries, elementary_generators(M4, 4)),
+        # generators of two sizes
+        (ACTION_ROW, (1, 0, 0), gens3 + elementary_generators(M4, 2)),
+        (ACTION_ROW, (1, 0), elementary_generators(M4, 2) + gens3),
+    ]
+    for action, obj, gens in cases:
+        with pytest.raises(SizeMismatch):
+            orbit_bfs(M4, (obj,), action, gens, closed=False)
+    # the translation fast path encodes its objects too
+    for ideal in (I24, None):
+        with pytest.raises(SizeMismatch):
+            _partition(M4, ((1, 0, 0, 0),), ACTION_ROW, 3, ideal, None)
+        with pytest.raises(SizeMismatch):
+            _partition(M4, (chi_n(M4, 1).entries,), ACTION_CONGRUENCE, 4, ideal,
+                       None, closed=False)
+
+
+def test_universe_refuses_an_ideal_of_another_ring():
+    ideal = ideal_of(zmod(8), 4)
+    calls = (witt_universe, alt_orbit_partition, witt_classes_bounded)
+    for call in calls:
+        with pytest.raises(RingMismatch, match="ideal over a different ring"):
+            call(M4, ideal, 4)
+    with pytest.raises(RingMismatch, match="ideal over a different ring"):
+        vaserstein_report(M4, ideal)
+
+
 def test_congruence_refuses_non_alternating_objects():
     # the skew update is g^T M g only on alternating M: the identity under
     # e_12(1) over Z/3 would come out (1, 1, 2, 1), not (1, 1, 1, 2)
@@ -757,8 +792,7 @@ def test_congruence_refuses_non_alternating_objects():
     for ring, ideal in ((F3, None), (m9, ideal_of(m9, 3))):
         with pytest.raises(MalformedSpec, match="alternating"):
             _partition(ring, (RingMatrix.identity(ring, 2).entries,),
-                       elementary_generators(ring, 2, ideal), ACTION_CONGRUENCE, 2,
-                       ideal, None)
+                       ACTION_CONGRUENCE, 2, ideal, None)
     x = make_witt_symbol(unit_ideal(F3), chi_n(F3, 1))
     with pytest.raises(MalformedSpec, match="alternating"):
         find_equivalence_certificate(x, WittSymbol(x.ideal, ident, x.witness))
@@ -880,8 +914,7 @@ def test_basis_partition_matches_exact_generators(spec, gen, action, n):
     if translation:
         # open mode on seed subsets, as the stabilization levels use it
         for seeds in filter(None, (part.objects[::3], part.objects[1::5])):
-            fast = _partition(ring, seeds, exact, action, n, ideal, None,
-                              closed=False)
+            fast = _partition(ring, seeds, action, n, ideal, None, closed=False)
             slow = orbit_bfs(ring, seeds, action, exact, closed=False)
             assert (fast.ids, fast.reps) == (slow.ids, slow.reps)
 

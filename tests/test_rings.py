@@ -1,6 +1,7 @@
 """Ring tower: axioms, grammar round-trips, ideals, excision/double/Rees."""
 
 import itertools
+import random
 
 import pytest
 
@@ -305,6 +306,30 @@ def test_polynomial_ideal_membership():
     constant = Ideal(p, ((2,),))
     assert constant.contains(p.parse("4*X+2"))
     assert not constant.contains(p.parse("2*X+1"))
+
+
+@pytest.mark.parametrize("content, core", [
+    (2, "X+1"), (3, "X^2-1"), (-2, "X"), (1, "X^2+X+1"), (-4, "2*X^3+3*X"),
+])
+def test_zx_principal_membership_matches_construction(content, core):
+    # g = content * core with core primitive, so by Gauss's lemma core * q
+    # lies in (g) iff content divides every coefficient of q; g * q + r with
+    # r a nonzero constant never does, since deg g >= 1
+    p = PolynomialRing(Z, "X")
+    core = p.parse(core)
+    g = p.mul(p.constant(content), core)
+    ideal = Ideal(p, (g,))
+    rng = random.Random(content * 101 + len(core))
+    for _ in range(60):
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+        while q and q[-1] == 0:
+            q.pop()
+        q = tuple(q)
+        assert ideal.contains(p.mul(g, q))
+        assert ideal.contains(p.mul(core, q)) == all(c % content == 0 for c in q)
+        r = rng.choice([c for c in range(-5, 6) if c])
+        assert not ideal.contains(p.add(p.mul(g, q), p.constant(r)))
+    assert not Ideal(p, (p.parse("2*X+2"),)).contains(p.parse("X+1"))
 
 
 def test_rees_grading():
