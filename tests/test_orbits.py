@@ -769,8 +769,7 @@ def test_partitions_refuse_mismatched_sizes():
 
 def test_universe_refuses_an_ideal_of_another_ring():
     ideal = ideal_of(zmod(8), 4)
-    calls = (witt_universe, alt_orbit_partition, witt_classes_bounded)
-    for call in calls:
+    for call in (witt_universe, alt_orbit_partition, witt_classes_bounded):
         with pytest.raises(RingMismatch, match="ideal over a different ring"):
             call(M4, ideal, 4)
     with pytest.raises(RingMismatch, match="ideal over a different ring"):
