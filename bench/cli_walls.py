@@ -6,7 +6,7 @@
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
 import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_14.json
+os.wait4.  The medians per command go into the output file (BENCH_15.json
 at the root of this repository by default) under the timed checkout's
 commit, together with the machine: nproc, Python and platform.  Entries
 already in the file for other commits are kept, so one file holds a
@@ -28,8 +28,10 @@ a report over Z/72, whose 72^6 symbol candidates must be refused before
 its 373,248 rows are completed one by one; a row product over Z/211,
 whose 211^3 rows must be refused before any search; the members of
 a double ring of 3000 * 3000 pairs, which must be refused before any
-pair is drawn; and the 10^5 members of an ideal of Z/200000, which must
-be listed in time and memory linear in the ring.  The child sets its own
+pair is drawn; the 10^5 members of an ideal of Z/200000, which must
+be listed in time and memory linear in the ring; and a report over
+Z/6 (3) stabilized to level 2, whose open search over 8 x 8 states has
+no --bound and must be refused at the memory cap.  The child sets its own
 address-space limit of AS_LIMIT_MB before it imports symwitt, so a
 checkout that does enumerate fails with a MemoryError at the cap
 instead of taking the machine's memory; the reports stay far below it.
@@ -107,6 +109,8 @@ LARGE_CASES = (
      ["ideal", "members", "--ring",
       '{"kind":"double","ideal":{"ring":"zmod:3000","generators":["1"]}}',
       "--ideal", "(1|1)"]),
+    ("report Z/6 (3) stab 2",
+     ["report", "vaserstein", "--ring", "zmod:6", "--ideal", "3", "--stab", "2"]),
 )
 
 LAUNCH = (
@@ -181,7 +185,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_14.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {

@@ -1,10 +1,11 @@
 """Matrices over the ring tower: Pfaffians, standard forms, group words.
 
-Matrices are immutable row-major payload tuples.  The Pfaffian and the
-determinant are both computed by division-free minor expansion with
-bitmask memoisation, so they are exact over every ring variant,
-including rings of characteristic 2 where "alternating" must mean
-skew-symmetric with zero diagonal.
+Matrices are immutable row-major payload tuples.  One division-free
+Pfaffian expansion with bitmask memoisation computes the Pfaffian, the
+determinant (as the Pfaffian of [[0, A], [-A^T, 0]]) and the universe
+minors in orbits, so all are exact over every ring variant, including
+rings of characteristic 2 where "alternating" must mean skew-symmetric
+with zero diagonal.
 """
 
 from __future__ import annotations
@@ -137,6 +138,32 @@ def orth_sum(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix(r, n, n, tuple(out))
 
 
+def _pf_expand(a, add, mul, neg, zero, one):
+    """pf(mask), the Pfaffian of a[i][j] (i < j) on the indices in mask,
+    expanded along the lowest one and memoised on the mask of those left.
+    The caller's ops do the arithmetic, on payloads or on table indices."""
+    memo = {0: one}
+
+    def pf(mask: int):
+        if mask in memo:
+            return memo[mask]
+        i = (mask & -mask).bit_length() - 1
+        rest, acc, plus = mask ^ (1 << i), zero, True
+        mm = rest
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            x = a[i][low.bit_length() - 1]
+            if x != zero:
+                term = mul(x, pf(rest ^ low))
+                acc = add(acc, term if plus else neg(term))
+            plus = not plus
+        memo[mask] = acc
+        return acc
+
+    return pf
+
+
 def pfaffian(m: RingMatrix):
     """Division-free Pfaffian by expansion along the first remaining index."""
     if m.rows != m.cols:
@@ -145,67 +172,20 @@ def pfaffian(m: RingMatrix):
         raise OddSize(f"pfaffian undefined for size {m.rows}")
     if not m.is_alternating():
         raise NotAlternating("pfaffian needs an alternating matrix")
-    ring = m.ring
-    n = m.rows
-    if n == 0:
-        return ring.one
-    a = [list(m.row(i)) for i in range(n)]
-    memo = {0: ring.one}
-
-    def pf(mask: int):
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        acc = ring.zero
-        pos = 0
-        mm = rest
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm ^= 1 << j
-            pos += 1
-            aij = a[i][j]
-            if aij != ring.zero:
-                term = ring.mul(aij, pf(rest ^ (1 << j)))
-                acc = ring.add(acc, term if pos % 2 else ring.neg(term))
-        memo[mask] = acc
-        return acc
-
-    return pf((1 << n) - 1)
+    r = m.ring
+    return _pf_expand([m.row(i) for i in range(m.rows)], r.add, r.mul, r.neg,
+                      r.zero, r.one)((1 << m.rows) - 1)
 
 
 def determinant(m: RingMatrix):
-    """Division-free determinant (minor expansion, memoised on column sets)."""
+    """det A = (-1)^(n(n-1)/2) Pf([[0, A], [-A^T, 0]]).  The expansion
+    reads only the upper rows [0 | A] and memoises 2^n column sets."""
     if m.rows != m.cols:
         raise SizeMismatch("determinant needs a square matrix")
-    ring = m.ring
-    n = m.rows
-    if n == 0:
-        return ring.one
-    a = [list(m.row(i)) for i in range(n)]
-    memo = {0: ring.one}
-
-    def minor(mask: int):
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        r = n - bin(mask).count("1")
-        acc = ring.zero
-        pos = 0
-        mm = mask
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm ^= 1 << j
-            arj = a[r][j]
-            if arj != ring.zero:
-                term = ring.mul(arj, minor(mask ^ (1 << j)))
-                acc = ring.add(acc, term if pos % 2 == 0 else ring.neg(term))
-            pos += 1
-        memo[mask] = acc
-        return acc
-
-    return minor((1 << n) - 1)
+    r, n = m.ring, m.rows
+    pf = _pf_expand([(r.zero,) * n + m.row(i) for i in range(n)], r.add, r.mul,
+                    r.neg, r.zero, r.one)((1 << 2 * n) - 1)
+    return r.neg(pf) if n * (n - 1) // 2 % 2 else pf
 
 
 # ---------------------------------------------------------------------------

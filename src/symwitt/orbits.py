@@ -31,6 +31,7 @@ from .matrices import (
     Elem,
     GroupWord,
     RingMatrix,
+    _pf_expand,
     chi_n,
     congruent_mod_ideal,
     orth_sum,
@@ -305,9 +306,11 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
     Returns (links, complete): links maps every reached state to the
     (parent, token) step that first reached it (None for start), and
     complete is False if the bound cut the search off.  With a goal the
-    search stops once the goal is reached.
+    search stops once the goal is reached.  A search that would hold
+    more than MEMORY_CAP state entries raises, bound or no bound.
     """
     add = tables.add
+    width = len(start)
     links = {start: None}
     queue = deque([start])
     while queue and goal not in links:
@@ -318,6 +321,10 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
                 continue
             if bound is not None and len(links) >= bound:
                 return links, False
+            if (len(links) + 1) * width > MEMORY_CAP:
+                raise BoundExceeded(
+                    f"search of {len(links) + 1} states x {width} entries "
+                    f"is past the memory cap of {MEMORY_CAP}")
             links[y] = (x, token)
             queue.append(y)
     return links, True
@@ -533,22 +540,6 @@ def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
     return part
 
 
-def _pf(tables, a: list, idx: tuple) -> int:
-    """Pfaffian of a[i][j] (indices, i < j) on the rows and columns idx,
-    by the exact expansion along the first of them."""
-    if not idx:
-        return tables.one
-    add, mul, neg, zero = tables.add, tables.mul, tables.neg, tables.zero
-    first, rest = idx[0], idx[1:]
-    acc = zero
-    for p, j in enumerate(rest):
-        x = a[first][j]
-        if x != zero:
-            term = mul[x][_pf(tables, a, rest[:p] + rest[p + 1:])]
-            acc = add[acc][neg[term] if p % 2 else term]
-    return acc
-
-
 def _pfaffian_one(tables, n: int, values: Sequence) -> list:
     """Upper-triangle states with entry p in values[p] and Pfaffian one.
 
@@ -560,17 +551,19 @@ def _pfaffian_one(tables, n: int, values: Sequence) -> list:
     """
     add, mul, neg, zero, one = (tables.add, tables.mul, tables.neg,
                                 tables.zero, tables.one)
+    ops = (lambda x, y: add[x][y], lambda x, y: mul[x][y], neg.__getitem__,
+           zero, one)
     first, others = values[:n - 1], values[n - 1:]
     below = _upper(n)[n - 1:]
-    idx = tuple(range(1, n))
+    rest = (1 << n) - 2  # the indices 1..n-1
     a = [[zero] * n for _ in range(n)]
     out = []
     for rows in itertools.product(*others):
         for (i, j), x in zip(below, rows):
             a[i][j] = x
-        coef = []
+        pf, coef = _pf_expand(a, *ops), []
         for p in range(n - 1):
-            minor = _pf(tables, a, idx[:p] + idx[p + 1:])
+            minor = pf(rest ^ (2 << p))
             coef.append(mul[neg[minor] if p % 2 else minor])
         last = {}
         for x in first[-1]:

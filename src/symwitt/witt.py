@@ -31,7 +31,6 @@ from .matrices import (
     RingMatrix,
     chi_n,
     congruent_mod_ideal,
-    determinant,
     orth_sum,
     pfaffian,
     relative_level,
@@ -96,7 +95,8 @@ def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
         raise RingMismatch("ideal and representative over different rings")
     if not rep.is_alternating():
         raise VerificationFailed("representative is not alternating")
-    if not rep.ring.is_unit(determinant(rep)):
+    # det = Pf^2, and an odd alternating matrix has det 0
+    if rep.rows % 2 or not rep.ring.is_unit(pfaffian(rep)):
         raise NotAUnit("representative is not invertible")
     if witness is None:
         # the scan has already checked the congruence of the form it returns

@@ -405,12 +405,12 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
 
 
-def run_capped(*argv):
+def run_capped(*argv, timeout=10):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     launch = "import sys; from symwitt.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run([sys.executable, "-c", launch, *argv], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, timeout=10, preexec_fn=_cap_address_space)
+                          text=True, timeout=timeout, preexec_fn=_cap_address_space)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -443,6 +443,17 @@ def test_large_ring_enumeration_fails_fast(argv):
     code, out, err = run_capped(*argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "BoundExceeded"
+
+
+def test_unbounded_search_fails_fast():
+    # level 2 pads the Z/6 (3) classes to 8 x 8: an open search of 28-entry
+    # states with no --bound, which must stop at the memory cap
+    code, out, err = run_capped("report", "vaserstein", "--ring", "zmod:6",
+                                "--ideal", "3", "--stab", "2", timeout=60)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BoundExceeded"
+    assert "x 28 entries" in payload["message"]
 
 
 def test_large_ideal_members_listed_by_linear_span():

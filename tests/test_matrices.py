@@ -1,8 +1,10 @@
 """Matrices: Pfaffians, chi forms, congruences, and elementary words."""
 
+import itertools
+
 import pytest
 
-from conftest import Z, f4, ideal_of, rand_alternating, rand_word, zmod
+from conftest import Z, f4, ideal_of, rand_alternating, rand_element, rand_word, zmod
 from symwitt import (
     BadIndices,
     Conj,
@@ -28,9 +30,12 @@ from symwitt import (
     pfaffian,
     relative_level,
     token_matrix,
+    unit_ideal,
+    witt_universe,
     word_eval,
     word_inverse,
 )
+from symwitt.matrices import _pf_expand
 
 
 def test_pfaffian_chi():
@@ -71,6 +76,104 @@ def test_pfaffian_congruence_invariance(ring, rng):
         a = rand_alternating(rng, ring, 4)
         eps = word_eval(rand_word(rng, ring, 4, length=5, conjugated=True))
         assert pfaffian(a.congruent_by(eps)) == pfaffian(a)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: the Leibniz determinant and the Pfaffian summed over
+# perfect matchings, each term signed by the inversions of its permutation
+# ---------------------------------------------------------------------------
+
+def _sign(seq) -> int:
+    inversions = sum(x > y for k, x in enumerate(seq) for y in seq[k + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _signed_sum(ring, terms):
+    acc = ring.zero
+    for sign, factors in terms:
+        prod = ring.one
+        for x in factors:
+            prod = ring.mul(prod, x)
+        acc = ring.add(acc, prod if sign == 1 else ring.neg(prod))
+    return acc
+
+
+def _leibniz(m):
+    return _signed_sum(m.ring, ((_sign(p), [m.get(i, p[i]) for i in range(m.rows)])
+                                for p in itertools.permutations(range(m.rows))))
+
+
+def _matchings(idx: tuple):
+    if not idx:
+        yield ()
+        return
+    for k in range(1, len(idx)):
+        for rest in _matchings(idx[1:k] + idx[k + 1:]):
+            yield ((idx[0], idx[k]),) + rest
+
+
+def _pf_matchings(m):
+    return _signed_sum(m.ring, ((_sign([x for pair in mt for x in pair]),
+                                 [m.get(i, j) for i, j in mt])
+                                for mt in _matchings(tuple(range(m.rows)))))
+
+
+def _table_pf(m):
+    tables = m.ring.compile()
+    a = [[tables.index[x] for x in m.row(i)] for i in range(m.rows)]
+    pf = _pf_expand(a, lambda x, y: tables.add[x][y],
+                    lambda x, y: tables.mul[x][y], tables.neg.__getitem__,
+                    tables.zero, tables.one)
+    return tables.elements[pf((1 << m.rows) - 1)]
+
+
+def _alternating(ring, size, upper):
+    """The alternating matrix with upper triangle `upper`, row-major."""
+    rows = [[ring.zero] * size for _ in range(size)]
+    for (i, j), x in zip(itertools.combinations(range(size), 2), upper):
+        rows[i][j], rows[j][i] = x, ring.neg(x)
+    return RingMatrix.from_rows(ring, rows)
+
+
+def _draw(rng, ring):
+    return rng.randrange(-4, 5) if ring == Z else rand_element(rng, ring)
+
+
+ORACLE_RINGS = [Z, zmod(6), zmod(8), f4()]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.describe())
+def test_determinant_matches_leibniz(ring, rng):
+    for n in range(7):
+        for _ in range(3 if n < 6 else 1):
+            m = RingMatrix.from_rows(ring, [[_draw(rng, ring) for _ in range(n)]
+                                            for _ in range(n)])
+            assert determinant(m) == _leibniz(m)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.describe())
+def test_pfaffian_matches_matchings(ring, rng):
+    for size in (0, 2, 4, 6):
+        for _ in range(6):
+            m = _alternating(ring, size, [_draw(rng, ring)
+                                          for _ in range(size * (size - 1) // 2)])
+            pf = _pf_matchings(m)
+            assert pfaffian(m) == pf
+            if ring.is_finite:
+                assert _table_pf(m) == pf
+
+
+def test_universe_matches_matchings():
+    # with the unit ideal the universe is every alternating matrix of Pf 1
+    ring = f4()
+    els = ring.elements()
+    want = []
+    for upper in itertools.product(els, repeat=6):
+        m = _alternating(ring, 4, upper)
+        if _pf_matchings(m) == ring.one:
+            want.append(m.entries)
+    got = [m.entries for m in witt_universe(ring, unit_ideal(ring), 4)]
+    assert sorted(got) == sorted(want)
 
 
 def test_word_eval_elem():

@@ -21,6 +21,7 @@ from symwitt import (
     RingMatrix,
     RingMismatch,
     SizeMismatch,
+    TailAlignmentFailed,
     VerificationFailed,
     WittSymbol,
     alt_orbit_partition,
@@ -54,15 +55,17 @@ from symwitt.orbits import (
     CONFIRMED,
     INCONCLUSIVE,
     MEMORY_CAP,
+    OrbitPartition,
     _bfs,
     _compile_moves,
     _decode,
     _encode,
     _partition,
-    _pf,
+    _search_moves,
     _upper,
     _vec_add,
 )
+from symwitt.matrices import _pf_expand
 from symwitt.rings import ModularRing, additive_span
 
 F2 = zmod(2)
@@ -459,6 +462,29 @@ def test_witt_classes_single():
     assert rel.class_of(state) == 0
 
 
+def test_stabilization_merges_a_split_orbit(monkeypatch):
+    # real inputs reach level 1 only with level-0 classes that differ mod I,
+    # which E_n(R, I) cannot merge; so split the first true orbit of Z/8 (4)
+    # into the classes before and after the second one
+    import symwitt.orbits as orbits
+    ring, ideal = zmod(8), ideal_of(zmod(8), 4)
+    real = alt_orbit_partition(ring, ideal, 4)
+    assert real.norbits == 2
+    first = real.ids.index(1)
+    ids = tuple(1 if c else 0 if k < first else 2 for k, c in enumerate(real.ids))
+    reps = tuple(real.objects[ids.index(c)] for c in range(3))
+    split = OrbitPartition(ring, real.objects, real.index, ids, reps,
+                           (True,) * 3, None, dict(real.meta))
+    monkeypatch.setattr(orbits, "alt_orbit_partition", lambda *args: split)
+    fam = witt_classes_bounded(ring, ideal, 4, levels=1)
+    assert fam.base is split
+    assert fam.merge_log == ({"t": 1, "merged": [[0, 2]], "saturated": True},)
+    # the merged class keeps its level-0 rep and id, ahead of the other
+    assert fam.final_reps == (reps[0], reps[1])
+    assert fam.final_ids == real.ids
+    assert fam.class_count == 2 and fam.saturated
+
+
 def test_find_certificate_trivial_and_nontrivial():
     u = unit_ideal(F2)
     x = make_witt_symbol(u, chi_n(F2, 1))
@@ -488,6 +514,38 @@ def test_vdk_product_aligned():
     same_tail = um_row(F3, (1, 0, 1))
     assert vdk_product_aligned(w, same_tail).entries == \
         vdk_product(w, same_tail).entries
+
+
+def test_vdk_product_aligned_equal_z_tails():
+    # equal tails skip the search; over Z, p0 is the inverse of a0 modulo
+    # the gcd of the tail, the first one in 0..g-1
+    u, v = um_row(Z, (3, 5, 10)), um_row(Z, (2, 5, 10))
+    p0 = next(p for p in range(5) if (3 * p - 1) % 5 == 0)
+    q = 2 + p0
+    prod = vdk_product_aligned(u, v)
+    assert prod.entries == (3 * q - 1, 5 * q, 10)
+    assert prod.dot(complete(prod)) == 1
+
+
+def test_vdk_product_aligned_capped_search():
+    u, v = um_row(F3, (2, 1, 0)), um_row(F3, (1, 0, 1))
+    assert complete(vdk_product_aligned(u, v)) is not None
+    with pytest.raises(TailAlignmentFailed, match=r"\(search was capped\)"):
+        vdk_product_aligned(u, v, bound=1)
+
+
+def test_search_refuses_past_the_memory_cap(monkeypatch):
+    import symwitt.orbits as orbits
+    tables, moves = _search_moves(F3, ACTION_ROW, 3, None)
+    start = _encode(tables, ACTION_ROW, 3, (1, 0, 0))
+    links, complete_ = _bfs(start, moves, tables, None)
+    assert complete_ and len(links) == 26  # every nonzero row of F3^3
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 3 * 25)
+    with pytest.raises(BoundExceeded, match="search of 26 states x 3 entries"):
+        _bfs(start, moves, tables, None)
+    # a bound under the cap still ends the search unsaturated
+    links, complete_ = _bfs(start, moves, tables, 10)
+    assert not complete_ and len(links) == 10
 
 
 def test_nice_mult_check():
@@ -811,7 +869,10 @@ def test_table_pfaffian_matches_pfaffian(ring):
             a = [[None] * size for _ in range(size)]
             for (i, j), x in zip(_upper(size), state):
                 a[i][j] = x
-            assert els[_pf(tables, a, tuple(range(size)))] == pfaffian(m)
+            pf = _pf_expand(a, lambda x, y: tables.add[x][y],
+                            lambda x, y: tables.mul[x][y], tables.neg.__getitem__,
+                            tables.zero, tables.one)
+            assert els[pf((1 << size) - 1)] == pfaffian(m)
 
 
 def test_nice_mult_check_errors_and_bound():

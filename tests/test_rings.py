@@ -527,6 +527,16 @@ def test_laurent_add_and_units():
     assert not lz.is_unit(lz.parse("2*t"))
 
 
+def test_laurent_monomial_generators_membership():
+    # 2*t^-1 and 6*t^3 are 2 and 6 times units, so they generate (2):
+    # membership is every coefficient even
+    l = LaurentRing(Z, "t")
+    ideal = Ideal(l, (l.parse("2*t^-1"), l.parse("6*t^3")))
+    for text in ("4*t^2+2", "-2*t^-5+8*t", "3*t+2*t^-1", "1", "t^3", "6*t-3"):
+        x = l.parse(text)
+        assert ideal.contains(x) == all(c % 2 == 0 for c in x[1]), text
+
+
 def test_laurent_units_split_over_idempotents():
     # Z/6 = Z/2 x Z/3: 3*(2+3t) = 3t and 4*(2+3t) = 2 are units of the
     # two factors, so (2+3t)(2+3t^-1) = 1; 2+2t dies in the Z/2 factor

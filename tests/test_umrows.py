@@ -30,6 +30,7 @@ from symwitt import (
     verify_equivalence,
     word_eval,
 )
+from symwitt.umrows import _ext_gcd
 
 M8 = zmod(8)
 M9 = zmod(9)
@@ -57,6 +58,23 @@ def test_complete_relative():
     aw = complete_relative(w)
     assert w.dot(aw.entries) == M8.one
     assert all(i28.contains(x) for x in aw.entries[1:])
+
+
+def test_complete_relative_over_z():
+    ideal = ideal_of(Z, 2)
+    v = um_row(Z, (3, 2, 0), ideal)
+    a = complete_relative(v)
+    assert v.dot(a.entries) == 1
+    assert (a.entries[0] - 1) % 2 == 0 and all(x % 2 == 0 for x in a.entries[1:])
+    # gcd(3, 6, 0) = 3: congruent to e1 mod 2, but not unimodular
+    assert complete_relative(um_row(Z, (3, 6, 0), ideal)) is None
+
+
+def test_complete_over_z_with_negative_gcd():
+    # extended Euclid on (-2, -3) ends at -1, so the coefficients flip sign
+    assert _ext_gcd(-2, -3)[0] == -1
+    v = um_row(Z, (-2, -3))
+    assert v.dot(complete(v)) == 1
 
 
 def test_um_row_validation():
