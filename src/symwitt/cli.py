@@ -275,26 +275,23 @@ def _h_um_lift(ns):
             "row": [lifted.ring.fmt(x) for x in lifted.entries]}
 
 
+def _partition_obj(part):
+    return dict(part.to_obj(), schema="orbit-partition/1",
+                ring=ring_to_spec(part.ring))
+
+
 def _h_orbit_um(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    part = um_orbit_partition(ring, _need(ns, "n"), ideal,
-                              depth=ns.conj_depth, bound=ns.bound)
-    obj = part.to_obj()
-    obj["schema"] = "orbit-partition/1"
-    obj["ring"] = ring_to_spec(ring)
-    return obj
+    return _partition_obj(um_orbit_partition(ring, _need(ns, "n"), ideal,
+                                             depth=ns.conj_depth, bound=ns.bound))
 
 
 def _h_orbit_alt(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    part = alt_orbit_partition(ring, ideal, _need(ns, "size"),
-                               depth=ns.conj_depth, bound=ns.bound)
-    obj = part.to_obj()
-    obj["schema"] = "orbit-partition/1"
-    obj["ring"] = ring_to_spec(ring)
-    return obj
+    return _partition_obj(alt_orbit_partition(ring, ideal, _need(ns, "size"),
+                                              depth=ns.conj_depth, bound=ns.bound))
 
 
 def _h_report_vaserstein(ns):
@@ -367,20 +364,21 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _apply_config(ns):
-    if getattr(ns, "config", None) is None:
-        return
+def _config_flags(path) -> list:
+    """The entries of a --config file as command-line flags; a list
+    value gives its flag several values."""
     try:
-        with open(ns.config) as fh:
+        with open(path) as fh:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read config {ns.config}: {e}")
+        raise UsageError(f"cannot read config {path}: {e}")
     if not isinstance(conf, dict):
         raise UsageError("config file must hold a JSON object")
+    flags = []
     for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if getattr(ns, attr, None) is None:
-            setattr(ns, attr, val)
+        flag = "--" + key.replace("_", "-")
+        flags += [flag, *map(str, val)] if isinstance(val, list) else [f"{flag}={val}"]
+    return flags
 
 
 _JSON_STR = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -408,7 +406,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns)
+        if ns.config is not None:
+            argv = sys.argv[1:] if argv is None else list(argv)
+            # the file's flags go right after the command words (one for a
+            # top-level alias), so argparse converts and checks them, and
+            # explicit flags, parsed later, still win
+            head = 1 if ns.group == ns.command else 2
+            ns = parser.parse_args(argv[:head] + _config_flags(ns.config)
+                                   + argv[head:])
         payload = ns.handler(ns)
         if getattr(ns, "seed", None) is not None:
             payload["seed"] = ns.seed

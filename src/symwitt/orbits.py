@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import functools
 import itertools
+import math
 
 from .errors import (
     BoundExceeded,
@@ -43,6 +44,7 @@ from .witt import (
     verify_equivalence,
 )
 from .umrows import UmRow, _finite_complete, um_row, vaserstein_symbol, vdk_product
+from .ringio import _fmt_rows, ideal_to_spec, ring_to_spec
 
 ACTION_ROW = "row"
 ACTION_CONGRUENCE = "congruence"
@@ -280,23 +282,18 @@ class OrbitPartition:
             sizes[k] += 1
         return tuple(sizes)
 
-    def _fmt_state(self, state):
-        shape = self.meta.get("shape")
-        if shape and shape[0] == "matrix":
-            n = shape[1]
-            return [[self.ring.fmt(state[i * n + j]) for j in range(n)]
-                    for i in range(n)]
-        return [self.ring.fmt(x) for x in state]
-
     def to_obj(self) -> dict:
-        orbits = [{"rep": self._fmt_state(rep), "size": size, "saturated": sat}
+        matrix = self.meta["action"] == ACTION_CONGRUENCE
+        orbits = [{"rep": _fmt_rows(self.ring, rep, math.isqrt(len(rep))) if matrix
+                   else [self.ring.fmt(x) for x in rep],
+                   "size": size, "saturated": sat}
                   for rep, size, sat in zip(self.reps, self.orbit_sizes(),
                                             self.orbit_saturated)]
         obj = {"count": self.norbits, "objects": len(self.objects),
                "orbits": orbits, "saturated": self.saturated}
         if self.bound is not None:
             obj["bound"] = self.bound
-        obj.update({k: v for k, v in self.meta.items() if k != "shape"})
+        obj.update(self.meta)
         return obj
 
 
@@ -309,6 +306,8 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
     search stops once the goal is reached.  A search that would hold
     more than MEMORY_CAP state entries raises, bound or no bound.
     """
+    if bound is not None and bound < 1:
+        raise MalformedSpec(f"bound must be >= 1, got {bound}")
     add = tables.add
     width = len(start)
     links = {start: None}
@@ -337,11 +336,6 @@ def _index_map(objects: Sequence) -> dict:
     return index
 
 
-def _meta(action: str, n: int, gens) -> dict:
-    shape = ("matrix", n) if action == ACTION_CONGRUENCE else ("row", n)
-    return {"action": action, "shape": shape, "generators": len(gens)}
-
-
 def orbit_bfs(ring: Ring, objects: Sequence, action: str,
               generators: Sequence[Generator], bound: Optional[int] = None,
               closed: bool = True, states: Optional[tuple] = None
@@ -355,14 +349,15 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
     own (possibly spurious) orbit.  Congruence objects must be
     alternating.  `states`, when given, are the objects' states in the
     same order, and are trusted: this module passes them where it built
-    the objects from them.
+    the objects from them.  The action's size n is read from the first
+    object, so an empty generator set acts as the trivial group.
     """
     objects = tuple(objects)
     if not objects:
         raise MalformedSpec("nothing to partition")
-    if not generators:
-        raise MalformedSpec("empty generator set")
-    n = len(generators[0].u)
+    n = len(objects[0])
+    if action == ACTION_CONGRUENCE:
+        n = math.isqrt(n)
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, generators)
     index = _index_map(objects)
@@ -395,7 +390,8 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
         reps.append(objects[k])
         sat_flags.append(saturated and not overlap)
     return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
-                          tuple(sat_flags), bound, _meta(action, n, generators))
+                          tuple(sat_flags), bound,
+                          {"action": action, "generators": len(generators)})
 
 
 def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
@@ -436,10 +432,10 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
         for j in members:
             ids[j] = len(reps)
         reps.append(s)
-    meta = _meta(action, n, gens)
-    meta["fast_path"] = "translation"
     return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
-                          (True,) * len(reps), None, meta)
+                          (True,) * len(reps), None,
+                          {"action": action, "generators": len(gens),
+                           "fast_path": "translation"})
 
 
 # perfbench/tracing.py hooks both names, so the open-mode one stays bound
@@ -455,8 +451,11 @@ def _partition(ring: Ring, objects: tuple, action: str, n: int,
     The search moves over the basis set when the ideal's basis is
     smaller than its nonzero members; the payload counts the exact set.
     Both sets generate one group, so ids and reps are the same, but a
-    bound can cut the two searches off at different states.
+    bound can cut the two searches off at different states.  The bound
+    is checked here too, since the translation path never reads it.
     """
+    if bound is not None and bound < 1:
+        raise MalformedSpec(f"bound must be >= 1, got {bound}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     gens = moves = elementary_generators(ring, n, ideal)
     if len(ideal.basis()) < len(ideal.members()) - 1:
@@ -670,21 +669,10 @@ class WittClassFamily:
         return self.final_ids[self.base.index[state]]
 
     def to_obj(self) -> dict:
-        n = self.size
-        reps = [[[self.ring.fmt(r[i * n + j]) for j in range(n)]
-                 for i in range(n)] for r in self.final_reps]
         return {"size": self.size, "levels": self.levels, "depth": self.depth,
-                "level0_count": self.base.norbits,
-                "count": self.class_count, "reps": reps,
+                "level0_count": self.base.norbits, "count": self.class_count,
+                "reps": [_fmt_rows(self.ring, r, self.size) for r in self.final_reps],
                 "merges": list(self.merge_log), "saturated": self.saturated}
-
-
-def _find(parent: list, a: int) -> int:
-    """Root of a's class (its smallest member), halving the path on the way."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
 
 
 def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
@@ -701,12 +689,13 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     if levels < 0:
         raise MalformedSpec(f"stabilization must be >= 0, got {levels}")
     base = alt_orbit_partition(ring, ideal, size, depth, bound)
-    parent = list(range(base.norbits))
+    # each level-0 orbit's class, named by the class's smallest orbit
+    label = list(range(base.norbits))
     merge_log = []
     saturated = base.saturated
 
     for t in range(1, levels + 1):
-        roots = sorted({_find(parent, c) for c in range(base.norbits)})
+        roots = sorted(set(label))
         if len(roots) <= 1:
             merge_log.append({"t": t, "skipped": "single class"})
             continue
@@ -721,19 +710,16 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
             group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
             if len(group) > 1:
                 merged.append(group)
-                # distinct roots, smallest first: link the rest under it
-                for other in group[1:]:
-                    parent[other] = group[0]
+                # distinct roots, smallest first: it names the merged class
+                label = [group[0] if c in group else c for c in label]
         saturated = saturated and part.saturated
         merge_log.append({"t": t, "merged": merged,
                           "saturated": part.saturated})
 
-    final_root = [_find(parent, c) for c in range(base.norbits)]
     # a root is its class's smallest member: classes keep level-zero order
-    order = sorted(set(final_root))
+    order = sorted(set(label))
     relabel = {r: k for k, r in enumerate(order)}
-    final_ids = tuple(relabel[final_root[base.ids[k]]]
-                      for k in range(len(base.objects)))
+    final_ids = tuple(relabel[label[c]] for c in base.ids)
     final_reps = tuple(base.reps[r] for r in order)
     return WittClassFamily(ring, ideal, size, levels, depth, base,
                            tuple(merge_log), final_ids, final_reps, saturated)
@@ -864,7 +850,6 @@ class BijectivityReport:
     notes: tuple
 
     def to_obj(self) -> dict:
-        from .ringio import ideal_to_spec, ring_to_spec
         fibers = {}
         for mse_id, witt_id in enumerate(self.assignments):
             fibers.setdefault(witt_id, []).append(mse_id)

@@ -205,10 +205,15 @@ def ideal_from_spec(obj: dict, ring: Ring = None) -> Ideal:
 # matrices and vectors
 # ---------------------------------------------------------------------------
 
+def _fmt_rows(ring: Ring, entries: tuple, rows: int) -> list:
+    """Row-major entries as `rows` lists of grammar strings."""
+    cols = len(entries) // rows if rows else 0
+    return [[ring.fmt(x) for x in entries[i * cols:(i + 1) * cols]]
+            for i in range(rows)]
+
+
 def matrix_to_obj(m: RingMatrix) -> dict:
-    return {"rows": m.rows,
-            "entries": [[m.ring.fmt(m.get(i, j)) for j in range(m.cols)]
-                        for i in range(m.rows)],
+    return {"rows": m.rows, "entries": _fmt_rows(m.ring, m.entries, m.rows),
             "ring": ring_to_spec(m.ring)}
 
 

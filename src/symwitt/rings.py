@@ -490,15 +490,11 @@ class Ring:
         raise NotImplementedError
 
 
-class IntegerRing(Ring):
-    kind = "integers"
-    zero, one = 0, 1
+class _NumberRing(Ring):
+    """Z or Q: Python's own arithmetic on int or Fraction payloads."""
 
     def spec_key(self):
-        return ("integers",)
-
-    def describe(self):
-        return "Z"
+        return (self.kind,)
 
     def add(self, a, b):
         return a + b
@@ -508,6 +504,20 @@ class IntegerRing(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    def is_nilpotent(self, a):
+        return a == 0
+
+    def fmt(self, a):
+        return str(a)
+
+
+class IntegerRing(_NumberRing):
+    kind = "integers"
+    zero, one = 0, 1
+
+    def describe(self):
+        return "Z"
 
     def scalar_int(self, n):
         return n
@@ -520,16 +530,10 @@ class IntegerRing(Ring):
             return a
         raise NotAUnit(f"{a} is not a unit of Z")
 
-    def is_nilpotent(self, a):
-        return a == 0
-
     def check(self, a):
         if not isinstance(a, int) or isinstance(a, bool):
             raise RingMismatch(f"integer payload expected, got {a!r}")
         return a
-
-    def fmt(self, a):
-        return str(a)
 
     def parse(self, s):
         s = s.strip()
@@ -538,26 +542,14 @@ class IntegerRing(Ring):
         return int(s)
 
 
-class RationalField(Ring):
+class RationalField(_NumberRing):
     """The rationals; payloads are Fractions (always in lowest terms)."""
 
     kind = "rationals"
     zero, one = Fraction(0), Fraction(1)
 
-    def spec_key(self):
-        return ("rationals",)
-
     def describe(self):
         return "Q"
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def scalar_int(self, n):
         return Fraction(n)
@@ -570,16 +562,10 @@ class RationalField(Ring):
             raise NotAUnit("0 is not a unit of Q")
         return 1 / a
 
-    def is_nilpotent(self, a):
-        return a == 0
-
     def check(self, a):
         if not isinstance(a, Fraction):
             raise RingMismatch(f"Fraction payload expected, got {a!r}")
         return a
-
-    def fmt(self, a):
-        return str(a)
 
     def parse(self, s):
         try:

@@ -31,6 +31,8 @@ from .matrices import (
     RingMatrix,
     chi_n,
     congruent_mod_ideal,
+    double_matrix_join,
+    double_matrix_split,
     orth_sum,
     pfaffian,
     relative_level,
@@ -213,20 +215,13 @@ def tilde_lift_alt(x: WittSymbol) -> RingMatrix:
 
 def map_i(x: WittSymbol) -> RingMatrix:
     """Pair matrix (chi(witness), representative) over the double ring."""
-    ring = x.ring
-    dbl = DoubleRing(ring, x.ideal)
-    s = x.witness.realize(ring)
-    entries = tuple(dbl.check((sv, av))
-                    for sv, av in zip(s.entries, x.rep.entries))
-    return RingMatrix(dbl, x.rep.rows, x.rep.cols, entries)
+    return double_matrix_join(x.witness.realize(x.ring), x.rep,
+                              DoubleRing(x.ring, x.ideal))
 
 
 def map_p1(p: RingMatrix) -> RingMatrix:
     """First components of a matrix over a double ring."""
-    if p.ring.kind != "double":
-        raise RingMismatch("map_p1 needs a matrix over a double ring")
-    base = p.ring.base
-    return RingMatrix(base, p.rows, p.cols, tuple(x[0] for x in p.entries))
+    return double_matrix_split(p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,38 @@ def test_config_must_be_json_object(tmp_path, capsys):
     assert code == 64
 
 
+def test_config_reaches_flags_with_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stab": 0}))
+    argv = ("report", "vaserstein", "--ring", "f2", "--config", str(cfg))
+    assert run_json(capsys, *argv)["levels"] == 0
+    assert run_json(capsys, *argv, "--stab", "2")["levels"] == 2
+
+
+def test_config_values_are_converted_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bound": "5"}))
+    assert run(capsys, "report", "vaserstein", "--ring", "f2",
+               "--config", str(cfg)) == run(capsys, "report", "vaserstein",
+                                            "--ring", "f2", "--bound", "5")
+    cfg.write_text(json.dumps({"n": "2", "conj_depth": 0}))
+    obj = run_json(capsys, "orbit", "um", "--ring", "f3", "--config", str(cfg))
+    assert (obj["n"], obj["depth"], obj["count"]) == (2, 0, 1)
+    cfg.write_text(json.dumps({"n": "two"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "um", "--ring", "f3", "--config", str(cfg)])
+    assert exc.value.code == 64
+
+
+def test_config_refuses_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ring": "zmod:5", "bogus": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["pf", "--config", str(cfg), "--matrix", "[[0,1],[-1,0]]"])
+    assert exc.value.code == 64
+    assert "--bogus" in capsys.readouterr().err
+
+
 def test_seed_recorded_in_payload(capsys):
     obj = run_json(capsys, "pf", "--ring", "zmod:5",
                    "--matrix", "[[0,1],[-1,0]]", "--seed", "7")
@@ -510,3 +542,47 @@ def test_every_command_has_help(argv, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: symwitt {' '.join(argv)} [-h]")
     assert "--config CONFIG" in out and "--seed SEED" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "vaserstein", "--ring", "f2", "--bound", "0"],
+    ["report", "vaserstein", "--ring", "f2", "--bound", "-3"],
+    # the translation path, which never reads the bound
+    ["orbit", "alt", "--ring", "zmod:8", "--ideal", "4", "--size", "4",
+     "--bound", "-3"],
+    ["um", "vdk", "--ring", "zmod:5", "--u", '["2","1","0"]',
+     "--v", '["1","0","1"]', "--bound", "0"],
+], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+def test_bound_below_one_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "MalformedSpec",
+                               "message": f"bound must be >= 1, got {argv[-1]}"}
+
+
+def test_orbit_um_length_one_is_the_trivial_group(capsys):
+    # no transvection acts on rows of length 1: each row is its own orbit
+    obj = run_json(capsys, "orbit", "um", "--ring", "f3", "--n", "1")
+    assert obj["generators"] == 0 and obj["saturated"]
+    assert obj["orbits"] == [{"rep": ["1"], "saturated": True, "size": 1},
+                             {"rep": ["2"], "saturated": True, "size": 1}]
+    code, out, err = run(capsys, "orbit", "um", "--ring", "zmod:4", "--ideal", "2",
+                         "--n", "1")
+    assert code == 0
+    assert out == ('{"action":"row","count":2,"depth":1,"fast_path":"translation",'
+                   '"generators":0,"kind":"um","n":1,"objects":2,"orbits":'
+                   '[{"rep":["1"],"saturated":true,"size":1},'
+                   '{"rep":["3"],"saturated":true,"size":1}],"relative":true,'
+                   '"ring":{"kind":"zmod","n":4},"saturated":true,'
+                   '"schema":"orbit-partition/1"}\n')
+
+
+@pytest.mark.parametrize("op, args, result", [
+    ("add", ["--args", "1/2", "1/3"], "5/6"),
+    ("mul", ["--args", "2/3", "3/4"], "1/2"),
+    ("inv", ["--args=-3/7"], "-7/3"),  # a value that starts with - needs =
+    ("pow", ["--args", "2/3", "--exp", "-2"], "9/4"),
+])
+def test_ring_eval_over_q(capsys, op, args, result):
+    obj = run_json(capsys, "ring", "eval", "--ring", "q", "--op", op, *args)
+    assert obj["ring"] == {"kind": "rationals"} and obj["result"] == result

@@ -140,6 +140,16 @@ def test_orbit_bfs_closed_mode():
         orbit_bfs(F2, (), ACTION_ROW, gens)
 
 
+def test_orbit_bfs_empty_generators_is_the_trivial_group():
+    rows = ((1, 0), (0, 1), (1, 1))
+    part = orbit_bfs(F2, rows, ACTION_ROW, ())
+    assert part.ids == (0, 1, 2) and part.reps == rows and part.saturated
+    assert part.meta["generators"] == 0
+    mats = tuple(m.entries for m in witt_universe(F2, unit_ideal(F2), 4))
+    assert len(mats) > 1
+    assert orbit_bfs(F2, mats, ACTION_CONGRUENCE, ()).ids == tuple(range(len(mats)))
+
+
 def test_um_orbit_partitions_single():
     for ring, n in ((F2, 3), (M4, 2), (M4, 3)):
         part = um_orbit_partition(ring, n)

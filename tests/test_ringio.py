@@ -19,6 +19,7 @@ from symwitt import (
     PolynomialRing,
     ProductRing,
     QuotientRing,
+    RationalField,
     ReesRing,
     RingMatrix,
     canonical_json,
@@ -41,6 +42,7 @@ M8 = zmod(8)
 
 @pytest.mark.parametrize("ring", [
     Z,
+    RationalField(),
     zmod(6),
     f4(),
     PolynomialRing(zmod(3), "T"),
@@ -60,6 +62,7 @@ def test_ring_spec_round_trip(ring):
 def test_compact_descriptors():
     assert parse_ring("zmod:5") == zmod(5)
     assert parse_ring("Z") == Z
+    assert parse_ring("q") == parse_ring('{"kind": "rationals"}') == RationalField()
     assert parse_ring("f4") == f4()
     assert parse_ring("f5") == zmod(5)
     assert parse_ring('{"kind": "zmod", "n": 9}') == zmod(9)

@@ -99,6 +99,24 @@ def test_integers_and_rationals():
     x = q.parse("3/4")
     assert q.fmt(q.mul(x, q.inv(x))) == "1"
     assert q.fmt(q.add(x, x)) == "3/2"
+    assert (q.spec_key(), q.describe(), Z.spec_key()) == (("rationals",), "Q", ("integers",))
+    assert q.scalar_int(-3) == q.parse("-3") and q.check(x) is x
+    assert q.is_unit(x) and not q.is_unit(q.zero)
+    assert q.is_nilpotent(q.zero) and not q.is_nilpotent(x)
+    with pytest.raises(NotAUnit):
+        q.inv(q.zero)
+    with pytest.raises(NotAUnit):
+        Z.inv(2)
+    with pytest.raises(RingMismatch):
+        q.check(3)
+    with pytest.raises(MalformedSpec):
+        q.parse("3/0")
+    with pytest.raises(MalformedSpec):
+        q.parse("x")
+    # handles compare by kind: equal to their own, unequal to each other
+    assert q == RationalField() and hash(q) == hash(RationalField())
+    assert Z == IntegerRing() and hash(Z) == hash(IntegerRing())
+    assert q != Z and Z != q and len({q, Z, RationalField(), IntegerRing()}) == 2
 
 
 def test_polynomial_grammar():

@@ -47,6 +47,7 @@ CASES = [
                          "--n", "2"]),
     ("orbit-partition", ["orbit", "um", "--ring", "f3", "--n", "2",
                          "--bound", "3"]),
+    ("orbit-partition", ["orbit", "um", "--ring", "f3", "--n", "1"]),
     ("orbit-partition", ["orbit", "alt", "--ring", "f3", "--size", "4",
                          "--bound", "5"]),
     ("bijectivity-report", ["report", "vaserstein", "--ring", "f3"]),
