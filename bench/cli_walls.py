@@ -6,7 +6,7 @@
 Every command runs RUNS times, each in a fresh interpreter with
 PYTHONPATH set to the checkout's src/, so a wall includes start-up and
 import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_16.json
+os.wait4.  The medians per command go into the output file (BENCH_17.json
 at the root of this repository by default) under the timed checkout's
 commit, together with the machine: nproc, Python and platform.  Entries
 already in the file for other commits are kept, so one file holds a
@@ -185,7 +185,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT,
                     help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
     args = ap.parse_args()
     src = args.src.resolve()
     entry = {

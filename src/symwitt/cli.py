@@ -40,6 +40,7 @@ from .orbits import (
     vdk_product_aligned,
 )
 from .ringio import (
+    _as_int,
     canonical_json,
     element_in,
     matrix_from_obj,
@@ -57,7 +58,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 64 on bad usage instead of 2."""
+    """argparse that exits 64 on bad usage instead of 2, and reads any
+    single-dash word as a value, since every flag is a --long one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # so `--args -2/3` or `--poly -X1+X2` is a value; -h is looked up
+        # as an option first and still asks for help
+        self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message):
         self.exit(64, f"{self.prog}: error: {message}\n")
@@ -74,6 +82,13 @@ def _ring_of(ns):
     return parse_ring(_need(ns, "ring"))
 
 
+def _decode(text: str, name: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedSpec(f"--{name} is not valid JSON: {e}") from None
+
+
 def _ideal_of(ring, text: Optional[str], required: bool = False) -> Optional[Ideal]:
     if text is None:
         if required:
@@ -85,18 +100,14 @@ def _ideal_of(ring, text: Optional[str], required: bool = False) -> Optional[Ide
     if t == "zero":
         return zero_ideal(ring)
     if t.startswith("["):
-        gens = [element_in(ring, g) for g in json.loads(t)]
+        gens = [element_in(ring, g) for g in _decode(t, "ideal")]
     else:
         gens = [ring.parse(p) for p in t.split(",")]
     return Ideal(ring, gens)
 
 
 def _json_arg(ns, name):
-    text = _need(ns, name)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MalformedSpec(f"--{name} is not valid JSON: {e}")
+    return _decode(_need(ns, name), name)
 
 
 def _matrix_of(ns, ring, name="matrix"):
@@ -183,9 +194,9 @@ def _h_word_eval(ns):
 def _cert_from_obj(ring, obj) -> EquivalenceCertificate:
     if not isinstance(obj, dict):
         raise MalformedSpec("certificate must be an object")
-    t = obj.get("t", 0)
+    t = _as_int(obj.get("t", 0), "certificate t")
     word = word_from_obj(obj.get("word", obj.get("epsilon")), ring)
-    return EquivalenceCertificate(int(t), word)
+    return EquivalenceCertificate(t, word)
 
 
 def _h_witt_verify(ns):

@@ -122,10 +122,21 @@ def _as_int(s, what: str) -> int:
         raise MalformedSpec(f"{what} must be an integer, got {s!r}") from None
 
 
-def _need(obj: dict, key: str, kind: str):
+_REQUIRED = object()
+
+
+def _need(obj: dict, key: str, kind: str, typ: type = object, default=_REQUIRED):
+    """obj[key], which must be a `typ`; a missing key gives `default`,
+    and with no default it is an error."""
     if key not in obj:
-        raise MalformedSpec(f"{kind} spec is missing {key!r}")
-    return obj[key]
+        if default is _REQUIRED:
+            raise MalformedSpec(f"{kind} spec is missing {key!r}")
+        return default
+    val = obj[key]
+    if not isinstance(val, typ):
+        raise MalformedSpec(f"{kind} {key!r} must be a {typ.__name__}, "
+                            f"got {type(val).__name__}")
+    return val
 
 
 def ring_from_spec(obj: Union[str, dict]) -> Ring:
@@ -144,16 +155,17 @@ def ring_from_spec(obj: Union[str, dict]) -> Ring:
         return _field(_as_int(_need(obj, "q", "field"), "field size"))
     if kind == "poly":
         base = ring_from_spec(_need(obj, "base", "poly"))
-        return PolynomialRing(base, obj.get("var", "X"))
+        return PolynomialRing(base, _need(obj, "var", "poly", str, "X"))
     if kind == "laurent":
         base = ring_from_spec(_need(obj, "base", "laurent"))
-        return LaurentRing(base, obj.get("var", "t"))
+        return LaurentRing(base, _need(obj, "var", "laurent", str, "t"))
     if kind == "quotient":
         base = ring_from_spec(_need(obj, "base", "quotient"))
-        moduli = tuple(element_in(base, m) for m in _need(obj, "moduli", "quotient"))
+        moduli = tuple(element_in(base, m)
+                       for m in _need(obj, "moduli", "quotient", list))
         return QuotientRing(base, moduli)
     if kind == "product":
-        factors = tuple(ring_from_spec(f) for f in _need(obj, "factors", "product"))
+        factors = tuple(ring_from_spec(f) for f in _need(obj, "factors", "product", list))
         return ProductRing(factors)
     if kind == "excision":
         ideal = ideal_from_spec(_need(obj, "ideal", "excision"))
@@ -164,10 +176,11 @@ def ring_from_spec(obj: Union[str, dict]) -> Ring:
         return DoubleRing(ideal.ring, ideal)
     if kind == "rees":
         ideal = ideal_from_spec(_need(obj, "ideal", "rees"))
-        return ReesRing(ideal.ring, ideal, obj.get("var", "t"))
+        return ReesRing(ideal.ring, ideal, _need(obj, "var", "rees", str, "t"))
     if kind == "extended_rees":
         ideal = ideal_from_spec(_need(obj, "ideal", "extended_rees"))
-        return ExtendedReesRing(ideal.ring, ideal, obj.get("var", "t"))
+        return ExtendedReesRing(ideal.ring, ideal,
+                                _need(obj, "var", "extended_rees", str, "t"))
     raise MalformedSpec(f"unknown ring kind {kind!r}")
 
 
@@ -197,7 +210,7 @@ def ideal_from_spec(obj: dict, ring: Ring = None) -> Ideal:
         raise MalformedSpec(f"ideal spec must be an object, got {type(obj).__name__}")
     if ring is None:
         ring = ring_from_spec(_need(obj, "ring", "ideal"))
-    gens = _need(obj, "generators", "ideal")
+    gens = _need(obj, "generators", "ideal", list)
     return Ideal(ring, tuple(element_in(ring, g) for g in gens))
 
 
@@ -224,14 +237,14 @@ def matrix_from_obj(obj, ring: Ring = None) -> RingMatrix:
     elif isinstance(obj, dict):
         if ring is None:
             ring = ring_from_spec(_need(obj, "ring", "matrix"))
-        entries = _need(obj, "entries", "matrix")
+        entries = _need(obj, "entries", "matrix", list)
         if "rows" in obj and obj["rows"] != len(entries):
             raise MalformedSpec("matrix row count disagrees with entries")
     else:
         raise MalformedSpec(f"matrix spec must be an object or list, got {type(obj).__name__}")
     if ring is None:
         raise MalformedSpec("matrix spec is missing 'ring'")
-    if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
+    if any(not isinstance(r, list) for r in entries):
         raise MalformedSpec("matrix entries must be a list of rows")
     return RingMatrix.from_rows(ring, [[element_in(ring, x) for x in row]
                                        for row in entries])
@@ -251,7 +264,7 @@ def vector_from_obj(obj, ring: Ring = None) -> tuple:
                 f"vector spec must be an object or list, got {type(obj).__name__}")
         if ring is None:
             ring = ring_from_spec(_need(obj, "ring", "vector"))
-        coords = _need(obj, "coords", "vector")
+        coords = _need(obj, "coords", "vector", list)
     if ring is None:
         raise MalformedSpec("bare vector needs an explicit ring")
     return ring, tuple(element_in(ring, c) for c in coords)
@@ -282,7 +295,8 @@ def _token_from_obj(ring: Ring, obj: dict) -> Token:
         j = _as_int(_need(obj, "j", "elem token"), "token index")
         return Elem(i, j, element_in(ring, _need(obj, "a", "elem token")))
     if op == "conj":
-        conj = tuple(_token_from_obj(ring, e) for e in _need(obj, "conjugator", "conj token"))
+        conj = tuple(_token_from_obj(ring, e)
+                     for e in _need(obj, "conjugator", "conj token", list))
         if any(not isinstance(e, Elem) for e in conj):
             raise MalformedSpec("conjugator entries must be elem tokens")
         core = _token_from_obj(ring, _need(obj, "core", "conj token"))
@@ -306,5 +320,5 @@ def word_from_obj(obj: dict, ring: Ring = None) -> GroupWord:
     if ring is None:
         ring = ring_from_spec(_need(obj, "ring", "word"))
     size = _as_int(_need(obj, "size", "word"), "word size")
-    toks = tuple(_token_from_obj(ring, t) for t in _need(obj, "tokens", "word"))
+    toks = tuple(_token_from_obj(ring, t) for t in _need(obj, "tokens", "word", list))
     return GroupWord(ring, size, toks)

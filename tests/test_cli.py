@@ -580,9 +580,67 @@ def test_orbit_um_length_one_is_the_trivial_group(capsys):
 @pytest.mark.parametrize("op, args, result", [
     ("add", ["--args", "1/2", "1/3"], "5/6"),
     ("mul", ["--args", "2/3", "3/4"], "1/2"),
-    ("inv", ["--args=-3/7"], "-7/3"),  # a value that starts with - needs =
+    ("inv", ["--args=-3/7"], "-7/3"),
     ("pow", ["--args", "2/3", "--exp", "-2"], "9/4"),
 ])
 def test_ring_eval_over_q(capsys, op, args, result):
     obj = run_json(capsys, "ring", "eval", "--ring", "q", "--op", op, *args)
     assert obj["ring"] == {"kind": "rationals"} and obj["result"] == result
+
+
+@pytest.mark.parametrize("args, result", [
+    (["-2/3", "3/4"], "-1/2"),
+    (["-2/3", "-3/4"], "1/2"),
+    (["2/3", "-3/4"], "-1/2"),
+])
+def test_flag_values_may_start_with_a_dash(capsys, args, result):
+    obj = run_json(capsys, "ring", "eval", "--ring", "q", "--op", "mul",
+                   "--args", *args)
+    assert obj["args"] == args and obj["result"] == result
+
+
+def test_poly_value_may_start_with_a_dash(capsys):
+    spaced = run(capsys, "poly", "nagata", "--ring", "zmod:3", "--nvars", "2",
+                 "--poly", "-X1+X2")
+    joined = run(capsys, "poly", "nagata", "--ring", "zmod:3", "--nvars", "2",
+                 "--poly=-X1+X2")
+    assert spaced == joined and spaced[0] == 0
+
+
+def test_short_help_still_asks_for_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ring", "eval", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: symwitt ring eval [-h]")
+
+
+_ALT = ["--alpha", "[[0,1],[-1,0]]", "--beta", "[[0,1],[-1,0]]"]
+_CERT = ["witt", "verify", "--ring", "zmod:3", "--ideal", "unit", *_ALT, "--cert"]
+_TOKEN = '{"op":"elem","i":1,"j":2,"a":"1"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "product", "--ring", "zmod:3", "--ideal", "[4", *_ALT],
+    [*_CERT, '{"t":"x","word":{"size":4,"tokens":[]}}'],
+    [*_CERT, '{"t":[1],"word":{"size":4,"tokens":[]}}'],
+    ["ring", "eval", "--ring", '{"kind":"product","factors":5}', "--args", "1"],
+    ["ring", "eval", "--ring", '{"kind":"quotient","base":"z","moduli":5}',
+     "--args", "1"],
+    ["ring", "eval", "--ring", '{"kind":"poly","base":"z","var":5}', "--args", "1"],
+    ["ring", "eval", "--ring",
+     '{"kind":"double","ideal":{"ring":"zmod:4","generators":5}}', "--args", "1"],
+    ["word", "eval", "--ring", "z", "--size", "2", "--word", '{"tokens":5}'],
+    ["word", "eval", "--ring", "z", "--size", "2", "--word",
+     f'[{{"op":"conj","conjugator":5,"core":{_TOKEN}}}]'],
+    ["um", "complete", "--ring", "z", "--row", '{"coords":5}'],
+    ["um", "theta", "--ring", "zmod:5", "--a", '{"coords":5}',
+     "--b", '["3","4","0"]'],
+    ["um", "vdk", "--ring", "zmod:5", "--u", '{"coords":5}',
+     "--v", '["1","0","0"]'],
+], ids=["ideal-list", "cert-t-str", "cert-t-list", "factors", "moduli", "var",
+        "generators", "tokens", "conjugator", "complete-coords", "theta-coords",
+        "vdk-coords"])
+def test_malformed_json_input_is_malformed_spec(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "MalformedSpec"

@@ -1,14 +1,24 @@
-"""Every CLI payload validates against its versioned schema file."""
+"""Every CLI payload validates against its versioned schema file.
+
+The ring, ideal, element and matrix definitions live once, in the report
+schema; every other file refers to them by URL, so its validator needs
+all the files registered under their `$id`."""
 
 import json
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from symwitt.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+HOME = "bijectivity-report"
+SCHEMAS = {p.name.removesuffix(".v1.json"): json.loads(p.read_text())
+           for p in SCHEMA_DIR.glob("*.v1.json")}
+REGISTRY = Registry().with_resources(
+    (s["$id"], Resource.from_contents(s)) for s in SCHEMAS.values())
 
 CASES = [
     ("ring-eval", ["ring", "eval", "--ring", "zmod:9", "--op", "inv",
@@ -53,17 +63,36 @@ CASES = [
     ("bijectivity-report", ["report", "vaserstein", "--ring", "f3"]),
     ("bijectivity-report", ["report", "vaserstein", "--ring", "zmod:4",
                             "--ideal", "2", "--seed", "11"]),
+    # the 0x0 alternating matrix, the empty orthogonal sum
+    ("witt-root", ["witt", "root", "--ring", "q", "--matrix", "[]", "--m", "2"]),
+    ("witt-product", ["witt", "product", "--ring", "zmod:3", "--ideal", "unit",
+                      "--alpha", "[]", "--beta", "[]"]),
+    ("witt-lift", ["witt", "lift", "--ring", "zmod:4", "--ideal", "2",
+                   "--alpha", "[]"]),
 ]
 
 
-def _load(name):
-    with open(SCHEMA_DIR / f"{name}.v1.json") as fh:
-        return json.load(fh)
+def _payload(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    return json.loads(out)
+
+
+def _refs(node):
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node["$ref"]
+        for v in node.values():
+            yield from _refs(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _refs(v)
 
 
 @pytest.mark.parametrize("name", sorted({n for n, _ in CASES}))
 def test_schema_files_are_valid_schemas(name):
-    Draft202012Validator.check_schema(_load(name))
+    Draft202012Validator.check_schema(SCHEMAS[name])
 
 
 def test_every_emitted_schema_key_is_documented():
@@ -76,9 +105,28 @@ def test_every_emitted_schema_key_is_documented():
 @pytest.mark.parametrize("name,argv", CASES,
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(CASES)])
 def test_payload_validates(name, argv, capsys):
-    code = main(argv)
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)
+    payload = _payload(argv, capsys)
     assert payload["schema"] == f"{name}/1"
-    Draft202012Validator(_load(name)).validate(payload)
+    Draft202012Validator(SCHEMAS[name], registry=REGISTRY).validate(payload)
+
+
+def test_report_schema_stands_alone(capsys):
+    # read with no registry, as a consumer holding only this file would;
+    # every reference stays inside the file, so none is fetched
+    assert all(ref.startswith("#/") for ref in _refs(SCHEMAS[HOME]))
+    payload = _payload(["report", "vaserstein", "--ring", "zmod:8", "--ideal", "4",
+                        "--conj-depth", "1"], capsys)
+    Draft202012Validator(SCHEMAS[HOME]).validate(payload)
+
+
+def test_shared_definitions_live_in_one_file():
+    assert [n for n, s in SCHEMAS.items() if "$defs" in s] == [HOME]
+    assert set(SCHEMAS[HOME]["$defs"]) == {"element", "ideal", "matrix", "ring"}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_every_ref_resolves(name):
+    schema = SCHEMAS[name]
+    resolver = REGISTRY.resolver(base_uri=schema["$id"])
+    for ref in _refs(schema):
+        resolver.lookup(ref)
