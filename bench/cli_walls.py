@@ -2,17 +2,21 @@
 
     python3 bench/cli_walls.py                      # time this checkout
     python3 bench/cli_walls.py --src OTHER_CHECKOUT # time another checkout
+    python3 bench/cli_walls.py --src PARENT --src CHANGE  # time both
 
-Every command runs RUNS times, each in a fresh interpreter with
-PYTHONPATH set to the checkout's src/, so a wall includes start-up and
-import.  The peak RSS of each run is the child's ru_maxrss, read with
-os.wait4.  The medians per command go into the output file (BENCH_17.json
-at the root of this repository by default) under the timed checkout's
-commit, together with the machine: nproc, Python and platform.  Entries
-already in the file for other commits are kept, so one file holds a
-parent and a change side by side.  The sha256 of each command's stdout
-and the error name of a failed run are recorded too, to show both sides
-printed the same bytes.
+Every command runs RUNS times per checkout, each in a fresh interpreter
+with PYTHONPATH set to the checkout's src/, so a wall includes start-up
+and import.  Given two checkouts, their runs of each command alternate
+(parent, change, then change, parent, ...), so drift of the host between
+runs falls on both sides alike instead of reading as a change.  The
+peak RSS of each run is the child's ru_maxrss, read with os.wait4.  The
+medians per command go into the output file (BENCH_18.json at the root
+of this repository by default) under each timed checkout's commit,
+together with the machine: nproc, Python and platform.  Entries already
+in the file for other commits are kept, so one file holds a parent and
+a change side by side.  The sha256 of each command's stdout and the
+error name of a failed run are recorded too, to show both sides printed
+the same bytes.
 
 The polynomial group monicizes X1^100+X2^100 over Z/2, whose
 substitution runs on the dict loops, and a dense input over Z/3 with a
@@ -158,13 +162,24 @@ def _error_name(stderr):
         return lines[-1] if lines else ""
 
 
-def time_case(src, argv):
-    """Walls and peak RSS of RUNS runs of one command, its exit code,
-    error name and stdout digest."""
-    env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONHASHSEED="0")
-    walls, rss, codes, digests, errors = [], [], set(), set(), set()
+def time_case(srcs, argv):
+    """One summary per checkout of RUNS runs of one command.  The
+    checkouts take turns run by run, in reverse order every other run."""
+    runs = [[] for _ in srcs]
+    order = list(range(len(srcs)))
     for _ in range(RUNS):
-        wall, code, stdout, stderr, peak = run_once(src, argv, env)
+        for k in order:
+            env = dict(os.environ, PYTHONPATH=str(srcs[k] / "src"), PYTHONHASHSEED="0")
+            runs[k].append(run_once(srcs[k], argv, env))
+        order.reverse()
+    return [_summary(argv, r) for r in runs]
+
+
+def _summary(argv, runs):
+    """Walls and peak RSS of the runs of one command, its exit code,
+    error name and stdout digest."""
+    walls, rss, codes, digests, errors = [], [], set(), set(), set()
+    for wall, code, stdout, stderr, peak in runs:
         walls.append(wall)
         rss.append(peak)
         codes.add(code)
@@ -183,12 +198,13 @@ def time_case(src, argv):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=ROOT,
-                    help="checkout to time (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="checkout to time (default: this one); give it twice, "
+                         "parent then change, to time both runs alternately")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
     args = ap.parse_args()
-    src = args.src.resolve()
-    entry = {
+    srcs = [src.resolve() for src in args.src or [ROOT]]
+    entries = [{
         "commit": _git(src, "rev-parse", "HEAD"),
         "src_dirty": bool(_git(src, "status", "--porcelain", "src")),
         "nproc": os.cpu_count(),
@@ -197,7 +213,9 @@ def main():
         "runs_per_command": RUNS,
         "as_limit_mb": AS_LIMIT_MB,
         "walls": {},
-    }
+    } for src in srcs]
+    for entry in entries:
+        entry["alternated_with"] = [e["commit"] for e in entries if e is not entry]
     cases = []
     for label, spec, gen in CASES:
         argv = ["report", "vaserstein", "--ring", spec]
@@ -205,16 +223,18 @@ def main():
             argv += ["--ideal", str(gen)]
         cases.append((label, argv))
     for label, argv in cases + list(POLY_CASES) + list(ORBIT_CASES) + list(LARGE_CASES):
-        res = entry["walls"][label] = time_case(src, argv)
-        print(f"{label:24s} {res['median_s']:9.3f} s "
-              f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",
-              file=sys.stderr, flush=True)
+        for entry, res in zip(entries, time_case(srcs, argv)):
+            entry["walls"][label] = res
+            print(f"{label:24s} {str(entry['commit'])[:7]:7s} {res['median_s']:9.3f} s "
+                  f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",
+                  file=sys.stderr, flush=True)
     doc = {"script": "bench/cli_walls.py", "entries": []}
     if args.out.exists():
         doc = json.loads(args.out.read_text())
-    key = (entry["commit"], entry["src_dirty"])
-    doc["entries"] = [e for e in doc["entries"]
-                      if (e["commit"], e["src_dirty"]) != key] + [entry]
+    for entry in entries:
+        key = (entry["commit"], entry["src_dirty"])
+        doc["entries"] = [e for e in doc["entries"]
+                          if (e["commit"], e["src_dirty"]) != key] + [entry]
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -116,10 +116,16 @@ def _ring_from_compact(text: str) -> Ring:
 
 
 def _as_int(s, what: str) -> int:
-    try:
-        return int(s)
-    except (TypeError, ValueError):
-        raise MalformedSpec(f"{what} must be an integer, got {s!r}") from None
+    """An int that is not a bool, or a string of one: a JSON number such
+    as 1.7, or true, is refused rather than truncated."""
+    if isinstance(s, str):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    elif isinstance(s, int) and not isinstance(s, bool):
+        return s
+    raise MalformedSpec(f"{what} must be an integer, got {s!r}")
 
 
 _REQUIRED = object()

@@ -378,16 +378,21 @@ class Ring:
         raise NotImplementedError
 
     # -- units -----------------------------------------------------------
-    def is_unit(self, a) -> bool:
-        t = self.compile()
-        return t.inv[t.index[a]] is not None
-
-    def inv(self, a):
+    def _inverse(self, a):
+        """The inverse of a, or None when a is not a unit.  Each ring kind
+        states its unit rule here once; is_unit and inv both read it."""
         t = self.compile()
         k = t.inv[t.index[a]]
-        if k is None:
+        return None if k is None else t.elements[k]
+
+    def is_unit(self, a) -> bool:
+        return self._inverse(a) is not None
+
+    def inv(self, a):
+        out = self._inverse(a)
+        if out is None:
             raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        return t.elements[k]
+        return out
 
     def is_nilpotent(self, a) -> bool:
         if a == self.zero:
@@ -522,13 +527,8 @@ class IntegerRing(_NumberRing):
     def scalar_int(self, n):
         return n
 
-    def is_unit(self, a):
-        return a in (1, -1)
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise NotAUnit(f"{a} is not a unit of Z")
+    def _inverse(self, a):
+        return a if a in (1, -1) else None
 
     def check(self, a):
         if not isinstance(a, int) or isinstance(a, bool):
@@ -554,13 +554,8 @@ class RationalField(_NumberRing):
     def scalar_int(self, n):
         return Fraction(n)
 
-    def is_unit(self, a):
-        return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise NotAUnit("0 is not a unit of Q")
-        return 1 / a
+    def _inverse(self, a):
+        return 1 / a if a != 0 else None
 
     def check(self, a):
         if not isinstance(a, Fraction):
@@ -603,13 +598,8 @@ class ModularRing(Ring):
     def scalar_int(self, k):
         return k % self.n
 
-    def is_unit(self, a):
-        return math.gcd(a, self.n) == 1
-
-    def inv(self, a):
-        if math.gcd(a, self.n) != 1:
-            raise NotAUnit(f"{a} is not a unit of Z/{self.n}")
-        return pow(a, -1, self.n)
+    def _inverse(self, a):
+        return pow(a, -1, self.n) if math.gcd(a, self.n) == 1 else None
 
     @property
     def is_finite(self):
@@ -667,20 +657,13 @@ class PolynomialRing(Ring):
     def constant(self, c):
         return (c,) if c != self.base.zero else ()
 
-    def is_unit(self, a):
-        # unit iff constant term is a unit and the rest is nilpotent
-        if not a:
-            return False
-        if not self.base.is_unit(a[0]):
-            return False
-        return all(self.base.is_nilpotent(c) for c in a[1:])
-
-    def inv(self, a):
-        # the ungraded rule: the Rees ring's is_unit calls this inv
-        if not PolynomialRing.is_unit(self, a):
-            raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
+    def _inverse(self, a):
+        # a unit: a unit constant term c0 and nilpotent higher terms, so
         # a = c0 (1 + tail) with tail nilpotent
-        c0_inv = self.constant(self.base.inv(a[0]))
+        u = self.base._inverse(a[0]) if a else None
+        if u is None or not all(self.base.is_nilpotent(c) for c in a[1:]):
+            return None
+        c0_inv = self.constant(u)
         tail = self.mul(c0_inv, _poly_add(self.base, a, _poly_neg(self.base, (a[0],))))
         return _neumann(self, c0_inv, tail)
 
@@ -743,13 +726,13 @@ class LaurentRing(Ring):
         c = self.base.scalar_int(n)
         return (0, (c,)) if c != self.base.zero else (0, ())
 
-    def _unit_parts(self, a) -> Optional[list]:
+    def _inverse(self, a):
         """Split a by the primitive idempotents e of the base, R = prod eR.
 
         Over a local ring a unit is a unit monomial u*t^d plus nilpotent
         terms, so a is a unit iff each e*a has exactly one coefficient
-        that is a unit of eR and nilpotent others.  Returns (e, d, u^-1
-        in eR) per e, or None when a is not a unit.  An infinite base is
+        that is a unit of eR and nilpotent others.  The inverse is the sum
+        of the inverses of the e*a in eR[t, t^-1].  An infinite base is
         taken to have no idempotents but 0 and 1.
         """
         base = self.base
@@ -760,7 +743,7 @@ class LaurentRing(Ring):
             blocks = [e for e in idem
                       if all(base.mul(e, f) in (base.zero, e) for f in idem)]
         val, coeffs = a
-        parts = []
+        out = self.zero
         for e in blocks:
             off = base.sub(base.one, e)
             # e*c + 1 - e is a unit of R iff e*c is a unit of eR
@@ -771,21 +754,10 @@ class LaurentRing(Ring):
                     for k, c in enumerate(coeffs) if k != units[0]):
                 return None
             k = units[0]
-            parts.append((e, val + k, base.mul(e, base.inv(lifts[k]))))
-        return parts
-
-    def is_unit(self, a):
-        return self._unit_parts(a) is not None
-
-    def inv(self, a):
-        parts = self._unit_parts(a)
-        if parts is None:
-            raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        out = self.zero
-        for e, d, u_inv in parts:
             # e*a = m*(e + r) with m = e*u*t^d and r nilpotent: invert
             # e + r in eR by a geometric series
-            ident, m_inv = (0, (e,)), (-d, (u_inv,))
+            ident = (0, (e,))
+            m_inv = (-(val + k), (base.mul(e, base.inv(lifts[k])),))
             ratio = self.sub(self.mul(self.mul(ident, a), m_inv), ident)
             out = self.add(out, self.mul(_neumann(self, ident, ratio), m_inv))
         return out
@@ -887,17 +859,10 @@ class QuotientRing(Ring):
             return True
         return self.base.base.is_finite
 
-    def is_unit(self, a):
-        if self._mode == "int":
-            return math.gcd(a, self._m) == 1
-        return super().is_unit(a)
-
-    def inv(self, a):
+    def _inverse(self, a):
         if self._mode != "int":
-            return super().inv(a)
-        if math.gcd(a, self._m) != 1:
-            raise NotAUnit(f"{a} is not a unit of {self.describe()}")
-        return pow(a, -1, self._m)
+            return super()._inverse(a)
+        return pow(a, -1, self._m) if math.gcd(a, self._m) == 1 else None
 
     def _known_size(self):
         return self._m if self._mode == "int" else None
@@ -954,11 +919,14 @@ class ProductRing(Ring):
     def scalar_int(self, n):
         return tuple(f.scalar_int(n) for f in self.factors)
 
-    def is_unit(self, a):
-        return all(f.is_unit(x) for f, x in zip(self.factors, a))
-
-    def inv(self, a):
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
+    def _inverse(self, a):
+        out = []
+        for f, x in zip(self.factors, a):
+            y = f._inverse(x)
+            if y is None:
+                return None
+            out.append(y)
+        return tuple(out)
 
     @property
     def is_finite(self):
@@ -1030,21 +998,16 @@ class ExcisionRing(Ring):
         """(r, i) -> r*1 + i in the host ring."""
         return self.host.add(self._lift(a[0]), a[1])
 
-    def is_unit(self, a):
+    def _inverse(self, a):
         try:
-            if not self.base.is_unit(a[0]):
-                return False
-            return self.host.is_unit(self.retract(a))
+            r_inv = self.base._inverse(a[0])
+            whole = None if r_inv is None else self.host._inverse(self.retract(a))
         except InfiniteRing:
             raise UndecidableMembership("unit test unavailable here")
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        r_inv = self.base.inv(a[0])
+        if whole is None:
+            return None
         # (r+i)^-1 - r^-1 lies in I, giving the ideal component of the inverse
-        j = self.host.sub(self.host.inv(self.retract(a)), self._lift(r_inv))
-        return (r_inv, j)
+        return (r_inv, self.host.sub(whole, self._lift(r_inv)))
 
     @property
     def is_finite(self):
@@ -1078,7 +1041,8 @@ class ExcisionRing(Ring):
 
 class DoubleRing(ProductRing):
     """Fibre product {(a, b) in R x R : a - b in I}: the subring of the
-    product R x R cut out by the congruence, with the product's ops."""
+    product R x R cut out by the congruence, with the product's ops and
+    units (the inverse of a congruent pair is again congruent)."""
 
     kind = "double"
 
@@ -1093,12 +1057,6 @@ class DoubleRing(ProductRing):
 
     def describe(self):
         return f"D({self.base.describe()},{self.ideal.describe()})"
-
-    def inv(self, a):
-        # the inverse of a congruent pair is again congruent
-        if not self.is_unit(a):
-            raise NotAUnit(f"{self.fmt(a)} is not a unit of {self.describe()}")
-        return super().inv(a)
 
     def _iter_elements(self):
         members = self.ideal.members()
@@ -1134,14 +1092,17 @@ class _Graded:
     def spec_key(self):
         return (self.kind, self.base.spec_key(), self.ideal.gens, self.var)
 
-    def is_unit(self, a):
-        return super().is_unit(a) and self.contains(super().inv(a))
+    def _inverse(self, a):
+        out = super()._inverse(a)
+        return out if out is not None and self.contains(out) else None
 
     def inv(self, a):
-        out = super().inv(a)
-        if not self.contains(out):
-            raise NotAUnit("inverse escapes the graded subring")
-        return out
+        try:
+            return super().inv(a)
+        except NotAUnit:
+            if super()._inverse(a) is None:
+                raise
+            raise NotAUnit("inverse escapes the graded subring") from None
 
     def contains(self, a) -> bool:
         return rees_contains(self, a)

@@ -644,3 +644,44 @@ def test_malformed_json_input_is_malformed_spec(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "MalformedSpec"
+
+
+@pytest.mark.parametrize("argv, value", [
+    [[*_CERT, '{"t":1.7,"word":{"size":4,"tokens":[]}}'], "1.7"],
+    [["ring", "eval", "--ring", '{"kind":"zmod","n":5.9}', "--args", "1"], "5.9"],
+    [["ring", "eval", "--ring", '{"kind":"zmod","n":true}', "--args", "1"], "True"],
+    [["ring", "eval", "--ring", '{"kind":"field","q":4.5}', "--args", "1"], "4.5"],
+    [["word", "eval", "--ring", "z", "--word", '{"size":2.5,"tokens":[]}'], "2.5"],
+    [["word", "eval", "--ring", "z", "--size", "2", "--word",
+      '[{"op":"elem","i":1.2,"j":2,"a":"1"}]'], "1.2"],
+], ids=["cert-t", "zmod-n", "zmod-n-bool", "field-q", "word-size", "token-i"])
+def test_json_integer_keys_refuse_other_numbers(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedSpec"
+    assert payload["message"].endswith(f"must be an integer, got {value}")
+
+
+def test_product_ring_non_unit_names_the_whole_element(capsys):
+    code, out, err = run(capsys, "ring", "eval", "--ring",
+                         '{"kind":"product","factors":["zmod:4","zmod:3"]}',
+                         "--op", "inv", "--args", "(2|1)")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "NotAUnit",
+                               "message": "(2|1) is not a unit of Z/4 x Z/3"}
+
+
+@pytest.mark.parametrize("token, verified", [
+    ['{"op":"inv","token":{"op":"elem","i":1,"j":2,"a":"3"}}', True],
+    ['{"op":"inv","token":{"op":"inv","token":{"op":"elem","i":4,"j":3,"a":"6"}}}', True],
+    ['{"op":"inv","token":{"op":"elem","i":1,"j":2,"a":"1"}}', False],  # 1 is not in (3)
+    ['{"op":"inv","token":{"op":"elem","i":1,"j":3,"a":"3"}}', False],  # moves chi_2
+])
+def test_witt_verify_reads_inv_tokens(capsys, token, verified):
+    # e_12 and e_43 act on one 2x2 block with determinant 1, so they fix chi_2
+    chi1 = "[[0,1],[-1,0]]"
+    obj = run_json(capsys, "witt", "verify", "--ring", "zmod:9", "--ideal", "3",
+                   "--alpha", chi1, "--beta", chi1,
+                   "--cert", f'{{"t":0,"word":{{"size":4,"tokens":[{token}]}}}}')
+    assert obj == {"schema": "witt-verify/1", "verified": verified}

@@ -271,3 +271,15 @@ def test_double_matrix_split_join():
     assert second.entries == (3, 0, 2, 1)
     back = double_matrix_join(first, second, dbl)
     assert back.entries == m.entries
+
+
+def test_inv_tokens_invert_and_keep_their_level():
+    ring = zmod(8)
+    ideal = ideal_of(ring, 2)
+    core = Conj((Elem(2, 3, 5),), Elem(3, 1, 4))
+    w = GroupWord(ring, 3, (Inv(Elem(1, 2, 2)), Inv(core)))
+    inv = word_inverse(w)
+    assert inv.tokens == (core, Elem(1, 2, 2))
+    assert word_eval(w).mul(word_eval(inv)) == RingMatrix.identity(ring, 3)
+    assert relative_level(w, ideal)
+    assert not relative_level(GroupWord(ring, 3, (Inv(Inv(Elem(1, 2, 1))),)), ideal)

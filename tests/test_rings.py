@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -600,3 +601,68 @@ def test_extended_rees_ops_and_escaping_inverse():
         assert not ext.is_unit(ext.parse(x))
         with pytest.raises(NotAUnit, match="escapes"):
             ext.inv(ext.parse(x))
+
+
+def _polys(base, coeffs, deg):
+    """Every polynomial payload of degree at most deg over coeffs."""
+    p = PolynomialRing(base, "X")  # add strips the trailing zeros
+    return sorted({p.add(tup, p.zero) for tup in itertools.product(coeffs, repeat=deg + 1)},
+                  key=repr)
+
+
+def _unit_rule_cases():
+    """(ring, elements): every element of a finite ring, a fixed sample
+    of an infinite one, over every ring kind."""
+    yield Z, range(-4, 5)
+    yield RationalField(), [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+    for n in (2, 6, 8, 9, 12):
+        yield zmod(n), None
+    yield f4(), None
+    yield parse_ring("f9"), None  # a monic quotient of Z/3[x]
+    yield QuotientRing(Z, (6,)), None
+    yield QuotientRing(PolynomialRing(M4, "x"), ((0, 0, 1),)), None
+    yield QuotientRing(zmod(12), (4,)), None  # a coset quotient
+    yield ProductRing((M4, zmod(3))), None
+    yield ProductRing((Z, zmod(3))), [(a, b) for a in range(-2, 3) for b in range(3)]
+    for n, g in ((4, 2), (6, 3), (4, 1)):
+        m = zmod(n)
+        yield ExcisionRing(m, ideal_of(m, g)), None
+        yield DoubleRing(m, ideal_of(m, g)), None
+    yield ExcisionRing(Z, ideal_of(M4, 2)), [(a, i) for a in range(-2, 3) for i in (0, 2)]
+    for base, coeffs, gens in ((M4, range(4), (2, 1)), (zmod(6), range(6), (2, 3)),
+                               (M9, range(9), (3,)), (zmod(12), range(12), (6,)),
+                               (Z, range(-2, 3), (2,))):
+        deg = 2 if len(coeffs) <= 6 else 1
+        polys = _polys(base, coeffs, deg)
+        laurent = LaurentRing(base, "t")
+        shifted = [laurent._norm(v, p) if p else laurent.zero
+                   for v in (-1, 0, 1) for p in polys]
+        yield PolynomialRing(base, "X"), polys
+        yield laurent, shifted
+        for g in gens:
+            rees = ReesRing(base, ideal_of(base, g), "t")
+            yield rees, [p for p in polys if rees.contains(p)]
+            ext = ExtendedReesRing(base, ideal_of(base, g), "t")
+            yield ext, [x for x in shifted if ext.contains(x)]
+
+
+@pytest.mark.parametrize("ring, els", [pytest.param(r, els, id=r.describe())
+                                       for r, els in _unit_rule_cases()])
+def test_is_unit_holds_exactly_when_inv_returns(ring, els):
+    for a in ring.elements() if els is None else els:
+        try:
+            b = ring.inv(a)
+        except NotAUnit:
+            assert not ring.is_unit(a), ring.fmt(a)
+            continue
+        assert ring.is_unit(a), ring.fmt(a)
+        assert ring.check(b) == b  # a payload of this ring, grading included
+        assert ring.mul(a, b) == ring.one
+        assert ring.inv(b) == a
+
+
+def test_polynomial_and_laurent_scalar_int():
+    assert PolynomialRing(M4, "X").scalar_int(6) == (2,)
+    assert PolynomialRing(M4, "X").scalar_int(8) == ()
+    assert LaurentRing(M4, "t").scalar_int(-1) == (0, (3,))
+    assert LaurentRing(M4, "t").scalar_int(4) == LaurentRing(M4, "t").zero

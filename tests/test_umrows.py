@@ -1,6 +1,7 @@
 """Unimodular rows: completion, theta symbols, vdk product, lifts."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from symwitt import (
     NoP0Found,
     NotCompleted,
     NotRelative,
+    RationalField,
     RingMatrix,
     SizeMismatch,
     chi_n,
@@ -205,3 +207,21 @@ def test_stable_range_reduce():
     assert red2 is not None and len(red2.entries) == 3
     with pytest.raises(SizeMismatch):
         stable_range_reduce(v, 2)
+
+
+def test_complete_zero_row_over_q():
+    q = RationalField()
+    assert complete(um_row(q, (q.zero,) * 3)) is None
+    z = q.zero
+    assert complete(um_row(q, (z, Fraction(2, 3), z))) == (z, Fraction(3, 2), z)
+
+
+def test_vdk_p0_over_z_with_a_zero_or_shared_factor_tail():
+    # a zero tail leaves p0 = a0^-1, which exists only for a0 = +-1
+    assert vdk_product(um_row(Z, (1, 0, 0)), um_row(Z, (1, 0, 0))).entries == (1, 0, 0)
+    assert vdk_product(um_row(Z, (-1, 0, 0)), um_row(Z, (1, 0, 0))).entries == (-1, 0, 0)
+    with pytest.raises(NoP0Found):
+        vdk_product(um_row(Z, (2, 0, 0)), um_row(Z, (3, 0, 0)))
+    # gcd(a0, tail) = 2: no a0 * p0 is 1 modulo (4)
+    with pytest.raises(NoP0Found):
+        vdk_product(um_row(Z, (2, 4, 0)), um_row(Z, (3, 4, 0)))
