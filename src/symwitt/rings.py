@@ -1157,11 +1157,13 @@ def rees_contains(ring: _Graded, a) -> bool:
 class Ideal:
     """Finitely generated ideal with decidable membership where possible.
 
-    Membership is structural for Z (gcd), principal ideals of Z[X] and
-    single monic moduli (division), constant-generator ideals of
-    polynomial rings (coefficientwise), and component-zero ideals of
-    excision/double rings.  Finite rings fall back to the member set;
-    anything else raises UndecidableMembership.
+    The rule is chosen once, from the generators' shape, at the first
+    question about a nonzero element: gcd over Z, division for principal
+    ideals of Z[X] and single moduli with a unit leading coefficient,
+    coefficientwise for constant generators of polynomial and Laurent
+    rings, the second component for component-zero ideals of R (+) I and
+    D(R, I).  Finite rings fall back to the member set; anything else
+    raises UndecidableMembership on every question.
     """
 
     def __init__(self, ring: Ring, generators: Iterable):
@@ -1170,6 +1172,7 @@ class Ideal:
         self._members: Optional[tuple] = None
         self._basis: Optional[tuple] = None
         self._span: Optional[set] = None
+        self._rule = None  # the membership test, chosen at the first question
         self._powers: dict[int, "Ideal"] = {}
 
     def spec_key(self):
@@ -1197,59 +1200,55 @@ class Ideal:
 
     # -- membership --------------------------------------------------------
     def contains(self, x) -> bool:
-        ring = self.ring
-        if self.is_zero():
-            return x == ring.zero
-        if x == ring.zero or self.has_unit_generator():
+        if x == self.ring.zero:
             return True
-        if ring.kind == "integers":
-            return x % math.gcd(*self.gens) == 0
-        if ring.kind in ("polynomial", "laurent"):
-            verdict = self._poly_contains(x)
-            if verdict is not None:
-                return verdict
-        if ring.kind in ("excision", "double"):
-            verdict = self._pair_contains(x)
-            if verdict is not None:
-                return verdict
-        if ring.is_finite:
-            self.members()  # no unit generator, so this builds the span
-            return x in self._span
-        raise UndecidableMembership(
-            f"no membership rule for {self.describe()} over {ring.describe()}")
+        if self._rule is None:
+            self._rule = self._membership_rule()
+        return self._rule(x)
 
-    def _poly_contains(self, x) -> Optional[bool]:
-        ring, base = self.ring, self.ring.base
-        if ring.kind == "polynomial":
-            if all(len(g) <= 1 for g in self.gens):
-                # constant generators: coefficientwise membership below
-                core = Ideal(base, tuple(g[0] for g in self.gens if g))
-                return all(core.contains(c) for c in x)
-            if len(self.gens) == 1:
-                g = self.gens[0]
+    def _membership_rule(self):
+        """The test of a nonzero element: the first case that fits."""
+        ring, gens = self.ring, self.gens
+        if self.is_zero():
+            return lambda x: False
+        if self.has_unit_generator():
+            return lambda x: True
+        if ring.kind == "integers":
+            g = math.gcd(*gens)
+            return lambda x: x % g == 0
+        if ring.kind in ("polynomial", "laurent"):
+            base = ring.base
+            coeffs = (lambda a: a[1]) if ring.kind == "laurent" else (lambda a: a)
+            if all(len(coeffs(g)) <= 1 for g in gens):
+                # constant generators: coefficientwise membership in the core
+                core = Ideal(base, tuple(coeffs(g)[0] for g in gens if coeffs(g)))
+                return lambda x: all(map(core.contains, coeffs(x)))
+            if ring.kind == "polynomial" and len(gens) == 1:
+                g = gens[0]
                 if base.kind == "integers":
                     # x = g q in Z[X] iff the quotient over Q is integral
-                    quo, rem = _poly_divmod(RationalField(), tuple(map(Fraction, x)),
-                                            tuple(map(Fraction, g)))
-                    return rem == () and all(c.denominator == 1 for c in quo)
-                if base.is_unit(g[-1]):
-                    return _poly_divmod(base, x, g)[1] == ()
-        else:  # laurent
-            if all(len(g[1]) <= 1 for g in self.gens):
-                core = Ideal(base, tuple(g[1][0] for g in self.gens if g[1]))
-                return all(core.contains(c) for c in x[1])
-        return None
+                    q, gq = RationalField(), tuple(map(Fraction, g))
 
-    def _pair_contains(self, x) -> Optional[bool]:
-        ring = self.ring
-        zero0 = ring.base.zero
-        if not all(g[0] == zero0 for g in self.gens):
-            return None
-        if ring.kind == "excision" and ring.base != ring.host:
-            return None  # the Z (+) I case has no clean structural rule
-        host = ring.host if ring.kind == "excision" else ring.base
-        sub = Ideal(host, tuple(g[1] for g in self.gens))
-        return x[0] == zero0 and sub.contains(x[1])
+                    def rule(x):
+                        quo, rem = _poly_divmod(q, tuple(map(Fraction, x)), gq)
+                        return rem == () and all(c.denominator == 1 for c in quo)
+                    return rule
+                if base.is_unit(g[-1]):
+                    return lambda x: _poly_divmod(base, x, g)[1] == ()
+        if ring.kind in ("excision", "double"):
+            zero0, host = ring.base.zero, ring.ideal.ring
+            # the Z (+) I case has no clean structural rule
+            if host == ring.base and all(g[0] == zero0 for g in gens):
+                sub = Ideal(host, tuple(g[1] for g in gens))
+                return lambda x: x[0] == zero0 and sub.contains(x[1])
+        if ring.is_finite:
+            self.members()  # no unit generator, so this builds the span
+            return self._span.__contains__
+        message = f"no membership rule for {self.describe()} over {ring.describe()}"
+
+        def undecidable(x):
+            raise UndecidableMembership(message)
+        return undecidable
 
     # -- enumeration ---------------------------------------------------------
     def members(self) -> tuple:
