@@ -10,7 +10,7 @@ and import.  Given two checkouts, their runs of each command alternate
 (parent, change, then change, parent, ...), so drift of the host between
 runs falls on both sides alike instead of reading as a change.  The
 peak RSS of each run is the child's ru_maxrss, read with os.wait4.  The
-medians per command go into the output file (BENCH_18.json at the root
+medians per command go into the output file (BENCH_19.json at the root
 of this repository by default) under each timed checkout's commit,
 together with the machine: nproc, Python and platform.  Entries already
 in the file for other commits are kept, so one file holds a parent and
@@ -33,9 +33,11 @@ its 373,248 rows are completed one by one; a row product over Z/211,
 whose 211^3 rows must be refused before any search; the members of
 a double ring of 3000 * 3000 pairs, which must be refused before any
 pair is drawn; the 10^5 members of an ideal of Z/200000, which must
-be listed in time and memory linear in the ring; and a report over
+be listed in time and memory linear in the ring; a report over
 Z/6 (3) stabilized to level 2, whose open search over 8 x 8 states has
-no --bound and must be refused at the memory cap.  The child sets its own
+no --bound and must be refused at the memory cap; and the lift of a row
+of Z/65536 (2) to R (+) I, which asks the ideal and its pair ideal
+whether each entry lies in them.  The child sets its own
 address-space limit of AS_LIMIT_MB before it imports symwitt, so a
 checkout that does enumerate fails with a MemoryError at the cap
 instead of taking the machine's memory; the reports stay far below it.
@@ -115,6 +117,8 @@ LARGE_CASES = (
       "--ideal", "(1|1)"]),
     ("report Z/6 (3) stab 2",
      ["report", "vaserstein", "--ring", "zmod:6", "--ideal", "3", "--stab", "2"]),
+    ("um lift Z/65536 (2)",
+     ["um", "lift", "--ring", "zmod:65536", "--ideal", "2", "--row", '["3","2","0"]']),
 )
 
 LAUNCH = (
@@ -201,7 +205,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     entries = [{

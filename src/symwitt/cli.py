@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ArtifactError, MalformedSpec
 from .rings import Ideal, unit_ideal, zero_ideal
-from .matrices import GroupWord, determinant, pfaffian, word_eval
+from .matrices import determinant, pfaffian, word_eval
 from .polytools import MultiPoly, nagata_transform
 from .witt import (
     EquivalenceCertificate,
@@ -49,7 +49,6 @@ from .ringio import (
     ring_to_spec,
     vector_from_obj,
     word_from_obj,
-    word_to_obj,
 )
 
 

@@ -434,10 +434,10 @@ def nagata_transform(f: MultiPoly, phi: Optional[MultiPoly] = None):
     lead = g.coeff_in(1, w)
     assert lead.total_degree() <= 0, "leading X1-coefficient is not constant"
     c = lead.constant()
-    if not ring.is_unit(c):
+    inverse = ring._inverse(c)
+    if inverse is None:
         raise NotAUnit(f"leading coefficient {ring.fmt(c)} is not a unit")
-    h = g.scale(ring.inv(c))
-    return sub, c, h
+    return sub, c, g.scale(inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -693,6 +693,7 @@ class LaurentRing(Ring):
         super().__init__()
         self.base, self.var = base, var
         self.zero, self.one = (0, ()), (0, (base.one,))
+        self._blocks: Optional[tuple] = None
 
     def spec_key(self):
         return ("laurent", self.base.spec_key(), self.var)
@@ -733,22 +734,22 @@ class LaurentRing(Ring):
         terms, so a is a unit iff each e*a has exactly one coefficient
         that is a unit of eR and nilpotent others.  The inverse is the sum
         of the inverses of the e*a in eR[t, t^-1].  An infinite base is
-        taken to have no idempotents but 0 and 1.
+        taken to have no idempotents but 0 and 1.  The idempotents are
+        found once per handle, at the first unit question.
         """
         base = self.base
-        blocks = (base.one,)
-        if base.is_finite:
-            idem = [x for x in base.elements()
-                    if x != base.zero and base.mul(x, x) == x]
-            blocks = [e for e in idem
-                      if all(base.mul(e, f) in (base.zero, e) for f in idem)]
+        if self._blocks is None:
+            idem = ([x for x in base.elements() if x != base.zero and base.mul(x, x) == x]
+                    if base.is_finite else [base.one])
+            self._blocks = tuple(e for e in idem
+                                 if all(base.mul(e, f) in (base.zero, e) for f in idem))
         val, coeffs = a
         out = self.zero
-        for e in blocks:
+        for e in self._blocks:
             off = base.sub(base.one, e)
             # e*c + 1 - e is a unit of R iff e*c is a unit of eR
-            lifts = [base.add(base.mul(e, c), off) for c in coeffs]
-            units = [k for k, x in enumerate(lifts) if base.is_unit(x)]
+            inverses = [base._inverse(base.add(base.mul(e, c), off)) for c in coeffs]
+            units = [k for k, y in enumerate(inverses) if y is not None]
             if len(units) != 1 or not all(
                     base.is_nilpotent(base.mul(e, c))
                     for k, c in enumerate(coeffs) if k != units[0]):
@@ -757,7 +758,7 @@ class LaurentRing(Ring):
             # e*a = m*(e + r) with m = e*u*t^d and r nilpotent: invert
             # e + r in eR by a geometric series
             ident = (0, (e,))
-            m_inv = (-(val + k), (base.mul(e, base.inv(lifts[k])),))
+            m_inv = (-(val + k), (base.mul(e, inverses[k]),))
             ratio = self.sub(self.mul(self.mul(ident, a), m_inv), ident)
             out = self.add(out, self.mul(_neumann(self, ident, ratio), m_inv))
         return out

@@ -112,10 +112,9 @@ def complete(v: UmRow) -> Optional[tuple]:
     ring = v.ring
     for k, a in enumerate(v.entries):
         try:
-            if ring.is_unit(a):
-                b = [ring.zero] * v.n
-                b[k] = ring.inv(a)
-                return tuple(b)
+            inverse = ring._inverse(a)
+            if inverse is not None:
+                return tuple(inverse if j == k else ring.zero for j in range(v.n))
         except (InfiniteRing, UndecidableMembership, BoundExceeded):
             break
     if ring.kind == "integers":

@@ -252,11 +252,11 @@ def _nilpotency_index(m: RingMatrix) -> Optional[int]:
 
 
 def _fraction_in(ring, f: Fraction):
-    den = ring.scalar_int(f.denominator)
-    if not ring.is_unit(den):
+    inverse = ring._inverse(ring.scalar_int(f.denominator))
+    if inverse is None:
         raise NonInvertibleIndex(
             f"denominator {f.denominator} is not invertible in {ring.describe()}")
-    return ring.mul(ring.scalar_int(f.numerator), ring.inv(den))
+    return ring.mul(ring.scalar_int(f.numerator), inverse)
 
 
 def unipotent_root(gamma: RingMatrix, m: int) -> RingMatrix:

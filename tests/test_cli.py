@@ -685,3 +685,39 @@ def test_witt_verify_reads_inv_tokens(capsys, token, verified):
                    "--alpha", chi1, "--beta", chi1,
                    "--cert", f'{{"t":0,"word":{{"size":4,"tokens":[{token}]}}}}')
     assert obj == {"schema": "witt-verify/1", "verified": verified}
+
+
+def test_zero_ideal_descriptor(capsys):
+    obj = run_json(capsys, "ideal", "members", "--ring", "zmod:8", "--ideal", "zero")
+    assert obj["generators"] == obj["members"] == ["0"]
+    code, out, err = run(capsys, "um", "complete", "--ring", "zmod:4",
+                         "--ideal", "zero", "--row", '["1","2","0"]')
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "NotRelative"
+
+
+@pytest.mark.parametrize("op, args, message", [
+    ("neg", ["1", "2"], "neg takes one argument"),
+    ("add", ["1"], "add takes two arguments"),
+    ("pow", ["2"], "pow takes one argument and --exp"),
+])
+def test_ring_eval_arity_errors(capsys, op, args, message):
+    code, out, err = run(capsys, "ring", "eval", "--ring", "zmod:5",
+                         "--op", op, "--args", *args)
+    assert (code, out) == (64, "")
+    assert err == f"symwitt: error: {message}\n"
+
+
+def test_certificate_must_be_an_object(capsys):
+    code, out, err = run(capsys, *_CERT, "[]")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "MalformedSpec",
+                               "message": "certificate must be an object"}
+
+
+def test_unreadable_config(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "pf", "--config", str(missing),
+                         "--ring", "z", "--matrix", "[[0,1],[-1,0]]")
+    assert (code, out) == (64, "")
+    assert err.startswith(f"symwitt: error: cannot read config {missing}: ")

@@ -25,6 +25,7 @@ from symwitt import (
     ReesRing,
     Ring,
     RingMismatch,
+    UndecidableMembership,
     complete,
     double_to_excision,
     excision_project,
@@ -666,3 +667,85 @@ def test_polynomial_and_laurent_scalar_int():
     assert PolynomialRing(M4, "X").scalar_int(8) == ()
     assert LaurentRing(M4, "t").scalar_int(-1) == (0, (3,))
     assert LaurentRing(M4, "t").scalar_int(4) == LaurentRing(M4, "t").zero
+
+
+# ---------------------------------------------------------------------------
+# membership rules: chosen once per ideal, from the generators' shape
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, g", [(8, 4), (12, 4), (6, 3)])
+@pytest.mark.parametrize("kind", [ExcisionRing, DoubleRing])
+def test_pair_rule_matches_worklist_reference(kind, n, g):
+    # component-zero generators take the structural rule (x[0] = 0 and
+    # x[1] in the sub-ideal); the quadratic closure is the oracle
+    m = zmod(n)
+    ring = kind(m, ideal_of(m, g))
+    members = ideal_of(m, g).members()
+    for gens in ([(0, members[1])], [(0, x) for x in members]):
+        ideal = Ideal(ring, gens)
+        expected = set(_worklist_members(ideal))
+        assert len(expected) < ring.size
+        for x in ring.elements():
+            assert ideal.contains(x) == (x in expected), ring.fmt(x)
+
+
+def test_zero_is_answered_before_any_rule():
+    # neither ideal has a rule for a nonzero element, but zero lies in every ideal
+    zx = PolynomialRing(Z, "X")
+    ideal = Ideal(zx, ((3,), (0, 1)))
+    assert ideal.contains(zx.zero)
+    with pytest.raises(UndecidableMembership, match="no membership rule"):
+        ideal.contains((1,))
+    with pytest.raises(UndecidableMembership):
+        ideal.contains((1,))  # on every question, not only the first
+    assert ideal.contains(())
+    z_plus = ExcisionRing(Z, ideal_of(M4, 2))  # Z (+) (2): no structural rule
+    ideal = Ideal(z_plus, ((0, 2),))
+    assert ideal.contains(z_plus.zero)
+    for x in ((0, 2), (1, 0)):
+        with pytest.raises(UndecidableMembership, match="no membership rule"):
+            ideal.contains(x)
+
+
+def _count_ideals(monkeypatch):
+    made = []
+    init = Ideal.__init__
+
+    def counting(self, ring, generators):
+        made.append(ring)
+        init(self, ring, generators)
+
+    monkeypatch.setattr(Ideal, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("ring, gens, questions", [
+    (DoubleRing(zmod(3000), ideal_of(zmod(3000), 2)), ((0, 2),),
+     [(2 * k % 3000, 2 * k % 3000) if k % 2 else (0, 2 * k) for k in range(100)]),
+    (PolynomialRing(zmod(4096), "X"), ((2,),),
+     [(k % 4096, 2, 6 * k % 4096 or 1) for k in range(100)]),
+], ids=["D(Z/3000,(2))", "Z/4096[X]"])
+def test_rule_is_chosen_once(monkeypatch, ring, gens, questions):
+    ideal = Ideal(ring, gens)
+    made = _count_ideals(monkeypatch)
+    answers = [ideal.contains(x) for x in questions]
+    assert len(made) <= 1  # the one inner ideal of the rule
+    assert True in answers and False in answers
+    monkeypatch.undo()
+    # the answers agree with a rule kept by no one: a fresh ideal per question
+    assert answers == [Ideal(ring, gens).contains(x) for x in questions]
+
+
+def test_laurent_idempotents_found_once(monkeypatch):
+    base = zmod(12)
+    scans = []
+    elements = base.elements
+    monkeypatch.setattr(base, "elements", lambda: scans.append(1) or elements())
+    l12 = LaurentRing(base, "t")
+    assert l12.is_unit(l12.one) and l12.is_unit(l12.parse("4*t^-1+9+6*t"))
+    assert len(scans) == 1
+    # a base past the memory cap is refused on every unit question
+    big = LaurentRing(zmod(50000017), "t")
+    for _ in range(2):
+        with pytest.raises(BoundExceeded, match="past the memory cap"):
+            big.is_unit(big.one)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import Z, ideal_of, zmod
 from symwitt import (
+    LaurentRing,
     NoP0Found,
     NotCompleted,
     NotRelative,
@@ -225,3 +226,18 @@ def test_vdk_p0_over_z_with_a_zero_or_shared_factor_tail():
     # gcd(a0, tail) = 2: no a0 * p0 is 1 modulo (4)
     with pytest.raises(NoP0Found):
         vdk_product(um_row(Z, (2, 4, 0)), um_row(Z, (3, 4, 0)))
+
+
+def test_complete_reads_one_inverse(monkeypatch):
+    # the unit shortcut takes the inverse it tested, not a second one
+    ring = LaurentRing(zmod(12), "t")
+    rows = [um_row(ring, (ring.one, ring.zero, ring.zero)),
+            um_row(ring, (ring.parse("3*t"), ring.parse("4*t^-1+9+6*t"), ring.zero))]
+    calls = []
+    inverse = ring._inverse
+    monkeypatch.setattr(ring, "_inverse", lambda a: calls.append(a) or inverse(a))
+    for v, asked in zip(rows, (1, 2)):  # 3t is not a unit; the entry after it is
+        calls.clear()
+        b = complete(v)
+        assert ring.dot(v.entries, b) == ring.one
+        assert len(calls) == asked
