@@ -739,7 +739,8 @@ class LaurentRing(Ring):
         """
         base = self.base
         if self._blocks is None:
-            idem = ([x for x in base.elements() if x != base.zero and base.mul(x, x) == x]
+            idem = ([x for x in base.elements()
+                     if x != base.zero and base.mul(x, x) == x]
                     if base.is_finite else [base.one])
             self._blocks = tuple(e for e in idem
                                  if all(base.mul(e, f) in (base.zero, e) for f in idem))
@@ -1173,7 +1174,7 @@ class Ideal:
         self._members: Optional[tuple] = None
         self._basis: Optional[tuple] = None
         self._span: Optional[set] = None
-        self._rule = None  # the membership test, chosen at the first question
+        self._rule = None  # the membership test, chosen at the first nonzero question
         self._powers: dict[int, "Ideal"] = {}
 
     def spec_key(self):
