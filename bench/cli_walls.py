@@ -10,7 +10,7 @@ and import.  Given two checkouts, their runs of each command alternate
 (parent, change, then change, parent, ...), so drift of the host between
 runs falls on both sides alike instead of reading as a change.  The
 peak RSS of each run is the child's ru_maxrss, read with os.wait4.  The
-medians per command go into the output file (BENCH_19.json at the root
+medians per command go into the output file (BENCH_20.json at the root
 of this repository by default) under each timed checkout's commit,
 together with the machine: nproc, Python and platform.  Entries already
 in the file for other commits are kept, so one file holds a parent and
@@ -25,6 +25,12 @@ and print through the shared term grammar.
 
 The orbit group partitions the relative symbol universe of Z/16 (2)
 at size 4, a BFS over 96 basis moves (378 exact generators).
+
+The span group holds relative reports whose stabilization levels
+partition by translation spans far past the memory cap as lists:
+Z/9 (3) at level 1 (4,782,969 vectors of 15 entries) and Z/8 (4) at
+levels 1 and 2 (16,384 vectors of 15 entries, then 2^27 of 28).  Their
+membership is decided through an echelon table of each span.
 
 The large-ring group holds commands over rings of 10^7 elements and
 more, which must be answered or refused without enumerating the ring;
@@ -88,6 +94,13 @@ POLY_CASES = (
 ORBIT_CASES = (
     ("alt Z/16 (2)",
      ["orbit", "alt", "--ring", "zmod:16", "--ideal", "2", "--size", "4"]),
+)
+
+SPAN_CASES = (
+    ("report Z/9 (3)",
+     ["report", "vaserstein", "--ring", "zmod:9", "--ideal", "3"]),
+    ("report Z/8 (4) stab 2",
+     ["report", "vaserstein", "--ring", "zmod:8", "--ideal", "4", "--stab", "2"]),
 )
 
 AS_LIMIT_MB = 1536
@@ -205,7 +218,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_20.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     entries = [{
@@ -226,7 +239,8 @@ def main():
         if gen is not None:
             argv += ["--ideal", str(gen)]
         cases.append((label, argv))
-    for label, argv in cases + list(POLY_CASES) + list(ORBIT_CASES) + list(LARGE_CASES):
+    for label, argv in (cases + list(POLY_CASES) + list(ORBIT_CASES) + list(SPAN_CASES)
+                        + list(LARGE_CASES)):
         for entry, res in zip(entries, time_case(srcs, argv)):
             entry["walls"][label] = res
             print(f"{label:24s} {str(entry['commit'])[:7]:7s} {res['median_s']:9.3f} s "

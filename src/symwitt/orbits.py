@@ -26,7 +26,7 @@ from .errors import (
     TailAlignmentFailed,
     VerificationFailed,
 )
-from .rings import MEMORY_CAP, Ideal, Ring, additive_span, unit_ideal
+from .rings import MEMORY_CAP, Ideal, Ring, unit_ideal
 from .matrices import (
     Conj,
     Elem,
@@ -164,6 +164,14 @@ def _upper(n: int) -> tuple:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _slots(n: int) -> tuple:
+    """slot[r][k]: the position of (min(r, k), max(r, k)) in _upper(n)."""
+    at = {p: k for k, p in enumerate(_upper(n))}
+    return tuple(tuple(at.get((min(r, k), max(r, k))) for k in range(n))
+                 for r in range(n))
+
+
 def _encode(tables, action: str, n: int, obj: tuple) -> tuple:
     """Payload tuple -> state; a congruence object must be alternating."""
     size = n if action == ACTION_ROW else n * n
@@ -210,7 +218,7 @@ def _compile_moves(tables, action: str, n: int, gens: Sequence[Generator]) -> tu
     """
     add, mul, neg, zero, ix = (tables.add, tables.mul, tables.neg,
                                tables.zero, tables.index)
-    slot = {p: k for k, p in enumerate(_upper(n))}
+    slot = _slots(n)
     moves = []
     for g in gens:
         if len(g.u) != n or len(g.w) != n:
@@ -219,22 +227,23 @@ def _compile_moves(tables, action: str, n: int, gens: Sequence[Generator]) -> tu
         w = [ix[x] for x in g.w]
         if action == ACTION_ROW:
             qforms = [{t: c for t, c in enumerate(au) if c != zero}]
-            updates = [(t, 0, c) for t, c in enumerate(w)]
+            updates = [(t, 0, c) for t, c in enumerate(w) if c != zero]
         elif action == ACTION_CONGRUENCE:
             # q_r = sum_k M[r][k] au_k, where M[r][k] is slot (r, k) above
-            # the diagonal and minus slot (k, r) below it
-            qforms = [{slot[min(r, k), max(r, k)]: c if r < k else neg[c]
-                       for k, c in enumerate(au) if c != zero and k != r}
+            # the diagonal and minus slot (k, r) below it; a nonzero w_s
+            # feeds q_r w_s into every slot (r, s) and -w_s q_r into (s, r)
+            nonzero = [(k, c) for k, c in enumerate(au) if c != zero]
+            qforms = [{slot[r][k]: c if r < k else neg[c] for k, c in nonzero if k != r}
                       for r in range(n)]
-            updates = [(t, qr, c) for (r, s), t in slot.items()
-                       for qr, c in ((r, w[s]), (s, neg[w[r]]))]
+            updates = [(slot[r][s], r, c if r < s else neg[c])
+                       for s, c in enumerate(w) if c != zero
+                       for r in range(n) if r != s]
         else:
             raise MalformedSpec(f"unknown action {action!r}")
         coef = {}
         for t, qr, c in updates:
-            if c != zero:
-                for s, d in qforms[qr].items():
-                    coef[t, s] = add[coef.get((t, s), zero)][mul[c][d]]
+            for s, d in qforms[qr].items():
+                coef[t, s] = add[coef.get((t, s), zero)][mul[c][d]]
         moves.append((g.token, tuple((t, s, mul[c]) for (t, s), c in coef.items()
                                      if c != zero)))
     return tuple(moves)
@@ -398,6 +407,67 @@ def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
     return tuple(map(getitem, map(add.__getitem__, x), d))
 
 
+class _EchelonSpan:
+    """Additive span of index vectors, held as an echelon (Sims) table.
+
+    Level p maps each entry h of a subgroup H_p of (R, +) to a span
+    vector that is zero before p and has -h at p, so adding it clears
+    an entry h at p.  H_p is every entry at p of a span vector that is
+    zero before p, hence |span| = prod |H_p|, and a vector lies in the
+    span iff clearing its entries level by level leaves zero.  A delta
+    is cleared the same way; a residue whose entry e at p lies outside
+    H_p extends H_p by whole cosets H_p + e, H_p + 2e, ... until m*e
+    lies in H_p, and the residue times m clears on, which inserts the
+    correction at later levels.  The table holds at most width * |R|
+    vectors, never the span.
+    """
+
+    def __init__(self, tables, width: int, deltas):
+        add, neg, zero = tables.add, tables.neg, tables.zero
+        zeros = (zero,) * width
+        levels = [{zero: zeros} for _ in range(width)]
+        for v in deltas:
+            p = 0
+            while p < width:
+                e = v[p]
+                if e == zero:
+                    p += 1
+                    continue
+                level = levels[p]
+                clear = level.get(e)
+                if clear is not None:
+                    v = _vec_add(add, v, clear)
+                    p += 1
+                    continue
+                minus = tuple(map(neg.__getitem__, v))
+                coset, multiple = level, v
+                while multiple[p] not in level:
+                    coset = {add[h][e]: _vec_add(add, c, minus) for h, c in coset.items()}
+                    level.update(coset)
+                    multiple = _vec_add(add, multiple, v)
+                v = multiple
+        # membership reads only the nontrivial levels, each clearing vector
+        # as its nonzero (position, entry) pairs; an entry left at a
+        # trivial level fails the final comparison with zero
+        self.add, self.cleared = add, [zero] * width
+        self.pivots = [(p, {h: [(q, x) for q, x in enumerate(c) if x != zero]
+                            for h, c in level.items()})
+                       for p, level in enumerate(levels) if len(level) > 1]
+
+    def __len__(self) -> int:
+        return math.prod(len(level) for _, level in self.pivots)
+
+    def __contains__(self, v: tuple) -> bool:
+        add, v = self.add, list(v)
+        for p, level in self.pivots:
+            clear = level.get(v[p])
+            if clear is None:
+                return False
+            for q, x in clear:
+                v[q] = add[v[q]][x]
+        return v == self.cleared
+
+
 def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
                            n: int, closed: bool = True,
                            states: Optional[tuple] = None) -> OrbitPartition:
@@ -421,10 +491,8 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
         if ids[k] >= 0:
             continue
         minus = tuple(map(neg.__getitem__, states[k]))
-        deltas = {_vec_add(add, _step(states[k], terms, add), minus)
-                  for _, terms in moves}
-        span = additive_span((tables.zero,) * len(minus),
-                             functools.partial(_vec_add, add), deltas, len(minus))
+        span = _EchelonSpan(tables, len(minus), {
+            _vec_add(add, _step(states[k], terms, add), minus) for _, terms in moves})
         members = [j for j in range(k, len(objects))
                    if ids[j] < 0 and _vec_add(add, states[j], minus) in span]
         if closed and len(members) < len(span):

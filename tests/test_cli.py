@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from symwitt import cli
 from symwitt.cli import main
@@ -268,13 +269,27 @@ def test_canonical_stdout_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_report_span_past_cap_fails_fast(capsys):
+def test_report_past_old_span_cap_answers(capsys):
+    # the level-1 translation span of Z/9 (3) holds 354,294 vectors of 15
+    # entries; membership is sifted through an echelon table, never listed
     code, out, err = run(capsys, "report", "vaserstein", "--ring", "zmod:9",
                          "--ideal", "3")
+    assert code == 0, err
+    payload = json.loads(out)
+    schema = (Path(__file__).resolve().parent.parent / "docs" / "schemas"
+              / "bijectivity-report.v1.json")
+    Draft202012Validator(json.loads(schema.read_text())).validate(payload)
+    assert payload["witt"]["level0_count"] == 2
+    assert payload["witt"]["merges"] == [{"t": 1, "merged": [], "saturated": True}]
+
+
+def test_report_relative_past_cap_fails_fast(capsys):
+    code, out, err = run(capsys, "report", "vaserstein", "--ring", "zmod:256",
+                         "--ideal", "16")
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "BoundExceeded"
-    assert "vectors x 15 entries" in payload["message"]
+    assert "4 form cosets x 16^6 matrices" in payload["message"]
 
 
 def test_unit_ideal_decided_by_membership(capsys):
@@ -486,6 +501,23 @@ def test_unbounded_search_fails_fast():
     payload = json.loads(err)
     assert payload["error"] == "BoundExceeded"
     assert "x 28 entries" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--ring", "zmod:9", "--ideal", "3"),
+    ("--ring", "zmod:25", "--ideal", "5"),
+    ("--ring", "zmod:8", "--ideal", "4", "--stab", "2"),
+], ids=["z9-3", "z25-5", "z8-4-stab2"])
+def test_report_translation_levels_answer(argv):
+    # each stabilization level partitions by translation spans that are far
+    # past the memory cap as lists; the two level-0 classes lie in distinct
+    # cosets mod I, so no level merges them
+    code, out, err = run_capped("report", "vaserstein", *argv, timeout=30)
+    assert code == 0, err
+    witt = json.loads(out)["witt"]
+    assert witt["level0_count"] == witt["count"] == 2 and witt["saturated"]
+    assert witt["merges"] == [{"t": t, "merged": [], "saturated": True}
+                              for t in range(1, witt["levels"] + 1)]
 
 
 def test_large_ideal_members_listed_by_linear_span():

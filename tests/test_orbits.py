@@ -56,6 +56,7 @@ from symwitt.orbits import (
     INCONCLUSIVE,
     MEMORY_CAP,
     OrbitPartition,
+    _EchelonSpan,
     _bfs,
     _compile_moves,
     _decode,
@@ -405,6 +406,62 @@ def test_additive_span_random_deltas():
             deltas = [tuple(rng.randrange(n) for _ in range(3))
                       for _ in range(rng.randint(1, 3))]
             assert _span(zmod(n), 3, deltas) == _brute_span(n, 3, deltas)
+
+
+ECHELON_RINGS = ["zmod:8", "zmod:9", "zmod:12", "f4", "f9",
+                 '{"kind":"product","factors":["zmod:4","zmod:2"]}',
+                 '{"kind":"product","factors":["zmod:2","zmod:2","zmod:3"]}']
+
+
+def _random_deltas(rng, tables, width):
+    """Zero to four deltas; an entry pool is the whole ring or the multiples
+    of one element, and a delta may be zero, a repeat or a sum of earlier
+    ones, so the span is often a proper subgroup."""
+    q, add = len(tables.elements), tables.add
+    deltas = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            d = (tables.zero,) * width
+        elif kind == 1 and deltas:
+            d = rng.choice(deltas)
+        elif kind == 2 and len(deltas) > 1:
+            d = _vec_add(add, *rng.sample(deltas, 2))
+        else:
+            g, pool = rng.randrange(q), [tables.zero]
+            while add[pool[-1]][g] != tables.zero:
+                pool.append(add[pool[-1]][g])
+            pool = range(q) if kind == 3 else pool
+            d = tuple(rng.choice(pool) for _ in range(width))
+        deltas.append(d)
+    return deltas
+
+
+@pytest.mark.parametrize("spec", ECHELON_RINGS,
+                         ids=["Z8", "Z9", "Z12", "f4", "f9", "Z4xZ2", "Z2xZ2xZ3"])
+def test_echelon_span_matches_listed_span(spec):
+    # membership and size of the translation partition's table against the
+    # listed span, and, over Z/n (whose index k is the residue k) with at
+    # most three deltas, against every combination of the deltas
+    ring = parse_ring(spec)
+    tables = ring.compile()
+    rng = random.Random(20261019)
+    vectors = {}
+    for _ in range(150):
+        width = rng.randint(1, 4)
+        deltas = _random_deltas(rng, tables, width)
+        table = _EchelonSpan(tables, width, deltas)
+        span = _span(ring, width, deltas)
+        if spec.startswith("zmod:") and len(deltas) <= 3:
+            assert span == _brute_span(ring.n, width, deltas)
+        assert len(table) == len(span)
+        if width not in vectors:
+            vectors[width] = list(itertools.product(range(len(tables.elements)),
+                                                    repeat=width))
+        probe = vectors[width] if len(vectors[width]) <= 2000 else (
+            rng.sample(vectors[width], 500) + list(span))
+        for v in probe:
+            assert (v in table) == (v in span), (deltas, v)
 
 
 def test_witt_universe_counts():
