@@ -270,8 +270,8 @@ def test_canonical_stdout_digests(capsys, argv, digest):
 
 
 def test_report_past_old_span_cap_answers(capsys):
-    # the level-1 translation span of Z/9 (3) holds 354,294 vectors of 15
-    # entries; membership is sifted through an echelon table, never listed
+    # the level-1 translation span of Z/9 (3) holds 3^14 vectors of 15
+    # entries; membership is decided by an echelon table, never a list
     code, out, err = run(capsys, "report", "vaserstein", "--ring", "zmod:9",
                          "--ideal", "3")
     assert code == 0, err
