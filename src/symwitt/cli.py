@@ -285,23 +285,32 @@ def _h_um_lift(ns):
             "row": [lifted.ring.fmt(x) for x in lifted.entries]}
 
 
-def _partition_obj(part):
+def _depth_of(ns) -> int:
+    """--conj-depth, checked: the generator sets are exact, so it changes
+    no orbit and is only echoed, as `depth`."""
+    if ns.conj_depth < 0:
+        raise MalformedSpec(f"conjugation depth must be >= 0, got {ns.conj_depth}")
+    return ns.conj_depth
+
+
+def _partition_obj(part, depth):
     return dict(part.to_obj(), schema="orbit-partition/1",
-                ring=ring_to_spec(part.ring))
+                ring=ring_to_spec(part.ring), depth=depth)
 
 
 def _h_orbit_um(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    return _partition_obj(um_orbit_partition(ring, _need(ns, "n"), ideal,
-                                             depth=ns.conj_depth, bound=ns.bound))
+    n, depth = _need(ns, "n"), _depth_of(ns)
+    return _partition_obj(um_orbit_partition(ring, n, ideal, bound=ns.bound), depth)
 
 
 def _h_orbit_alt(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    return _partition_obj(alt_orbit_partition(ring, ideal, _need(ns, "size"),
-                                              depth=ns.conj_depth, bound=ns.bound))
+    size, depth = _need(ns, "size"), _depth_of(ns)
+    return _partition_obj(alt_orbit_partition(ring, ideal, size, bound=ns.bound),
+                          depth)
 
 
 def _h_report_vaserstein(ns):

@@ -338,11 +338,25 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
     return links, True
 
 
-def _index_map(objects: Sequence) -> dict:
+def _setup(ring: Ring, objects: Sequence, action: str, gens: Sequence[Generator],
+           states: Optional[tuple]) -> tuple:
+    """Objects, tables, moves, index and states of a partition; n is read
+    from the first object.  Given `states` are trusted: this module
+    passes them where it built the objects from them."""
+    objects = tuple(objects)
+    if not objects:
+        raise MalformedSpec("nothing to partition")
+    n = len(objects[0])
+    if action == ACTION_CONGRUENCE:
+        n = math.isqrt(n)
+    tables = ring.compile()
+    moves = _compile_moves(tables, action, n, gens)
     index = {s: k for k, s in enumerate(objects)}
     if len(index) != len(objects):
         raise MalformedSpec("duplicate objects in orbit enumeration")
-    return index
+    if states is None:
+        states = tuple(_encode(tables, action, n, s) for s in objects)
+    return objects, tables, moves, index, states
 
 
 def orbit_bfs(ring: Ring, objects: Sequence, action: str,
@@ -357,21 +371,11 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
     flagged unsaturated and later objects it failed to reach start their
     own (possibly spurious) orbit.  Congruence objects must be
     alternating.  `states`, when given, are the objects' states in the
-    same order, and are trusted: this module passes them where it built
-    the objects from them.  The action's size n is read from the first
-    object, so an empty generator set acts as the trivial group.
+    same order.  The action's size comes from the objects, so an empty
+    generator set acts as the trivial group.
     """
-    objects = tuple(objects)
-    if not objects:
-        raise MalformedSpec("nothing to partition")
-    n = len(objects[0])
-    if action == ACTION_CONGRUENCE:
-        n = math.isqrt(n)
-    tables = ring.compile()
-    moves = _compile_moves(tables, action, n, generators)
-    index = _index_map(objects)
-    if states is None:
-        states = tuple(_encode(tables, action, n, s) for s in objects)
+    objects, tables, moves, index, states = _setup(ring, objects, action,
+                                                   generators, states)
     at = {st: k for k, st in enumerate(states)}
 
     ids = [-1] * len(objects)
@@ -469,7 +473,7 @@ class _EchelonSpan:
 
 
 def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
-                           n: int, closed: bool = True,
+                           closed: bool = True,
                            states: Optional[tuple] = None) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
 
@@ -479,12 +483,9 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
     listed objects in that coset; closed mode asserts it was listed whole.
     The span holds states, so a congruence vector is an upper triangle.
     """
-    tables = ring.compile()
-    moves = _compile_moves(tables, action, n, gens)
+    objects, tables, moves, index, states = _setup(ring, objects, action, gens,
+                                                   states)
     add, neg = tables.add, tables.neg
-    index = _index_map(objects)
-    if states is None:
-        states = tuple(_encode(tables, action, n, s) for s in objects)
     ids = [-1] * len(objects)
     reps = []
     for k, s in enumerate(objects):
@@ -529,8 +530,7 @@ def _partition(ring: Ring, objects: tuple, action: str, n: int,
     if len(ideal.basis()) < len(ideal.members()) - 1:
         moves = elementary_generators(ring, n, ideal, basis=True)
     if not ideal.contains(ring.one) and ideal.products_vanish():
-        part = _translation_partition(ring, objects, moves, action, n, closed,
-                                      states)
+        part = _translation_partition(ring, objects, moves, action, closed, states)
     else:
         part = orbit_bfs(ring, objects, action, moves, bound=bound, closed=closed,
                          states=states)
@@ -595,14 +595,11 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
 
 
 def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
-                       depth: int = 1,
                        bound: Optional[int] = None) -> OrbitPartition:
-    if depth < 0:  # generator sets are exact: depth is only recorded
-        raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     rows = enumerate_um(ring, n, ideal)
     states = tuple(r.entries for r in rows)
     part = _partition(ring, states, ACTION_ROW, n, ideal, bound)
-    part.meta.update({"kind": "um", "n": n, "depth": depth,
+    part.meta.update({"kind": "um", "n": n,
                       "relative": ideal is not None and not ideal.contains(ring.one)})
     return part
 
@@ -697,18 +694,15 @@ def _universe_states(ring: Ring, ideal: Ideal, size: int) -> list:
 
 
 def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
-                        depth: int = 1,
                         bound: Optional[int] = None) -> OrbitPartition:
     """Level-zero symbol classes: congruence orbits on the witt universe."""
-    if depth < 0:  # generator sets are exact: depth is only recorded
-        raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     states = tuple(_universe_states(ring, ideal, size))
     tables = ring.compile()
     objects = tuple(_decode(tables, ACTION_CONGRUENCE, size, st) for st in states)
     part = _partition(ring, objects, ACTION_CONGRUENCE, size, ideal, bound,
                       states=states)
-    part.meta.update({"kind": "alt", "size": size, "depth": depth})
+    part.meta.update({"kind": "alt", "size": size})
     return part
 
 
@@ -722,7 +716,6 @@ class WittClassFamily:
     ideal: Ideal
     size: int
     levels: int
-    depth: int
     base: OrbitPartition
     merge_log: tuple
     final_ids: tuple
@@ -737,14 +730,14 @@ class WittClassFamily:
         return self.final_ids[self.base.index[state]]
 
     def to_obj(self) -> dict:
-        return {"size": self.size, "levels": self.levels, "depth": self.depth,
+        return {"size": self.size, "levels": self.levels,
                 "level0_count": self.base.norbits, "count": self.class_count,
                 "reps": [_fmt_rows(self.ring, r, self.size) for r in self.final_reps],
                 "merges": list(self.merge_log), "saturated": self.saturated}
 
 
 def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
-                         levels: int = 1, depth: int = 1,
+                         levels: int = 1,
                          bound: Optional[int] = None) -> WittClassFamily:
     """Symbol classes of the given size with stabilization up to `levels`.
 
@@ -756,7 +749,7 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     ideal = ideal if ideal is not None else unit_ideal(ring)
     if levels < 0:
         raise MalformedSpec(f"stabilization must be >= 0, got {levels}")
-    base = alt_orbit_partition(ring, ideal, size, depth, bound)
+    base = alt_orbit_partition(ring, ideal, size, bound)
     # each level-0 orbit's class, named by the class's smallest orbit
     label = list(range(base.norbits))
     merge_log = []
@@ -789,7 +782,7 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     relabel = {r: k for k, r in enumerate(order)}
     final_ids = tuple(relabel[label[c]] for c in base.ids)
     final_reps = tuple(base.reps[r] for r in order)
-    return WittClassFamily(ring, ideal, size, levels, depth, base,
+    return WittClassFamily(ring, ideal, size, levels, base,
                            tuple(merge_log), final_ids, final_reps, saturated)
 
 
@@ -931,7 +924,7 @@ class BijectivityReport:
                     "reps": [[self.ring.fmt(x) for x in rep]
                              for rep in self.rows.reps],
                     "saturated": self.rows.saturated},
-            "witt": self.classes.to_obj(),
+            "witt": dict(self.classes.to_obj(), depth=self.depth),
             "map": list(self.assignments),
             "image": sorted(set(self.assignments)),
             "fibers": {str(k): v for k, v in sorted(fibers.items())},
@@ -954,11 +947,13 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     because the stabilization level is a bound too (`depth` is only
     recorded).
     """
+    if depth < 0:
+        raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     # the symbol universe's size check (|R|^6, or |I|^6 relative) refuses
     # a large ring before the row enumeration's (|R|^3) would
-    classes = witt_classes_bounded(ring, ideal, 4, levels, depth, bound)
-    rows = um_orbit_partition(ring, 3, ideal, depth, bound)
+    classes = witt_classes_bounded(ring, ideal, 4, levels, bound)
+    rows = um_orbit_partition(ring, 3, ideal, bound)
 
     notes = []
     per_class: dict = {}

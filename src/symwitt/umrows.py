@@ -203,8 +203,7 @@ def theta_independence_cert(a: UmRow, c: UmRow, b: UmRow) -> GroupWord:
     word = GroupWord(ring, 4, (Elem(1, 2, d1), Elem(1, 3, d2), Elem(1, 4, d3)))
     eps = word_eval(word)
     lhs = theta_matrix(ring, c.entries, b.entries)
-    rhs = eps.transpose().mul(theta_matrix(ring, a.entries, b.entries)).mul(eps)
-    if lhs != rhs:
+    if lhs != theta_matrix(ring, a.entries, b.entries).congruent_by(eps):
         raise VerificationFailed("independence identity failed; arithmetic bug")
     return word
 

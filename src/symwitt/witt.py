@@ -116,10 +116,13 @@ def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
 # certificate verification
 # ---------------------------------------------------------------------------
 
-def equation_holds(a: RingMatrix, b: RingMatrix, ideal: Ideal,
-                   cert: EquivalenceCertificate) -> bool:
-    """a (+) chi_{n+t} == eps^T (b (+) chi_{m+t}) eps, eps relative."""
-    ring = a.ring
+def verify_equivalence(alpha: WittSymbol, beta: WittSymbol,
+                       cert: EquivalenceCertificate) -> bool:
+    """a (+) chi_{n+t} == eps^T (b (+) chi_{m+t}) eps, eps relative, for
+    the representatives a of size 2m and b of size 2n."""
+    if alpha.ideal != beta.ideal:
+        raise RingMismatch("symbols relative to different ideals")
+    a, b, ring = alpha.rep, beta.rep, alpha.ring
     if b.ring != ring or cert.epsilon.ring != ring:
         raise RingMismatch("certificate pieces live over different rings")
     if a.rows % 2 or b.rows % 2:
@@ -127,19 +130,11 @@ def equation_holds(a: RingMatrix, b: RingMatrix, ideal: Ideal,
     m, n = a.rows // 2, b.rows // 2
     if cert.epsilon.size != 2 * (m + n + cert.t):
         return False
-    if not relative_level(cert.epsilon, ideal):
+    if not relative_level(cert.epsilon, alpha.ideal):
         return False
     eps = word_eval(cert.epsilon)
-    lhs = orth_sum(a, chi_n(ring, n + cert.t))
-    rhs = eps.transpose().mul(orth_sum(b, chi_n(ring, m + cert.t))).mul(eps)
-    return lhs == rhs
-
-
-def verify_equivalence(alpha: WittSymbol, beta: WittSymbol,
-                       cert: EquivalenceCertificate) -> bool:
-    if alpha.ideal != beta.ideal:
-        raise RingMismatch("symbols relative to different ideals")
-    return equation_holds(alpha.rep, beta.rep, alpha.ideal, cert)
+    return (orth_sum(a, chi_n(ring, n + cert.t))
+            == orth_sum(b, chi_n(ring, m + cert.t)).congruent_by(eps))
 
 
 def identity_certificate(alpha: WittSymbol, beta: WittSymbol,

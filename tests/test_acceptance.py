@@ -276,7 +276,7 @@ def _crit_exact_sequence(seed):
     sizes = {}
     for ring in (zmod(2), zmod(3)):
         triv_ideal = unit_ideal(ring)
-        fam = witt_classes_bounded(ring, triv_ideal, 4, levels=1, depth=1)
+        fam = witt_classes_bounded(ring, triv_ideal, 4, levels=1)
         assert fam.saturated, "bounded-orbit oracle must saturate"
         trivial = fam.class_of(chi_n(ring, 2).entries)
         universe = witt_universe(ring, triv_ideal, 4)

@@ -565,6 +565,23 @@ def test_defaults_do_not_carry_over(capsys):
     assert (code, out, err) == run_capped(*argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbit", "um", "--ring", "zmod:4", "--ideal", "2", "--n", "2"),
+    ("orbit", "alt", "--ring", "zmod:4", "--ideal", "2", "--size", "4"),
+    ("report", "vaserstein", "--ring", "zmod:4", "--ideal", "2"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_conj_depth_is_checked_and_echoed(capsys, argv):
+    code, out, err = run(capsys, *argv, "--conj-depth", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "MalformedSpec",
+                               "message": "conjugation depth must be >= 0, got -1"}
+    objs = [run_json(capsys, *argv, "--conj-depth", str(d)) for d in (0, 3)]
+    assert [o.pop("depth") for o in objs] == [0, 3]
+    if argv[0] == "report":
+        assert [o["witt"].pop("depth") for o in objs] == [0, 3]
+    assert objs[0] == objs[1]
+
+
 @pytest.mark.parametrize("argv", [[part for part in row[:2] if part]
                                   for row in cli._COMMANDS], ids="-".join)
 def test_every_command_has_help(argv, capsys):

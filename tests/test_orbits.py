@@ -175,13 +175,13 @@ def test_relative_orbits_refine_absolute():
 
 
 def test_depth_is_recorded_only():
-    parts = [um_orbit_partition(M4, 2, I24, depth=d) for d in (0, 1, 2)]
-    assert {(p.ids, p.reps) for p in parts} == {((0, 0, 0, 0), ((1, 0),))}
-    assert [p.meta["depth"] for p in parts] == [0, 1, 2]
-    with pytest.raises(MalformedSpec):
-        um_orbit_partition(M4, 2, I24, depth=-1)
-    with pytest.raises(MalformedSpec):
-        alt_orbit_partition(M4, I24, 4, depth=-1)
+    # the generator sets are exact: a report only records its depth
+    objs = [vaserstein_report(M4, I24, depth=d).to_obj() for d in (0, 1, 2)]
+    assert [(o.pop("depth"), o["witt"].pop("depth")) for o in objs] == \
+        [(0, 0), (1, 1), (2, 2)]
+    assert objs[0] == objs[1] == objs[2]
+    with pytest.raises(MalformedSpec, match="conjugation depth must be >= 0, got -1"):
+        vaserstein_report(M4, I24, depth=-1)
 
 
 def test_rep_idempotence():
