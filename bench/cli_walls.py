@@ -10,13 +10,17 @@ and import.  Given two checkouts, their runs of each command alternate
 (parent, change, then change, parent, ...), so drift of the host between
 runs falls on both sides alike instead of reading as a change.  The
 peak RSS of each run is the child's ru_maxrss, read with os.wait4.  The
-medians per command go into the output file (BENCH_20.json at the root
+medians per command go into the output file (BENCH_21.json at the root
 of this repository by default) under each timed checkout's commit,
 together with the machine: nproc, Python and platform.  Entries already
 in the file for other commits are kept, so one file holds a parent and
 a change side by side.  The sha256 of each command's stdout and the
 error name of a failed run are recorded too, to show both sides printed
-the same bytes.
+the same bytes.  Given two checkouts, the second one's entry also
+records, per command, the wall ratio (second over first) of each pair
+of runs made back to back, with their median and range: drift of the
+host moves both runs of a pair, so the ratios resolve smaller changes
+than the two medians do.
 
 The polynomial group monicizes X1^100+X2^100 over Z/2, whose
 substitution runs on the dict loops, and a dense input over Z/3 with a
@@ -40,8 +44,9 @@ whose 211^3 rows must be refused before any search; the members of
 a double ring of 3000 * 3000 pairs, which must be refused before any
 pair is drawn; the 10^5 members of an ideal of Z/200000, which must
 be listed in time and memory linear in the ring; a report over
-Z/6 (3) stabilized to level 2, whose open search over 8 x 8 states has
-no --bound and must be refused at the memory cap; and the lift of a row
+Z/6 (3) stabilized to level 2, whose two level-0 classes differ mod I,
+so no level needs a search (it used to search 149,797 states of 8 x 8
+matrices and be refused at the memory cap); and the lift of a row
 of Z/65536 (2) to R (+) I, which asks the ideal and its pair ideal
 whether each entry lies in them.  The child sets its own
 address-space limit of AS_LIMIT_MB before it imports symwitt, so a
@@ -181,7 +186,8 @@ def _error_name(stderr):
 
 def time_case(srcs, argv):
     """One summary per checkout of RUNS runs of one command.  The
-    checkouts take turns run by run, in reverse order every other run."""
+    checkouts take turns run by run, in reverse order every other run,
+    so run i of each checkout forms the i-th pair."""
     runs = [[] for _ in srcs]
     order = list(range(len(srcs)))
     for _ in range(RUNS):
@@ -189,7 +195,13 @@ def time_case(srcs, argv):
             env = dict(os.environ, PYTHONPATH=str(srcs[k] / "src"), PYTHONHASHSEED="0")
             runs[k].append(run_once(srcs[k], argv, env))
         order.reverse()
-    return [_summary(argv, r) for r in runs]
+    out = [_summary(argv, r) for r in runs]
+    if len(srcs) == 2:
+        ratios = [change[0] / parent[0] for parent, change in zip(*runs)]
+        out[1]["pair_ratios"] = {"runs": [round(r, 3) for r in ratios],
+                                 "median": round(statistics.median(ratios), 3),
+                                 "range": [round(min(ratios), 3), round(max(ratios), 3)]}
+    return out
 
 
 def _summary(argv, runs):
@@ -218,7 +230,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_20.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_21.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     entries = [{
@@ -243,8 +255,10 @@ def main():
                         + list(LARGE_CASES)):
         for entry, res in zip(entries, time_case(srcs, argv)):
             entry["walls"][label] = res
+            ratio = res.get("pair_ratios")
             print(f"{label:24s} {str(entry['commit'])[:7]:7s} {res['median_s']:9.3f} s "
-                  f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}",
+                  f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}"
+                  + (f"  ratio {ratio['median']:.3f}" if ratio else ""),
                   file=sys.stderr, flush=True)
     doc = {"script": "bench/cli_walls.py", "entries": []}
     if args.out.exists():

@@ -743,13 +743,17 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
 
     Level zero is a full partition of the universe; each higher level t
     only pads one representative per class with chi_t and merges classes
-    whose padded representatives meet.  A single surviving class stops
-    the climb early, since merging cannot split.
+    whose padded representatives meet.  Every element of E_n(R, I) is
+    1 mod I, and padding keeps residues mod I apart, so a level searches
+    only the classes whose representative agrees mod I with another's;
+    a level with none merges nothing, exactly.  A single surviving class
+    stops the climb early, since merging cannot split.
     """
     ideal = ideal if ideal is not None else unit_ideal(ring)
     if levels < 0:
         raise MalformedSpec(f"stabilization must be >= 0, got {levels}")
     base = alt_orbit_partition(ring, ideal, size, bound)
+    mats = [RingMatrix(ring, size, size, rep) for rep in base.reps]
     # each level-0 orbit's class, named by the class's smallest orbit
     label = list(range(base.norbits))
     merge_log = []
@@ -760,22 +764,23 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
         if len(roots) <= 1:
             merge_log.append({"t": t, "skipped": "single class"})
             continue
-        padded = size + 2 * t
-        pad = chi_n(ring, t)
-        seeds = tuple(orth_sum(RingMatrix(ring, size, size, base.reps[c]),
-                               pad).entries for c in roots)
-        part = _partition(ring, seeds, ACTION_CONGRUENCE, padded, ideal, bound,
-                          closed=False)
-        merged = []
-        for oid in range(part.norbits):
-            group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
-            if len(group) > 1:
-                merged.append(group)
-                # distinct roots, smallest first: it names the merged class
-                label = [group[0] if c in group else c for c in label]
-        saturated = saturated and part.saturated
-        merge_log.append({"t": t, "merged": merged,
-                          "saturated": part.saturated})
+        roots = [c for c in roots if any(
+            d != c and congruent_mod_ideal(mats[c], mats[d], ideal) for d in roots)]
+        merged, level_saturated = [], True
+        if roots:
+            pad = chi_n(ring, t)
+            seeds = tuple(orth_sum(mats[c], pad).entries for c in roots)
+            part = _partition(ring, seeds, ACTION_CONGRUENCE, size + 2 * t, ideal,
+                              bound, closed=False)
+            for oid in range(part.norbits):
+                group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
+                if len(group) > 1:
+                    merged.append(group)
+                    # distinct roots, smallest first: it names the merged class
+                    label = [group[0] if c in group else c for c in label]
+            level_saturated = part.saturated
+        saturated = saturated and level_saturated
+        merge_log.append({"t": t, "merged": merged, "saturated": level_saturated})
 
     # a root is its class's smallest member: classes keep level-zero order
     order = sorted(set(label))

@@ -108,7 +108,8 @@ def _neumann(ring: "Ring", start, ratio):
 
 
 # ---------------------------------------------------------------------------
-# additive spans (ideal members, quotient cosets, translation orbits)
+# additive spans (ideal members and bases, hence quotient cosets;
+# translation orbits use orbits._EchelonSpan instead)
 # ---------------------------------------------------------------------------
 
 def additive_span(zero, add, deltas, width: int = 1) -> set:

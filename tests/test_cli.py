@@ -492,15 +492,19 @@ def test_large_ring_enumeration_fails_fast(argv):
     assert json.loads(err)["error"] == "BoundExceeded"
 
 
-def test_unbounded_search_fails_fast():
-    # level 2 pads the Z/6 (3) classes to 8 x 8: an open search of 28-entry
-    # states with no --bound, which must stop at the memory cap
-    code, out, err = run_capped("report", "vaserstein", "--ring", "zmod:6",
-                                "--ideal", "3", "--stab", "2", timeout=60)
-    assert code == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "BoundExceeded"
-    assert "x 28 entries" in payload["message"]
+@pytest.mark.parametrize("argv", [
+    ("--ring", "zmod:6", "--ideal", "3", "--stab", "2"),
+    ("--ring", "zmod:12", "--ideal", "4"),
+], ids=["z6-3-stab2", "z12-4"])
+def test_report_levels_apart_mod_ideal_answer(argv):
+    # the two level-0 classes differ mod I, which every element of E_n(R, I)
+    # fixes, so no level searches; both used to be refused at the search cap
+    code, out, err = run_capped("report", "vaserstein", *argv, timeout=30)
+    assert code == 0, err
+    witt = json.loads(out)["witt"]
+    assert witt["level0_count"] == witt["count"] == 2 and witt["saturated"]
+    assert witt["merges"] == [{"t": t, "merged": [], "saturated": True}
+                              for t in range(1, witt["levels"] + 1)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from symwitt import (
     Elem,
     Generator,
     Ideal,
+    InfiniteRing,
     MalformedSpec,
     NotCompleted,
     NotRelative,
@@ -27,6 +28,7 @@ from symwitt import (
     alt_orbit_partition,
     chi_n,
     complete,
+    congruent_mod_ideal,
     elementary_generators,
     enumerate_um,
     find_equivalence_certificate,
@@ -63,6 +65,7 @@ from symwitt.orbits import (
     _encode,
     _partition,
     _search_moves,
+    _universe_states,
     _upper,
     _vec_add,
 )
@@ -552,6 +555,39 @@ def test_stabilization_merges_a_split_orbit(monkeypatch):
     assert fam.class_count == 2 and fam.saturated
 
 
+def test_unbounded_search_fails_fast():
+    # the two Z/6 (3) level-0 classes differ mod I, so no path joins them:
+    # an open search of 28-entry states with no bound must stop at the cap
+    ring = zmod(6)
+    ideal = ideal_of(ring, 3)
+    fam = witt_classes_bounded(ring, ideal, 4, levels=0)
+    x, y = (make_witt_symbol(ideal, RingMatrix(ring, 4, 4, rep)) for rep in fam.final_reps)
+    with pytest.raises(BoundExceeded, match="x 28 entries is past the memory cap"):
+        find_equivalence_certificate(x, y, levels=0)
+
+
+@pytest.mark.parametrize("n, gen, levels", [(6, 3, 2), (12, 4, 1), (8, 4, 2), (9, 3, 1)])
+def test_levels_search_only_classes_that_agree_mod_ideal(monkeypatch, n, gen, levels):
+    # E_n(R, I) is 1 mod I, so classes whose representatives differ mod I
+    # are never partitioned together: here no level partitions at all
+    import symwitt.orbits as orbits
+    ring = zmod(n)
+    ideal = ideal_of(ring, gen)
+    sizes, partition = [], orbits._partition
+
+    def spy(ring, objects, action, size, *args, **kwargs):
+        sizes.append(size)
+        return partition(ring, objects, action, size, *args, **kwargs)
+
+    monkeypatch.setattr(orbits, "_partition", spy)
+    fam = witt_classes_bounded(ring, ideal, 4, levels=levels)
+    assert sizes == [4]
+    reps = [RingMatrix(ring, 4, 4, rep) for rep in fam.base.reps]
+    assert len(reps) == 2 and not congruent_mod_ideal(*reps, ideal)
+    assert fam.merge_log == tuple({"t": t, "merged": [], "saturated": True}
+                                  for t in range(1, levels + 1))
+
+
 def test_find_certificate_trivial_and_nontrivial():
     u = unit_ideal(F2)
     x = make_witt_symbol(u, chi_n(F2, 1))
@@ -899,6 +935,53 @@ def test_universe_refuses_an_ideal_of_another_ring():
             call(M4, ideal, 4)
     with pytest.raises(RingMismatch, match="ideal over a different ring"):
         vaserstein_report(M4, ideal)
+
+
+def _other_ideal_symbols():
+    x = make_witt_symbol(I24, chi_n(M4, 1))
+    return x, make_witt_symbol(unit_ideal(M4), chi_n(M4, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: elementary_generators(Z, 2), InfiniteRing, "cannot enumerate generators"),
+    (lambda: elementary_generators(M4, 2, ideal_of(zmod(8), 4)), RingMismatch,
+     "ideal over a different ring"),
+    (lambda: _compile_moves(M4.compile(), "slide", 2, elementary_generators(M4, 2)),
+     MalformedSpec, "unknown action 'slide'"),
+    (lambda: um_orbit_partition(F2, 2).id_of((0, 0)), VerificationFailed,
+     "state is not one of the partitioned objects"),
+    (lambda: orbit_bfs(F2, (), ACTION_ROW, ()), MalformedSpec, "nothing to partition"),
+    (lambda: _partition(M4, (), ACTION_ROW, 3, I24, None), MalformedSpec,
+     "nothing to partition"),
+    (lambda: orbit_bfs(F2, ((1, 0), (1, 0)), ACTION_ROW, ()), MalformedSpec,
+     "duplicate objects"),
+    (lambda: _partition(M4, ((1, 0, 0), (1, 0, 0)), ACTION_ROW, 3, I24, None),
+     MalformedSpec, "duplicate objects"),
+    (lambda: enumerate_um(Z, 3), InfiniteRing, "cannot enumerate rows"),
+    (lambda: enumerate_um(F2, 0), MalformedSpec, "row length must be >= 1, got 0"),
+    (lambda: _universe_states(Z, unit_ideal(Z), 4), InfiniteRing,
+     "cannot enumerate matrices"),
+    (lambda: _universe_states(M4, ideal_of(zmod(8), 4), 4), RingMismatch,
+     "ideal over a different ring"),
+    (lambda: witt_classes_bounded(F2, None, 4, levels=-1), MalformedSpec,
+     "stabilization must be >= 0, got -1"),
+    (lambda: find_equivalence_certificate(*_other_ideal_symbols()), RingMismatch,
+     "symbols relative to different ideals"),
+    (lambda: vdk_product_aligned(um_row(F3, (1, 0, 0)), um_row(M4, (1, 0, 0))),
+     RingMismatch, "rows over different rings"),
+    (lambda: vdk_product_aligned(um_row(M4, (1, 0, 0), I24), um_row(M4, (1, 0, 0))),
+     RingMismatch, "rows relative to different ideals"),
+    (lambda: vdk_product_aligned(um_row(F3, (1, 0, 0)), um_row(F3, (1, 0))),
+     SizeMismatch, "row lengths differ: 3 vs 2"),
+], ids=["generators-Z", "generators-other-ideal", "unknown-action", "unlisted-state",
+        "empty-bfs", "empty-translation", "duplicate-bfs", "duplicate-translation",
+        "rows-Z", "rows-n0", "universe-Z", "universe-other-ideal", "negative-levels",
+        "certificate-other-ideals", "vdk-other-rings", "vdk-other-ideals",
+        "vdk-other-lengths"])
+def test_orbit_engine_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and message in str(exc.value)
 
 
 def test_congruence_refuses_non_alternating_objects():
