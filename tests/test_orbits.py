@@ -937,11 +937,6 @@ def test_universe_refuses_an_ideal_of_another_ring():
         vaserstein_report(M4, ideal)
 
 
-def _other_ideal_symbols():
-    x = make_witt_symbol(I24, chi_n(M4, 1))
-    return x, make_witt_symbol(unit_ideal(M4), chi_n(M4, 1))
-
-
 @pytest.mark.parametrize("call, error, message", [
     (lambda: elementary_generators(Z, 2), InfiniteRing, "cannot enumerate generators"),
     (lambda: elementary_generators(M4, 2, ideal_of(zmod(8), 4)), RingMismatch,
@@ -965,8 +960,9 @@ def _other_ideal_symbols():
      "ideal over a different ring"),
     (lambda: witt_classes_bounded(F2, None, 4, levels=-1), MalformedSpec,
      "stabilization must be >= 0, got -1"),
-    (lambda: find_equivalence_certificate(*_other_ideal_symbols()), RingMismatch,
-     "symbols relative to different ideals"),
+    (lambda: find_equivalence_certificate(make_witt_symbol(I24, chi_n(M4, 1)),
+                                          make_witt_symbol(unit_ideal(M4), chi_n(M4, 1))),
+     RingMismatch, "symbols relative to different ideals"),
     (lambda: vdk_product_aligned(um_row(F3, (1, 0, 0)), um_row(M4, (1, 0, 0))),
      RingMismatch, "rows over different rings"),
     (lambda: vdk_product_aligned(um_row(M4, (1, 0, 0), I24), um_row(M4, (1, 0, 0))),
