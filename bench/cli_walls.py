@@ -19,8 +19,8 @@ error name of a failed run are recorded too, to show both sides printed
 the same bytes.  Given two checkouts, the second one's entry also
 records, per command, the wall ratio (second over first) of each pair
 of runs made back to back, with their median and range: drift of the
-host moves both runs of a pair, so the ratios resolve smaller changes
-than the two medians do.
+host between pairs falls on both runs of a pair, so it leaves the
+ratios unskewed, while their range shows the noise that remains.
 
 The polynomial group monicizes X1^100+X2^100 over Z/2, whose
 substitution runs on the dict loops, and a dense input over Z/3 with a
