@@ -10,7 +10,7 @@ and import.  Given two checkouts, their runs of each command alternate
 (parent, change, then change, parent, ...), so drift of the host between
 runs falls on both sides alike instead of reading as a change.  The
 peak RSS of each run is the child's ru_maxrss, read with os.wait4.  The
-medians per command go into the output file (BENCH_21.json at the root
+medians per command go into the output file (BENCH_22.json at the root
 of this repository by default) under each timed checkout's commit,
 together with the machine: nproc, Python and platform.  Entries already
 in the file for other commits are kept, so one file holds a parent and
@@ -21,6 +21,9 @@ records, per command, the wall ratio (second over first) of each pair
 of runs made back to back, with their median and range: drift of the
 host between pairs falls on both runs of a pair, so it leaves the
 ratios unskewed, while their range shows the noise that remains.
+
+The report group ends with the absolute report over Z/12, whose BFS
+partitions 209,664 universe states.
 
 The polynomial group monicizes X1^100+X2^100 over Z/2, whose
 substitution runs on the dict loops, and a dense input over Z/3 with a
@@ -82,6 +85,7 @@ CASES = (
     ("Z/4", "zmod:4", None),
     ("Z/8", "zmod:8", None),
     ("Z/9", "zmod:9", None),
+    ("Z/12", "zmod:12", None),
     ("Z/4 (2)", "zmod:4", 2),
     ("Z/8 (4)", "zmod:8", 4),
 )
@@ -230,7 +234,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_21.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_22.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     entries = [{

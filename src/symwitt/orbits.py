@@ -116,6 +116,12 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
     conjugation by generators of a finite group is closed under the
     whole group, so the smaller set generates the same group: it has the
     same orbits, and fewer moves to try.
+
+    Absolute with basis at n >= 3, the set is smaller still: the n-cycle
+    e_12(1), e_23(1), ..., e_n1(1), then e_12(b) for b != 1 in R's basis.
+    By [e_ij(a), e_jk(b)] = e_ik(ab) (i, j, k distinct), commutators
+    along the cycle give every e_ij(1), commutators of e_12(b) with
+    those give every e_ij(b), and additivity gives every e_ij(c).
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
@@ -124,10 +130,15 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
         raise RingMismatch("ideal over a different ring")
     unit = [tuple(ring.one if t == k else ring.zero for t in range(n))
             for k in range(n)]
+    absolute = ideal.contains(ring.one)
+    if basis and absolute and n >= 3:
+        steps = [(i, i % n + 1, ring.one) for i in range(1, n + 1)]
+        steps += [(1, 2, b) for b in ideal.basis() if b != ring.one]
+    else:
+        steps = _transvections(ring, n, ideal.basis() if basis else ideal.members())
     out = [Generator(Elem(i, j, a), a, unit[i - 1], unit[j - 1])
-           for i, j, a in _transvections(
-               ring, n, ideal.basis() if basis else ideal.members())]
-    if ideal.contains(ring.one):
+           for i, j, a in steps]
+    if absolute:
         return tuple(out)
     tables = ring.compile()
     seen = {_product_key(tables, g) for g in out}
@@ -517,8 +528,10 @@ def _partition(ring: Ring, objects: tuple, action: str, n: int,
                ) -> OrbitPartition:
     """Orbits of E_n(R, I); every partition picks its generating set here.
 
-    The search moves over the basis set when the ideal's basis is
-    smaller than its nonzero members; the payload counts the exact set.
+    An absolute search moves over the basis set, which at n >= 3 is the
+    n-cycle of e_i,i+1(1) and the e_12(b) (`elementary_generators`).  A
+    relative one moves over the z_ij basis set when the ideal's basis is
+    smaller than its nonzero members.  The payload counts the exact set.
     Both sets generate one group, so ids and reps are the same, but a
     bound can cut the two searches off at different states.  The bound
     is checked here too, since the translation path never reads it.
@@ -526,10 +539,11 @@ def _partition(ring: Ring, objects: tuple, action: str, n: int,
     if bound is not None and bound < 1:
         raise MalformedSpec(f"bound must be >= 1, got {bound}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
+    absolute = ideal.contains(ring.one)
     gens = moves = elementary_generators(ring, n, ideal)
-    if len(ideal.basis()) < len(ideal.members()) - 1:
+    if absolute or len(ideal.basis()) < len(ideal.members()) - 1:
         moves = elementary_generators(ring, n, ideal, basis=True)
-    if not ideal.contains(ring.one) and ideal.products_vanish():
+    if not absolute and ideal.products_vanish():
         part = _translation_partition(ring, objects, moves, action, closed, states)
     else:
         part = orbit_bfs(ring, objects, action, moves, bound=bound, closed=closed,
@@ -563,8 +577,9 @@ def _search_moves(ring: Ring, action: str, n: int,
                   ideal: Optional[Ideal]) -> tuple:
     """Tables and compiled moves of a path search at size n: row searches
     move over the basis set once their rows are known to fit under
-    MEMORY_CAP, certificate searches over the exact set, measured to
-    reach more, faster on Z/9 (README)."""
+    MEMORY_CAP (absolute at n >= 3: the n-cycle of e_i,i+1(1) and the
+    e_12(b), see `elementary_generators`), certificate searches over the
+    exact set, measured to reach more, faster on Z/9 (README)."""
     rows = action == ACTION_ROW
     if rows:
         _row_pool(ring, n, ideal)

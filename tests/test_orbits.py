@@ -1125,12 +1125,72 @@ def test_basis_partition_matches_exact_generators(spec, gen, action, n):
             assert (fast.ids, fast.reps) == (slow.ids, slow.reps)
 
 
+F2xF2 = '{"kind":"product","factors":["f2","f2"]}'
+F2xF3 = '{"kind":"product","factors":["f2","f3"]}'
+CYCLE_RINGS = ["f2", "f3", "f4", "zmod:4", "zmod:6", F2xF2, F2xF3]
+CYCLE_CASES = ([(spec, ACTION_ROW, n) for spec in CYCLE_RINGS for n in (3, 4)]
+               + [(spec, ACTION_CONGRUENCE, 4) for spec in CYCLE_RINGS]
+               + [("f8", ACTION_ROW, 3)])
+
+
+def _cycle_faults(ring, n):
+    """The absolute basis set at n >= 3 and two planted faults: the open
+    chain (no e_n1(1)) and the bare cycle (no e_12(b), b != 1)."""
+    moves = elementary_generators(ring, n, basis=True)
+    chain = [g for g in moves if g.token != Elem(n, 1, ring.one)]
+    cycle = [g for g in moves if g.a == ring.one]
+    return moves, chain, cycle
+
+
+@pytest.mark.parametrize("spec, action, n", CYCLE_CASES)
+def test_cycle_moves_match_exact_generators(spec, action, n):
+    ring = parse_ring(spec)
+    moves, chain, cycle = _cycle_faults(ring, n)
+    basis = unit_ideal(ring).basis()
+    assert len(moves) == n + len([b for b in basis if b != ring.one])
+    if action == ACTION_ROW:
+        part = um_orbit_partition(ring, n)
+    else:
+        part = alt_orbit_partition(ring, None, n)
+    exact = orbit_bfs(ring, part.objects, action, elementary_generators(ring, n))
+    assert (part.ids, part.reps) == (exact.ids, exact.reps)
+    assert part.saturated
+    # without the closing move the chain is unitriangular, so it splits
+    split = orbit_bfs(ring, part.objects, action, chain)
+    assert split.norbits > exact.norbits
+    # the bare cycle moves by the multiples of 1 only: it splits f4 and
+    # f2 x f2, and is all it takes where 1 spans R, as over Z/6 = f2 x f3
+    bare = orbit_bfs(ring, part.objects, action, cycle)
+    if len(additive_span(ring.zero, ring.add, [ring.one])) < len(ring.elements()):
+        assert bare.norbits > exact.norbits
+    else:
+        assert (bare.ids, bare.reps) == (exact.ids, exact.reps)
+
+
+def test_cycle_moves_match_exact_generators_on_padded_seeds():
+    # open mode at size 6, as a stabilization level searches: the seeds
+    # are the size-4 universe over f2 padded with chi_1
+    pad = chi_n(F2, 1)
+    seeds = tuple(orth_sum(RingMatrix(F2, 4, 4, m), pad).entries
+                  for m in alt_orbit_partition(F2, None, 4).objects)
+    part = _partition(F2, seeds, ACTION_CONGRUENCE, 6, None, None, closed=False)
+    exact = orbit_bfs(F2, seeds, ACTION_CONGRUENCE, elementary_generators(F2, 6),
+                      closed=False)
+    assert (part.ids, part.reps) == (exact.ids, exact.reps)
+    assert part.norbits == 1 and part.saturated
+    _, chain, _ = _cycle_faults(F2, 6)
+    assert orbit_bfs(F2, seeds, ACTION_CONGRUENCE, chain, closed=False).norbits > 1
+
+
 def test_basis_moves_are_fewer_where_the_basis_is():
-    # the absolute report's moves: e_ij(1) only over Z/n
+    # the absolute report's moves: the 4-cycle e_12(1), ..., e_41(1) over
+    # Z/n, plus e_12(x) over f4 and both e_12(b) over f2 x f2, whose
+    # basis (0|1), (1|0) lacks 1
     m9 = zmod(9)
     assert len(elementary_generators(m9, 4)) == 96
-    assert len(elementary_generators(m9, 4, basis=True)) == 12
-    assert len(elementary_generators(f4(), 4, basis=True)) == 24
+    assert len(elementary_generators(m9, 4, basis=True)) == 4
+    assert len(elementary_generators(f4(), 4, basis=True)) == 5
+    assert len(elementary_generators(parse_ring(F2xF2), 4, basis=True)) == 6
     assert len(elementary_generators(zmod(16), 3, ideal_of(zmod(16), 4),
                                      basis=True)) < \
         len(elementary_generators(zmod(16), 3, ideal_of(zmod(16), 4)))
@@ -1147,14 +1207,21 @@ def _exact_only(monkeypatch):
                         lambda ring, n, ideal=None, basis=False: build(ring, n, ideal))
 
 
-@pytest.mark.parametrize("spec, gen", [("f3", None), ("f4", None), ("zmod:4", 2)])
-def test_row_searches_match_exact_generators(monkeypatch, spec, gen):
+# (ring, ideal generator, sampled row pairs or None for every pair)
+@pytest.mark.parametrize("spec, gen, sample", [
+    ("f3", None, None), ("f4", None, 200), ("zmod:4", 2, 40),
+])
+def test_row_searches_match_exact_generators(monkeypatch, spec, gen, sample):
+    # absolute rows move over the 3-cycle (and e_12(x) over f4)
     ring, ideal = _ring_ideal(spec, gen)
     rows = enumerate_um(ring, 3, ideal)
-    rng = random.Random(12)
-    pairs = [(rng.choice(rows), rng.choice(rows)) for _ in range(40)]
-    tails = sorted({r.entries[1:] for r in rows})[:6]
-    firsts = sorted({r.entries[0] for r in rows})[:3]
+    pairs = list(itertools.product(rows, repeat=2))
+    if sample is not None:
+        pairs = random.Random(12).sample(pairs, sample)
+    tails = sorted({r.entries[1:] for r in rows})
+    firsts = sorted({r.entries[0] for r in rows})
+    if sample is not None:
+        tails, firsts = tails[:6], firsts[:3]
     cases = [(a, b, t) for a in firsts for b in firsts for t in tails]
 
     def answers():
