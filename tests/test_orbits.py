@@ -1158,8 +1158,8 @@ def test_cycle_moves_match_exact_generators(spec, action, n):
     # without the closing move the chain is unitriangular, so it splits
     split = orbit_bfs(ring, part.objects, action, chain)
     assert split.norbits > exact.norbits
-    # the bare cycle moves by the multiples of 1 only: it splits f4 and
-    # f2 x f2, and is all it takes where 1 spans R, as over Z/6 = f2 x f3
+    # the bare cycle moves by the multiples of 1 only: it splits f4, f8
+    # and f2 x f2, and is all it takes where 1 spans R, as over f2 x f3
     bare = orbit_bfs(ring, part.objects, action, cycle)
     if len(additive_span(ring.zero, ring.add, [ring.one])) < len(ring.elements()):
         assert bare.norbits > exact.norbits
