@@ -8,7 +8,7 @@ reported unsaturated, never complete.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
@@ -20,6 +20,7 @@ from .errors import (
     BoundExceeded,
     InfiniteRing,
     MalformedSpec,
+    NoRelativeCompletionFound,
     NotCompleted,
     RingMismatch,
     SizeMismatch,
@@ -208,6 +209,18 @@ def _entries(n: int):
                         for i in range(n) for j in range(n)))
 
 
+def _size(action: str, objects: Optional[tuple] = None,
+          states: Optional[tuple] = None) -> int:
+    """The action's size n, read from the first object (n entries, or
+    n x n) or else from the first state (n entries, or the n(n-1)/2 of
+    an upper triangle)."""
+    if objects is not None:
+        width = len(objects[0])
+        return width if action == ACTION_ROW else math.isqrt(width)
+    width = len(states[0])
+    return width if action == ACTION_ROW else (1 + math.isqrt(1 + 8 * width)) // 2
+
+
 def _decode(tables, action: str, n: int, state: tuple) -> tuple:
     """State -> payload tuple."""
     if action == ACTION_CONGRUENCE:
@@ -271,16 +284,46 @@ def _step(state: tuple, terms: tuple, add: tuple) -> tuple:
 # partitions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OrbitPartition:
-    ring: Ring
-    objects: tuple
-    index: dict
-    ids: tuple
-    reps: tuple
-    orbit_saturated: tuple
-    bound: Optional[int]
-    meta: dict = field(default_factory=dict)
+    """Orbit ids and representatives of listed objects.
+
+    The objects are held as payload tuples (`objects`, with `index`
+    mapping each to its position), as table states (`states`, with `at`
+    mapping each to its position), or both; a view that was not given
+    is derived on first access.  A partition built from states, such as
+    the symbol universe's, decodes only its representatives until its
+    `objects` are read.
+    """
+
+    def __init__(self, ring: Ring, objects: Optional[tuple], index: Optional[dict],
+                 ids: tuple, reps: tuple, orbit_saturated: tuple, bound: Optional[int],
+                 meta: Optional[dict] = None, states: Optional[tuple] = None,
+                 at: Optional[dict] = None):
+        self.ring, self.ids, self.reps = ring, ids, reps
+        self.orbit_saturated, self.bound = orbit_saturated, bound
+        self.meta = {} if meta is None else meta
+        given = {"objects": objects, "index": index, "states": states, "at": at}
+        vars(self).update((k, v) for k, v in given.items() if v is not None)
+
+    @functools.cached_property
+    def objects(self) -> tuple:
+        tables, action = self.ring.compile(), self.meta["action"]
+        n = _size(action, states=self.states)
+        return tuple(_decode(tables, action, n, st) for st in self.states)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {s: k for k, s in enumerate(self.objects)}
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        tables, action = self.ring.compile(), self.meta["action"]
+        n = _size(action, objects=self.objects)
+        return tuple(_encode(tables, action, n, s) for s in self.objects)
+
+    @functools.cached_property
+    def at(self) -> dict:
+        return {st: k for k, st in enumerate(self.states)}
 
     @property
     def norbits(self) -> int:
@@ -309,7 +352,7 @@ class OrbitPartition:
                    "size": size, "saturated": sat}
                   for rep, size, sat in zip(self.reps, self.orbit_sizes(),
                                             self.orbit_saturated)]
-        obj = {"count": self.norbits, "objects": len(self.objects),
+        obj = {"count": self.norbits, "objects": len(self.ids),
                "orbits": orbits, "saturated": self.saturated}
         if self.bound is not None:
             obj["bound"] = self.bound
@@ -349,28 +392,39 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
     return links, True
 
 
-def _setup(ring: Ring, objects: Sequence, action: str, gens: Sequence[Generator],
-           states: Optional[tuple]) -> tuple:
-    """Objects, tables, moves, index and states of a partition; n is read
-    from the first object.  Given `states` are trusted: this module
-    passes them where it built the objects from them."""
-    objects = tuple(objects)
-    if not objects:
+def _setup(ring: Ring, objects: Optional[Sequence], action: str,
+           gens: Sequence[Generator], states: Optional[tuple]) -> tuple:
+    """Objects, tables, moves, states, state -> position map and a
+    representative getter of a partition.
+
+    Objects are payload tuples, or None where `states` are given; the
+    size is read from the first of them.  Given states are trusted:
+    this module passes them where it built them on the tables.  The map
+    is the partition's one index of its objects, so duplicates are
+    refused there.  The getter returns the payload at a position,
+    decoding it from its state when no objects were given.
+    """
+    if objects is not None:
+        objects = tuple(objects)
+    if not (states if objects is None else objects):
         raise MalformedSpec("nothing to partition")
-    n = len(objects[0])
-    if action == ACTION_CONGRUENCE:
-        n = math.isqrt(n)
+    n = _size(action, objects, states)
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, gens)
-    index = {s: k for k, s in enumerate(objects)}
-    if len(index) != len(objects):
-        raise MalformedSpec("duplicate objects in orbit enumeration")
     if states is None:
         states = tuple(_encode(tables, action, n, s) for s in objects)
-    return objects, tables, moves, index, states
+    at = {st: k for k, st in enumerate(states)}
+    if len(at) != len(states):
+        raise MalformedSpec("duplicate objects in orbit enumeration")
+    if objects is None:
+        def rep(k):
+            return _decode(tables, action, n, states[k])
+    else:
+        rep = objects.__getitem__
+    return objects, tables, moves, states, at, rep
 
 
-def orbit_bfs(ring: Ring, objects: Sequence, action: str,
+def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
               generators: Sequence[Generator], bound: Optional[int] = None,
               closed: bool = True, states: Optional[tuple] = None
               ) -> OrbitPartition:
@@ -382,14 +436,13 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
     flagged unsaturated and later objects it failed to reach start their
     own (possibly spurious) orbit.  Congruence objects must be
     alternating.  `states`, when given, are the objects' states in the
-    same order.  The action's size comes from the objects, so an empty
+    same order, and `objects` may then be None: only the representatives
+    are decoded.  The action's size comes from the objects, so an empty
     generator set acts as the trivial group.
     """
-    objects, tables, moves, index, states = _setup(ring, objects, action,
-                                                   generators, states)
-    at = {st: k for k, st in enumerate(states)}
-
-    ids = [-1] * len(objects)
+    objects, tables, moves, states, at, rep = _setup(ring, objects, action,
+                                                     generators, states)
+    ids = [-1] * len(states)
     reps, sat_flags = [], []
     for k, start in enumerate(states):
         if ids[k] >= 0:
@@ -411,11 +464,12 @@ def orbit_bfs(ring: Ring, objects: Sequence, action: str,
         # every earlier object already has an id, so k is the smallest
         for j in members:
             ids[j] = len(reps)
-        reps.append(objects[k])
+        reps.append(rep(k))
         sat_flags.append(saturated and not overlap)
-    return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
+    return OrbitPartition(ring, objects, None, tuple(ids), tuple(reps),
                           tuple(sat_flags), bound,
-                          {"action": action, "generators": len(generators)})
+                          {"action": action, "generators": len(generators)},
+                          states, at)
 
 
 def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
@@ -483,7 +537,7 @@ class _EchelonSpan:
         return v == self.cleared
 
 
-def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
+def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: str,
                            closed: bool = True,
                            states: Optional[tuple] = None) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
@@ -494,35 +548,35 @@ def _translation_partition(ring: Ring, objects: tuple, gens, action: str,
     listed objects in that coset; closed mode asserts it was listed whole.
     The span holds states, so a congruence vector is an upper triangle.
     """
-    objects, tables, moves, index, states = _setup(ring, objects, action, gens,
-                                                   states)
+    objects, tables, moves, states, at, rep = _setup(ring, objects, action, gens,
+                                                     states)
     add, neg = tables.add, tables.neg
-    ids = [-1] * len(objects)
+    ids = [-1] * len(states)
     reps = []
-    for k, s in enumerate(objects):
+    for k, seed in enumerate(states):
         if ids[k] >= 0:
             continue
-        minus = tuple(map(neg.__getitem__, states[k]))
+        minus = tuple(map(neg.__getitem__, seed))
         span = _EchelonSpan(tables, len(minus), {
-            _vec_add(add, _step(states[k], terms, add), minus) for _, terms in moves})
-        members = [j for j in range(k, len(objects))
+            _vec_add(add, _step(seed, terms, add), minus) for _, terms in moves})
+        members = [j for j in range(k, len(states))
                    if ids[j] < 0 and _vec_add(add, states[j], minus) in span]
         if closed and len(members) < len(span):
             raise VerificationFailed("translation left the object set")
         for j in members:
             ids[j] = len(reps)
-        reps.append(s)
-    return OrbitPartition(ring, objects, index, tuple(ids), tuple(reps),
+        reps.append(rep(k))
+    return OrbitPartition(ring, objects, None, tuple(ids), tuple(reps),
                           (True,) * len(reps), None,
                           {"action": action, "generators": len(gens),
-                           "fast_path": "translation"})
+                           "fast_path": "translation"}, states, at)
 
 
 # perfbench/tracing.py hooks both names, so the open-mode one stays bound
 _translation_partition_open = _translation_partition
 
 
-def _partition(ring: Ring, objects: tuple, action: str, n: int,
+def _partition(ring: Ring, objects: Optional[tuple], action: str, n: int,
                ideal: Optional[Ideal], bound: Optional[int],
                closed: bool = True, states: Optional[tuple] = None
                ) -> OrbitPartition:
@@ -588,25 +642,61 @@ def _search_moves(ring: Ring, action: str, n: int,
         ring, n, ideal, basis=rows))
 
 
+def _unimodular_states(tables, pool: Sequence, n: int, relative: bool) -> list:
+    """Row states over the pool's element indices, in enumeration order,
+    whose entries generate the unit ideal; relative, the first entry is
+    one plus the pool entry.
+
+    A row is unimodular iff 1 lies in a_1 R + ... + a_n R, a sum of
+    principal ideals.  Each a R is the set of entries of a's mul table
+    row, and each partial sum is an ideal of R; the sums are built once
+    per (partial sum, entry) and named by number, so a row costs n
+    lookups.  This is exact over every finite ring, local or not.
+    """
+    add, mul, one = tables.add, tables.mul, tables.one
+    sums = [frozenset((tables.zero,))]
+    number = {sums[0]: 0}
+    step = {}
+    out = []
+    for combo in itertools.product(pool, repeat=n):
+        if relative:
+            combo = (add[one][combo[0]],) + combo[1:]
+        k = 0
+        for a in combo:
+            nxt = step.get((k, a))
+            if nxt is None:
+                principal = set(mul[a])
+                ideal = frozenset(add[x][y] for x in sums[k] for y in principal)
+                nxt = step[k, a] = number.setdefault(ideal, len(sums))
+                if nxt == len(sums):
+                    sums.append(ideal)
+            k = nxt
+        if one in sums[k]:
+            out.append(combo)
+    return out
+
+
 def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
     """All unimodular rows of length n, in enumeration order.
 
     With an ideal: only rows in the coset e1 + I^n.  Unimodularity is
-    decided by the exhaustive completion search, not by any closed form.
+    decided exactly on the ring's tables (`_unimodular_states`); the
+    exhaustive completion search `umrows._finite_complete` is its oracle
+    in the tests.
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate rows over {ring.describe()}")
     if n < 1:
         raise MalformedSpec(f"row length must be >= 1, got {n}")
+    if ideal is not None and ideal.ring != ring:
+        raise RingMismatch("ideal over a different ring")
     relative = ideal is not None and not ideal.contains(ring.one)
     pool = _row_pool(ring, n, ideal)
-    rows = []
-    for combo in itertools.product(pool, repeat=n):
-        if relative:
-            combo = (ring.add(ring.one, combo[0]),) + combo[1:]
-        if _finite_complete(ring, combo) is not None:
-            rows.append(um_row(ring, combo, ideal))
-    return tuple(rows)
+    tables = ring.compile()
+    els, ix = tables.elements, tables.index
+    states = _unimodular_states(tables, [ix[x] for x in pool], n, relative)
+    # the rows are congruent to e1 by construction, so they skip um_row
+    return tuple(UmRow(ring, tuple(map(els.__getitem__, st)), ideal) for st in states)
 
 
 def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
@@ -713,9 +803,7 @@ def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
     """Level-zero symbol classes: congruence orbits on the witt universe."""
     ideal = ideal if ideal is not None else unit_ideal(ring)
     states = tuple(_universe_states(ring, ideal, size))
-    tables = ring.compile()
-    objects = tuple(_decode(tables, ACTION_CONGRUENCE, size, st) for st in states)
-    part = _partition(ring, objects, ACTION_CONGRUENCE, size, ideal, bound,
+    part = _partition(ring, None, ACTION_CONGRUENCE, size, ideal, bound,
                       states=states)
     part.meta.update({"kind": "alt", "size": size})
     return part
@@ -940,7 +1028,7 @@ class BijectivityReport:
             "levels": self.levels,
             "depth": self.depth,
             "mse": {"count": self.rows.norbits,
-                    "objects": len(self.rows.objects),
+                    "objects": len(self.rows.ids),
                     "reps": [[self.ring.fmt(x) for x in rep]
                              for rep in self.rows.reps],
                     "saturated": self.rows.saturated},
@@ -955,6 +1043,60 @@ class BijectivityReport:
         }
 
 
+def _table_complete(tables, v: tuple, pool: Sequence, target: int) -> Optional[tuple]:
+    """`umrows._finite_complete` on element indices: the same DP over
+    partial sums, in the same order, so the same first witness b over
+    pool with v . b = target, or None."""
+    add, mul = tables.add, tables.mul
+    sums = {tables.zero: ()}
+    for a in v:
+        row, nxt = mul[a], {}
+        for s, prefix in sums.items():
+            shifted = add[s]
+            for b in pool:
+                s2 = shifted[row[b]]
+                if s2 not in nxt:
+                    nxt[s2] = prefix + (b,)
+        sums = nxt
+    return sums.get(target)
+
+
+def _symbol_states(tables, ideal: Ideal, rows: Sequence) -> list:
+    """The upper triangle of the symbol matrix theta(a, v) of each row
+    state v of length 3, built on the tables as `vaserstein_symbol`
+    builds it.
+
+    a is v's relative completion as `complete_relative` finds it:
+    absolute, the inverse of v's first unit entry, else the first
+    witness of a . v = 1 over R; relative, e1 plus the first witness of
+    shift . v = 1 - v_1 over I.  The symbol is then the upper triangle
+    (-v_1, -v_2, -v_3, -a_3, a_2, -a_1) of `theta_matrix`.
+    """
+    add, mul, neg, inv, zero, one = (tables.add, tables.mul, tables.neg, tables.inv,
+                                     tables.zero, tables.one)
+    absolute = ideal.contains(ideal.ring.one)
+    pool = range(len(tables.elements)) if absolute else [
+        tables.index[x] for x in ideal.members()]
+    out = []
+    for v in rows:
+        if absolute:
+            k = next((k for k, x in enumerate(v) if inv[x] is not None), None)
+            if k is None:
+                a = _table_complete(tables, v, pool, one)
+            else:
+                a = tuple(inv[x] if j == k else zero for j, x in enumerate(v))
+        else:
+            shift = _table_complete(tables, v, pool, add[one][neg[v[0]]])
+            a = None if shift is None else (add[one][shift[0]],) + shift[1:]
+        if a is None:
+            raise NoRelativeCompletionFound("row has no relative completion")
+        (a1, a2, a3), (v1, v2, v3) = a, v
+        if add[add[mul[a1][v1]][mul[a2][v2]]][mul[a3][v3]] != one:
+            raise NotCompleted("theta needs a . b = 1")
+        out.append((neg[v1], neg[v2], neg[v3], neg[a3], a2, neg[a1]))
+    return out
+
+
 def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
                       levels: int = 1, depth: int = 1,
                       bound: Optional[int] = None) -> BijectivityReport:
@@ -962,10 +1104,15 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
 
     Every unimodular row (not just class representatives) is pushed
     through the symbol map, so constancy on orbits is itself observed
-    rather than assumed.  A claim is confirmed or inconclusive: a failed
-    claim under fully saturated search is still only `inconclusive`
-    because the stabilization level is a bound too (`depth` is only
-    recorded).
+    rather than assumed.  Rows and symbols stay table states: each
+    row's symbol is built on the tables (`_symbol_states`) and looked up
+    in the universe's state map.  The universe holds exactly the
+    Pfaffian-one matrices with a standard witness mod I, so a symbol
+    outside it fails what `make_witt_symbol` checks.  The payload map
+    `vaserstein_symbol` cross-checks one row per row class.  A claim is
+    confirmed or inconclusive: a failed claim under fully saturated
+    search is still only `inconclusive` because the stabilization level
+    is a bound too (`depth` is only recorded).
     """
     if depth < 0:
         raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
@@ -975,14 +1122,20 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     classes = witt_classes_bounded(ring, ideal, 4, levels, bound)
     rows = um_orbit_partition(ring, 3, ideal, bound)
 
+    tables = ring.compile()
+    symbols = _symbol_states(tables, ideal, rows.states)
+    universe = classes.base.at
     notes = []
     per_class: dict = {}
-    for state, mse_id in zip(rows.objects, rows.ids):
-        sym = vaserstein_symbol(um_row(ring, state, ideal))
-        k = classes.base.index.get(sym.rep.entries)
+    for sym, mse_id in zip(symbols, rows.ids):
+        k = universe.get(sym)
         if k is None:
             raise VerificationFailed("symbol landed outside the universe")
         per_class.setdefault(mse_id, set()).add(classes.final_ids[k])
+    for c, rep in enumerate(rows.reps):
+        payload = vaserstein_symbol(um_row(ring, rep, ideal)).rep.entries
+        if payload != _decode(tables, ACTION_CONGRUENCE, 4, symbols[rows.ids.index(c)]):
+            raise VerificationFailed("table symbol differs from the payload symbol")
 
     constant = all(len(v) == 1 for v in per_class.values())
     if not constant:

@@ -65,12 +65,14 @@ from symwitt.orbits import (
     _encode,
     _partition,
     _search_moves,
+    _symbol_states,
     _universe_states,
     _upper,
     _vec_add,
 )
 from symwitt.matrices import _pf_expand
 from symwitt.rings import ModularRing, additive_span
+from symwitt.umrows import _finite_complete
 
 F2 = zmod(2)
 F3 = zmod(3)
@@ -1249,3 +1251,80 @@ def test_alt_partition_objects_are_the_universe(spec, gen, size):
     universe = witt_universe(ring, ideal if ideal is not None else unit_ideal(ring), size)
     assert part.objects == tuple(m.entries for m in universe)
     assert part.index == {m.entries: k for k, m in enumerate(universe)}
+
+
+# ---------------------------------------------------------------------------
+# the report on table states against the payload oracles
+# ---------------------------------------------------------------------------
+
+TABLE_CASES = [
+    ("f2", None), ("f3", None), ("f4", None), ("f5", None), ("zmod:4", None),
+    ("zmod:6", None), ("zmod:8", None), ("zmod:9", None), (F2xF3, None),
+    (F2_EPS, None), ("zmod:4", 2), ("zmod:8", 4), ("zmod:9", 3), ("zmod:6", 3),
+]
+
+
+@pytest.mark.parametrize("spec, gen", TABLE_CASES)
+def test_table_unimodularity_matches_completion_search(spec, gen):
+    # Z/6 and f2 x f3 are not local: (2, 3, 0) and ((1|0), (0|1), 0) are
+    # unimodular without a unit entry
+    ring, ideal = _ring_ideal(spec, gen)
+    relative = ideal is not None and not ideal.contains(ring.one)
+    pool = ideal.members() if relative else ring.elements()
+    for n in (1, 2, 3):
+        candidates = itertools.product(pool, repeat=n)
+        if relative:
+            candidates = ((ring.add(ring.one, c[0]),) + c[1:] for c in candidates)
+        want = tuple(um_row(ring, c, ideal) for c in candidates
+                     if _finite_complete(ring, c) is not None)
+        assert enumerate_um(ring, n, ideal) == want
+
+
+@pytest.mark.parametrize("spec, gen", TABLE_CASES)
+def test_table_symbols_match_payload_symbols(spec, gen):
+    ring, ideal = _ring_ideal(spec, gen)
+    ideal = ideal if ideal is not None else unit_ideal(ring)
+    tables = ring.compile()
+    rows = enumerate_um(ring, 3, ideal)
+    states = _symbol_states(tables, ideal, [_encode(tables, ACTION_ROW, 3, r.entries)
+                                            for r in rows])
+    for row, state in zip(rows, states):
+        assert (_decode(tables, ACTION_CONGRUENCE, 4, state)
+                == vaserstein_symbol(row).rep.entries)
+
+
+def test_enumerate_um_refuses_an_ideal_of_another_ring():
+    with pytest.raises(RingMismatch, match="ideal over a different ring"):
+        enumerate_um(M4, 3, ideal_of(zmod(8), 4))
+
+
+@pytest.mark.parametrize("spec, gen", [("f5", None), ("zmod:8", 4)])
+def test_report_decodes_only_representatives(monkeypatch, spec, gen):
+    import symwitt.orbits as orbits
+    ring, ideal = _ring_ideal(spec, gen)
+    decoded, decode = [], orbits._decode
+
+    def counting(tables, action, n, state):
+        decoded.append(action)
+        return decode(tables, action, n, state)
+
+    monkeypatch.setattr(orbits, "_decode", counting)
+    report = vaserstein_report(ring, ideal, depth=1)
+    universe = report.classes.base
+    # a representative per symbol orbit, and the table symbol of each row
+    # class representative for its payload cross-check
+    assert decoded == [ACTION_CONGRUENCE] * (universe.norbits + report.rows.norbits)
+    assert len(decoded) < len(universe.ids)
+    assert "objects" not in vars(universe) and "index" not in vars(universe)
+
+
+def test_partition_views_derive_from_each_other():
+    ring, ideal = zmod(8), ideal_of(zmod(8), 4)
+    for part in (alt_orbit_partition(ring, ideal, 4), um_orbit_partition(ring, 3)):
+        args = (part.ids, part.reps, part.orbit_saturated, part.bound, dict(part.meta))
+        from_objects = OrbitPartition(ring, part.objects, None, *args)
+        from_states = OrbitPartition(ring, None, None, *args, part.states)
+        assert from_objects.states == from_states.states == part.states
+        assert from_objects.at == from_states.at == part.at
+        assert from_states.objects == part.objects
+        assert from_states.index == from_objects.index == part.index
