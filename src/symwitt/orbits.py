@@ -289,10 +289,10 @@ class OrbitPartition:
 
     The objects are held as payload tuples (`objects`, with `index`
     mapping each to its position), as table states (`states`, with `at`
-    mapping each to its position), or both; a view that was not given
-    is derived on first access.  A partition built from states, such as
-    the symbol universe's, decodes only its representatives until its
-    `objects` are read.
+    mapping each to its position), or both.  A partition built from
+    states alone, such as the symbol universe's, decodes only its
+    representatives: `objects` and `index` are decoded on first access.
+    One built from payloads alone has no states (None).
     """
 
     def __init__(self, ring: Ring, objects: Optional[tuple], index: Optional[dict],
@@ -302,8 +302,11 @@ class OrbitPartition:
         self.ring, self.ids, self.reps = ring, ids, reps
         self.orbit_saturated, self.bound = orbit_saturated, bound
         self.meta = {} if meta is None else meta
-        given = {"objects": objects, "index": index, "states": states, "at": at}
-        vars(self).update((k, v) for k, v in given.items() if v is not None)
+        self.states, self.at = states, at
+        if objects is not None:
+            self.objects = objects
+        if index is not None:
+            self.index = index
 
     @functools.cached_property
     def objects(self) -> tuple:
@@ -314,16 +317,6 @@ class OrbitPartition:
     @functools.cached_property
     def index(self) -> dict:
         return {s: k for k, s in enumerate(self.objects)}
-
-    @functools.cached_property
-    def states(self) -> tuple:
-        tables, action = self.ring.compile(), self.meta["action"]
-        n = _size(action, objects=self.objects)
-        return tuple(_encode(tables, action, n, s) for s in self.objects)
-
-    @functools.cached_property
-    def at(self) -> dict:
-        return {st: k for k, st in enumerate(self.states)}
 
     @property
     def norbits(self) -> int:

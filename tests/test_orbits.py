@@ -1318,13 +1318,12 @@ def test_report_decodes_only_representatives(monkeypatch, spec, gen):
     assert "objects" not in vars(universe) and "index" not in vars(universe)
 
 
-def test_partition_views_derive_from_each_other():
+def test_partition_from_states_decodes_its_objects_on_first_access():
     ring, ideal = zmod(8), ideal_of(zmod(8), 4)
     for part in (alt_orbit_partition(ring, ideal, 4), um_orbit_partition(ring, 3)):
         args = (part.ids, part.reps, part.orbit_saturated, part.bound, dict(part.meta))
-        from_objects = OrbitPartition(ring, part.objects, None, *args)
-        from_states = OrbitPartition(ring, None, None, *args, part.states)
-        assert from_objects.states == from_states.states == part.states
-        assert from_objects.at == from_states.at == part.at
+        from_states = OrbitPartition(ring, None, None, *args, part.states, part.at)
+        assert "objects" not in vars(from_states)
         assert from_states.objects == part.objects
-        assert from_states.index == from_objects.index == part.index
+        assert from_states.index == part.index
+        assert OrbitPartition(ring, part.objects, None, *args).states is None
