@@ -76,7 +76,8 @@ def _product_key(tables, g: Generator) -> tuple:
     """Element indices of a*u*w^T, which fixes the matrix I + a*u*w^T."""
     mul, ix = tables.mul, tables.index
     w = [ix[x] for x in g.w]
-    return tuple(mul[mul[ix[g.a]][ix[x]]][y] for x in g.u for y in w)
+    a = mul[ix[g.a]]
+    return tuple(row[y] for row in [mul[a[ix[x]]] for x in g.u] for y in w)
 
 
 def _transvections(ring: Ring, n: int, pool) -> list:
@@ -353,14 +354,14 @@ class OrbitPartition:
         return obj
 
 
-def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
+def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int]):
     """Breadth-first search over states from start, trying moves in order.
 
     Returns (links, complete): links maps every reached state to the
     (parent, token) step that first reached it (None for start), and
-    complete is False if the bound cut the search off.  With a goal the
-    search stops once the goal is reached.  A search that would hold
-    more than MEMORY_CAP state entries raises, bound or no bound.
+    complete is False if the bound cut the search off.  A search that
+    would hold more than MEMORY_CAP state entries raises, bound or no
+    bound.
     """
     if bound is not None and bound < 1:
         raise MalformedSpec(f"bound must be >= 1, got {bound}")
@@ -368,7 +369,7 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
     width = len(start)
     links = {start: None}
     queue = deque([start])
-    while queue and goal not in links:
+    while queue:
         x = queue.popleft()
         for token, terms in moves:
             y = _step(x, terms, add)
@@ -383,6 +384,77 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int], goal=None):
             links[y] = (x, token)
             queue.append(y)
     return links, True
+
+
+def _trace(links: dict, state: tuple) -> list:
+    """Tokens of the linked steps from the search's root to state."""
+    tokens = []
+    while links[state] is not None:
+        state, token = links[state]
+        tokens.append(token)
+    tokens.reverse()
+    return tokens
+
+
+def _inverse(tables, token):
+    """The token of the inverse move: e_ij(a) inverts to e_ij(-a), and
+    c e c^-1 to c e^-1 c^-1."""
+    if isinstance(token, Conj):
+        return Conj(token.conjugator, _inverse(tables, token.core))
+    ix = tables.index[token.a]
+    return Elem(token.i, token.j, tables.elements[tables.neg[ix]])
+
+
+def _path(start: tuple, goal: tuple, moves: tuple, tables,
+          bound: Optional[int]) -> Optional[tuple]:
+    """Tokens of a shortest word over moves from start to goal, or None.
+
+    The search runs from both ends, with one link dict each.  It expands
+    one whole level of the smaller frontier at a time (the start side on
+    a tie), trying moves in order, and stops at the first new state that
+    the other end has reached.  The start half's tokens come in path
+    order; the goal half's come reversed and inverted (`_inverse`), so
+    the moves must be closed under inverses for the word to lie over
+    them.  Over a finite group each move's inverse is a power of it, so
+    whether a path exists does not depend on that.  None means the ends
+    lie in different orbits, or that `bound` states of both ends
+    together cut the search off.  A search that would hold more than
+    MEMORY_CAP state entries raises, bound or no bound.
+    """
+    if bound is not None and bound < 1:
+        raise MalformedSpec(f"bound must be >= 1, got {bound}")
+    if start == goal:
+        return ()
+    add = tables.add
+    width = len(start)
+    ends = ({start: None}, {goal: None})
+    frontiers = [[start], [goal]]
+    total = 2
+    while frontiers[0] and frontiers[1]:
+        side = int(len(frontiers[1]) < len(frontiers[0]))
+        links, other = ends[side], ends[1 - side]
+        level = []
+        for x in frontiers[side]:
+            for token, terms in moves:
+                y = _step(x, terms, add)
+                if y in links:
+                    continue
+                if y in other:
+                    near, far = _trace(links, x) + [token], _trace(other, y)
+                    head, tail = (near, far) if side == 0 else (far, near)
+                    return tuple(head) + tuple(_inverse(tables, tok)
+                                               for tok in reversed(tail))
+                if bound is not None and total >= bound:
+                    return None
+                total += 1
+                if total * width > MEMORY_CAP:
+                    raise BoundExceeded(
+                        f"search of {total} states x {width} entries "
+                        f"is past the memory cap of {MEMORY_CAP}")
+                links[y] = (x, token)
+                level.append(y)
+        frontiers[side] = level
+    return None
 
 
 def _setup(ring: Ring, objects: Optional[Sequence], action: str,
@@ -626,7 +698,8 @@ def _search_moves(ring: Ring, action: str, n: int,
     move over the basis set once their rows are known to fit under
     MEMORY_CAP (absolute at n >= 3: the n-cycle of e_i,i+1(1) and the
     e_12(b), see `elementary_generators`), certificate searches over the
-    exact set, measured to reach more, faster on Z/9 (README)."""
+    exact set, which is closed under inverses and measured to reach more
+    over f3 (README)."""
     rows = action == ACTION_ROW
     if rows:
         _row_pool(ring, n, ideal)
@@ -896,10 +969,15 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
                                  ) -> Optional[EquivalenceCertificate]:
     """Bounded search for a certificate that x and y are the same class.
 
-    BFS over congruence moves from y's padding towards x's padding, one
-    stabilization level at a time; the path replays as the word epsilon.
-    None means the search was exhausted (or capped), not that the
-    symbols differ.
+    A search from y's padding towards x's padding, one stabilization
+    level at a time, over the exact set (`_search_moves`).  It runs
+    from both ends (`_path`): the start half keeps its tokens, and the
+    goal half's are reversed and inverted, e_ij(a) to e_ij(-a) and a
+    conjugate's core likewise, so the word epsilon has only Elem and
+    Conj tokens with core entries in I, and is a shortest word over the
+    exact set.  `bound` counts the states of both ends together.  None
+    means the search was exhausted (or capped), not that the symbols
+    differ.
     """
     if x.ideal != y.ideal:
         raise RingMismatch("symbols relative to different ideals")
@@ -911,15 +989,10 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
         start, goal = (_encode(tables, ACTION_CONGRUENCE, n,
                                orth_sum(rep, chi_n(ring, h + t)).entries)
                        for rep, h in ((y.rep, hx), (x.rep, hy)))
-        links, _ = _bfs(start, moves, tables, bound, goal)
-        if goal not in links:
+        tokens = _path(start, goal, moves, tables, bound)
+        if tokens is None:
             continue
-        tokens, state = [], goal
-        while links[state] is not None:
-            state, tok = links[state]
-            tokens.append(tok)
-        tokens.reverse()
-        cert = EquivalenceCertificate(t, GroupWord(ring, n, tuple(tokens)))
+        cert = EquivalenceCertificate(t, GroupWord(ring, n, tokens))
         if not verify_equivalence(x, y, cert):
             raise VerificationFailed("path replay failed to verify")
         return cert
@@ -972,8 +1045,9 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     """Does the coordinatewise product rule hold for (a, tail), (b, tail)?
 
     True iff vdk_product((b, tail), (a, tail)) lands in the same orbit
-    as (ab, tail): a search from the product towards (ab, tail), cut
-    off at `bound` states.
+    as (ab, tail): a search from both ends (`_path`), cut off at
+    `bound` states of both together.  The ends share an orbit iff some
+    word joins them, so the search may run over the basis set.
     """
     a, b = ring.check(a), ring.check(b)
     tail = tuple(ring.check(x) for x in tail)
@@ -988,10 +1062,9 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     prod = vdk_product(left, right)
     n = len(tail) + 1
     tables, moves = _search_moves(ring, ACTION_ROW, n, ideal)
-    goal = _encode(tables, ACTION_ROW, n, target.entries)
-    links, _ = _bfs(_encode(tables, ACTION_ROW, n, prod.entries), moves, tables,
-                    bound, goal)
-    return goal in links
+    return _path(_encode(tables, ACTION_ROW, n, prod.entries),
+                 _encode(tables, ACTION_ROW, n, target.entries),
+                 moves, tables, bound) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from symwitt import (
     Conj,
     Elem,
     Generator,
+    GroupWord,
     Ideal,
     InfiniteRing,
     MalformedSpec,
@@ -38,6 +39,7 @@ from symwitt import (
     orth_sum,
     parse_ring,
     pfaffian,
+    relative_level,
     standard_form_witness,
     token_matrix,
     um_orbit_partition,
@@ -50,6 +52,7 @@ from symwitt import (
     verify_equivalence,
     witt_classes_bounded,
     witt_universe,
+    word_eval,
 )
 from symwitt.orbits import (
     ACTION_CONGRUENCE,
@@ -64,7 +67,9 @@ from symwitt.orbits import (
     _decode,
     _encode,
     _partition,
+    _path,
     _search_moves,
+    _step,
     _symbol_states,
     _universe_states,
     _upper,
@@ -788,22 +793,79 @@ def _ref_orbit_bfs(ring, objects, action, gens, bound=None, closed=True):
     return tuple(ids), tuple(reps), tuple(sat)
 
 
+def _padded_ends(x, y, t):
+    """Start (y padded) and goal (x padded) of the level-t search."""
+    ring = x.ring
+    return (orth_sum(y.rep, chi_n(ring, x.half + t)).entries,
+            orth_sum(x.rep, chi_n(ring, y.half + t)).entries)
+
+
 def _ref_certificate(x, y, levels=1):
-    """(t, tokens) of the first path the generic-ring search finds."""
+    """(t, tokens) of the first path the one-ended search finds.  It runs
+    on the compiled states, over the exact set's moves in order."""
     ring = x.ring
     for t in range(levels + 1):
         n = 2 * (x.half + y.half + t)
+        tables, moves = _search_moves(ring, ACTION_CONGRUENCE, n, x.ideal)
+        start, goal = (_encode(tables, ACTION_CONGRUENCE, n, s)
+                       for s in _padded_ends(x, y, t))
         gens = elementary_generators(ring, n, x.ideal)
-        start = orth_sum(y.rep, chi_n(ring, x.half + t)).entries
-        goal = orth_sum(x.rep, chi_n(ring, y.half + t)).entries
-        links, _ = _ref_bfs(start, _congruence_neighbors(ring, n, gens), gens,
-                            None, goal)
+        links, _ = _ref_bfs(start, lambda s: [_step(s, terms, tables.add)
+                                              for _, terms in moves],
+                            gens, None, goal)
         if goal in links:
             tokens, state = [], goal
             while links[state] is not None:
                 state, tok = links[state]
                 tokens.append(tok)
             return t, tuple(reversed(tokens))
+    return None
+
+
+def _ref_inverse(ring, n, tok):
+    """e_ij(a) -> e_ij(-a), core entries likewise, checked on matrices."""
+    if isinstance(tok, Conj):
+        inv = Conj(tok.conjugator, Elem(tok.core.i, tok.core.j, ring.neg(tok.core.a)))
+    else:
+        inv = Elem(tok.i, tok.j, ring.neg(tok.a))
+    assert token_matrix(ring, n, tok).mul(token_matrix(ring, n, inv)) == \
+        RingMatrix.identity(ring, n)
+    return inv
+
+
+def _ref_path(ring, n, start, goal, gens):
+    """Tokens of the two-ended generic-ring search's word, or None.
+
+    Whole levels of the smaller frontier (the start's on a tie), moves in
+    order, up to the first new state the other end holds; the goal half
+    joins reversed and inverted.
+    """
+    if start == goal:
+        return ()
+    neighbors = _congruence_neighbors(ring, n, gens)
+    links, frontiers = ({start: None}, {goal: None}), [[start], [goal]]
+
+    def trace(side, state):
+        tokens = []
+        while links[side][state] is not None:
+            state, tok = links[side][state]
+            tokens.insert(0, tok)
+        return tokens
+
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        level = []
+        for x in frontiers[side]:
+            for g, y in zip(gens, neighbors(x)):
+                if y in links[side]:
+                    continue
+                if y in links[1 - side]:
+                    ends = {side: trace(side, x) + [g.token], 1 - side: trace(1 - side, y)}
+                    return tuple(ends[0]) + tuple(_ref_inverse(ring, n, tok)
+                                                  for tok in reversed(ends[1]))
+                links[side][y] = (x, g.token)
+                level.append(y)
+        frontiers[side] = level
     return None
 
 
@@ -894,16 +956,72 @@ def test_compiled_partition_matches_reference(spec, gen, action, n, kind, full):
             orbit_bfs(ring, cut, action, gens)
 
 
-@pytest.mark.parametrize("spec, gen", [("f2", None), ("zmod:4", 2)])
-def test_certificates_match_reference_tokens(spec, gen):
+def _symbols_to_e1(spec, gen):
     ring = parse_ring(spec)
     ideal = unit_ideal(ring) if gen is None else ideal_of(ring, gen)
     e1 = vaserstein_symbol(um_row(ring, (ring.one, ring.zero, ring.zero), ideal))
-    for row in enumerate_um(ring, 3, ideal):
-        x = vaserstein_symbol(row)
-        cert = find_equivalence_certificate(x, e1)
-        assert cert is not None
-        assert (cert.t, cert.epsilon.tokens) == _ref_certificate(x, e1)
+    return ring, e1, [(row.entries, vaserstein_symbol(row))
+                      for row in enumerate_um(ring, 3, ideal)]
+
+
+# f3 and Z/9 (3) have e_ij(-a) != e_ij(a); in Z/4 (2), -2 = 2.  The
+# one-ended search of the six f3 rows at distance 4 is past the memory
+# cap, so their lengths are pinned instead: 4, from the search that
+# meets in the middle, with no word of length 3.
+@pytest.mark.parametrize("spec, gen, far", [
+    ("f2", None, ()), ("zmod:4", 2, ()), ("zmod:9", 3, ()),
+    ("f3", None, ((0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (2, 1, 2), (2, 2, 2))),
+], ids=["f2-None", "zmod:4-2", "zmod:9-3", "f3-None"])
+def test_certificates_match_reference_tokens(spec, gen, far):
+    ring, e1, rows = _symbols_to_e1(spec, gen)
+    gens = elementary_generators(ring, 8, e1.ideal)
+    for row, x in rows:
+        cert = find_equivalence_certificate(x, e1, levels=0)
+        assert cert is not None and cert.t == 0
+        assert cert.epsilon.tokens == _ref_path(ring, 8, *_padded_ends(x, e1, 0), gens)
+        assert verify_equivalence(x, e1, cert)
+        assert all(type(tok) in (Elem, Conj) for tok in cert.epsilon.tokens)
+        if row in far:
+            assert len(cert.epsilon.tokens) == 4
+        else:
+            assert len(cert.epsilon.tokens) == len(_ref_certificate(x, e1, 0)[1])
+
+
+def test_every_f3_row_reaches_e1_at_level_0():
+    # a one-ended search from the farthest rows stops at the memory cap
+    _, e1, rows = _symbols_to_e1("f3", None)
+    lengths = []
+    for _, x in rows:
+        cert = find_equivalence_certificate(x, e1, levels=0)
+        assert cert is not None and cert.t == 0 and verify_equivalence(x, e1, cert)
+        lengths.append(len(cert.epsilon.tokens))
+    assert len(lengths) == 26 and max(lengths) == 4
+
+
+@pytest.mark.parametrize("spec, gen", [("f3", None), ("zmod:9", 3)])
+def test_path_undoes_short_exact_words(spec, gen):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ring, e1, rows = _symbols_to_e1(spec, gen)
+    gens = elementary_generators(ring, 8, e1.ideal)
+    tables, moves = _search_moves(ring, ACTION_CONGRUENCE, 8, e1.ideal)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(range(len(rows))),
+                      st.lists(st.sampled_from(range(len(gens))), max_size=3))
+    def check(k, picks):
+        padded = orth_sum(rows[k][1].rep, chi_n(ring, 2))
+        word = GroupWord(ring, 8, tuple(gens[p].token for p in picks))
+        moved = padded.congruent_by(word_eval(word))
+        tokens = _path(*(_encode(tables, ACTION_CONGRUENCE, 8, m.entries)
+                         for m in (padded, moved)), moves, tables, None)
+        assert tokens is not None and len(tokens) <= len(picks)
+        found = GroupWord(ring, 8, tokens)
+        assert relative_level(found, e1.ideal)
+        assert padded.congruent_by(word_eval(found)) == moved
+
+    check()
 
 
 def test_partitions_refuse_mismatched_sizes():
