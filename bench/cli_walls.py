@@ -4,23 +4,26 @@
     python3 bench/cli_walls.py --src OTHER_CHECKOUT # time another checkout
     python3 bench/cli_walls.py --src PARENT --src CHANGE  # time both
 
-Every command runs RUNS times per checkout, each in a fresh interpreter
-with PYTHONPATH set to the checkout's src/, so a wall includes start-up
-and import.  Given two checkouts, their runs of each command alternate
-(parent, change, then change, parent, ...), so drift of the host between
-runs falls on both sides alike instead of reading as a change.  The
-peak RSS of each run is the child's ru_maxrss, read with os.wait4.  The
-medians per command go into the output file (BENCH_24.json at the root
-of this repository by default) under each timed checkout's commit,
-together with the machine: nproc, Python and platform.  Entries already
-in the file for other commits are kept, so one file holds a parent and
-a change side by side.  The sha256 of each command's stdout and the
-error name of a failed run are recorded too, to show both sides printed
-the same bytes.  Given two checkouts, the second one's entry also
-records, per command, the wall ratio (second over first) of each pair
-of runs made back to back, with their median and range: drift of the
-host between pairs falls on both runs of a pair, so it leaves the
-ratios unskewed, while their range shows the noise that remains.
+Every command runs RUNS times per checkout, each in a fresh
+interpreter with PYTHONPATH set to the checkout's src/, so a wall
+includes start-up and import.  Each checkout's src/ is byte-compiled
+before the first run, so a fresh clone does not compile its modules in
+every run where PYTHONDONTWRITEBYTECODE=1 is set.  Given two
+checkouts, their runs of each command alternate (parent, change, then
+change, parent, ...), so drift of the host between runs falls on both
+sides alike instead of reading as a change.  The peak RSS of each run
+is the child's ru_maxrss, read with os.wait4.  The medians per command
+go into the output file (BENCH_25.json at the root of this repository
+by default) under each timed checkout's commit, together with the
+machine: nproc, Python and platform.  Entries already in the file for
+other commits are kept, so one file holds a parent and a change side
+by side.  The sha256 of each command's stdout and the error name of a
+failed run are recorded too, to show both sides printed the same
+bytes.  Given two checkouts, the second one's entry also records, per
+command, the wall ratio (second over first) of each pair of runs made
+back to back, with their median and range: drift of the host between
+pairs falls on both runs of a pair, so it leaves the ratios unskewed,
+while their range shows the noise that remains.
 
 The report group ends with the absolute report over Z/12, whose BFS
 partitions 209,664 universe states.
@@ -59,6 +62,7 @@ Standard library only.
 """
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -234,9 +238,11 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_24.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_25.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
+    for src in srcs:
+        compileall.compile_dir(src / "src", quiet=1)
     entries = [{
         "commit": _git(src, "rev-parse", "HEAD"),
         "src_dirty": bool(_git(src, "status", "--porcelain", "src")),

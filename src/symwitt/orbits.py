@@ -33,6 +33,7 @@ from .matrices import (
     Elem,
     GroupWord,
     RingMatrix,
+    _invert_token,
     _pf_expand,
     chi_n,
     congruent_mod_ideal,
@@ -354,36 +355,41 @@ class OrbitPartition:
         return obj
 
 
-def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int]):
-    """Breadth-first search over states from start, trying moves in order.
+def _refuse_past_cap(states: int, width: int) -> None:
+    """Refuse a search that would hold `states` states of `width`
+    entries each, past MEMORY_CAP state entries, bound or no bound."""
+    if states * width > MEMORY_CAP:
+        raise BoundExceeded(
+            f"search of {states} states x {width} entries "
+            f"is past the memory cap of {MEMORY_CAP}")
 
-    Returns (links, complete): links maps every reached state to the
-    (parent, token) step that first reached it (None for start), and
-    complete is False if the bound cut the search off.  A search that
-    would hold more than MEMORY_CAP state entries raises, bound or no
-    bound.
+
+def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int]):
+    """Breadth-first closure of start under moves, tried in order.
+
+    Returns (reached, complete): the set of reached states, and False
+    if the bound cut the search off.  Which states a cut search reaches
+    depends on the order of discovery.  Past MEMORY_CAP state entries
+    the search raises (`_refuse_past_cap`).
     """
     if bound is not None and bound < 1:
         raise MalformedSpec(f"bound must be >= 1, got {bound}")
     add = tables.add
     width = len(start)
-    links = {start: None}
+    reached = {start}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for token, terms in moves:
+        for _, terms in moves:
             y = _step(x, terms, add)
-            if y in links:
+            if y in reached:
                 continue
-            if bound is not None and len(links) >= bound:
-                return links, False
-            if (len(links) + 1) * width > MEMORY_CAP:
-                raise BoundExceeded(
-                    f"search of {len(links) + 1} states x {width} entries "
-                    f"is past the memory cap of {MEMORY_CAP}")
-            links[y] = (x, token)
+            if bound is not None and len(reached) >= bound:
+                return reached, False
+            _refuse_past_cap(len(reached) + 1, width)
+            reached.add(y)
             queue.append(y)
-    return links, True
+    return reached, True
 
 
 def _trace(links: dict, state: tuple) -> list:
@@ -396,36 +402,28 @@ def _trace(links: dict, state: tuple) -> list:
     return tokens
 
 
-def _inverse(tables, token):
-    """The token of the inverse move: e_ij(a) inverts to e_ij(-a), and
-    c e c^-1 to c e^-1 c^-1."""
-    if isinstance(token, Conj):
-        return Conj(token.conjugator, _inverse(tables, token.core))
-    ix = tables.index[token.a]
-    return Elem(token.i, token.j, tables.elements[tables.neg[ix]])
-
-
-def _path(start: tuple, goal: tuple, moves: tuple, tables,
+def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring,
           bound: Optional[int]) -> Optional[tuple]:
     """Tokens of a shortest word over moves from start to goal, or None.
 
-    The search runs from both ends, with one link dict each.  It expands
-    one whole level of the smaller frontier at a time (the start side on
-    a tie), trying moves in order, and stops at the first new state that
-    the other end has reached.  The start half's tokens come in path
-    order; the goal half's come reversed and inverted (`_inverse`), so
-    the moves must be closed under inverses for the word to lie over
-    them.  Over a finite group each move's inverse is a power of it, so
-    whether a path exists does not depend on that.  None means the ends
-    lie in different orbits, or that `bound` states of both ends
-    together cut the search off.  A search that would hold more than
-    MEMORY_CAP state entries raises, bound or no bound.
+    States are on `ring.compile()`'s tables.  The search runs from both
+    ends, with one link dict each.  It expands one whole level of the
+    smaller frontier at a time (the start side on a tie), trying moves
+    in order, and stops at the first new state that the other end has
+    reached.  The start half's tokens come in path order; the goal
+    half's come reversed and inverted (`_invert_token`), so the moves
+    must be closed under inverses for the word to lie over them.  Over
+    a finite group each move's inverse is a power of it, so whether a
+    path exists does not depend on that.  None means the ends lie in
+    different orbits, or that `bound` states of both ends together cut
+    the search off.  Past MEMORY_CAP state entries the search raises
+    (`_refuse_past_cap`).
     """
     if bound is not None and bound < 1:
         raise MalformedSpec(f"bound must be >= 1, got {bound}")
     if start == goal:
         return ()
-    add = tables.add
+    add = ring.compile().add
     width = len(start)
     ends = ({start: None}, {goal: None})
     frontiers = [[start], [goal]]
@@ -442,15 +440,12 @@ def _path(start: tuple, goal: tuple, moves: tuple, tables,
                 if y in other:
                     near, far = _trace(links, x) + [token], _trace(other, y)
                     head, tail = (near, far) if side == 0 else (far, near)
-                    return tuple(head) + tuple(_inverse(tables, tok)
+                    return tuple(head) + tuple(_invert_token(ring, tok)
                                                for tok in reversed(tail))
                 if bound is not None and total >= bound:
                     return None
                 total += 1
-                if total * width > MEMORY_CAP:
-                    raise BoundExceeded(
-                        f"search of {total} states x {width} entries "
-                        f"is past the memory cap of {MEMORY_CAP}")
+                _refuse_past_cap(total, width)
                 links[y] = (x, token)
                 level.append(y)
         frontiers[side] = level
@@ -512,9 +507,9 @@ def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
     for k, start in enumerate(states):
         if ids[k] >= 0:
             continue
-        comp, saturated = _bfs(start, moves, tables, bound)
-        members, overlap = [], False
-        for x in comp:
+        reached, saturated = _bfs(start, moves, tables, bound)
+        label, overlap = len(reps), False
+        for x in reached:
             j = at.get(x)
             if j is None:
                 if closed:
@@ -525,10 +520,8 @@ def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
                 # them is an artifact of the cap, so neither side is exact
                 overlap = True
                 continue
-            members.append(j)
+            ids[j] = label
         # every earlier object already has an id, so k is the smallest
-        for j in members:
-            ids[j] = len(reps)
         reps.append(rep(k))
         sat_flags.append(saturated and not overlap)
     return OrbitPartition(ring, objects, None, tuple(ids), tuple(reps),
@@ -981,6 +974,8 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
     """
     if x.ideal != y.ideal:
         raise RingMismatch("symbols relative to different ideals")
+    if levels < 0:
+        raise MalformedSpec(f"stabilization must be >= 0, got {levels}")
     ring = x.ring
     hx, hy = x.half, y.half
     for t in range(levels + 1):
@@ -989,7 +984,7 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
         start, goal = (_encode(tables, ACTION_CONGRUENCE, n,
                                orth_sum(rep, chi_n(ring, h + t)).entries)
                        for rep, h in ((y.rep, hx), (x.rep, hy)))
-        tokens = _path(start, goal, moves, tables, bound)
+        tokens = _path(start, goal, moves, ring, bound)
         if tokens is None:
             continue
         cert = EquivalenceCertificate(t, GroupWord(ring, n, tokens))
@@ -1064,7 +1059,7 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     tables, moves = _search_moves(ring, ACTION_ROW, n, ideal)
     return _path(_encode(tables, ACTION_ROW, n, prod.entries),
                  _encode(tables, ACTION_ROW, n, target.entries),
-                 moves, tables, bound) is not None
+                 moves, ring, bound) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -648,14 +648,14 @@ def test_search_refuses_past_the_memory_cap(monkeypatch):
     import symwitt.orbits as orbits
     tables, moves = _search_moves(F3, ACTION_ROW, 3, None)
     start = _encode(tables, ACTION_ROW, 3, (1, 0, 0))
-    links, complete_ = _bfs(start, moves, tables, None)
-    assert complete_ and len(links) == 26  # every nonzero row of F3^3
+    reached, complete_ = _bfs(start, moves, tables, None)
+    assert complete_ and len(reached) == 26  # every nonzero row of F3^3
     monkeypatch.setattr(orbits, "MEMORY_CAP", 3 * 25)
     with pytest.raises(BoundExceeded, match="search of 26 states x 3 entries"):
         _bfs(start, moves, tables, None)
     # a bound under the cap still ends the search unsaturated
-    links, complete_ = _bfs(start, moves, tables, 10)
-    assert not complete_ and len(links) == 10
+    reached, complete_ = _bfs(start, moves, tables, 10)
+    assert not complete_ and len(reached) == 10
 
 
 def test_nice_mult_check():
@@ -863,16 +863,11 @@ def _ref_path(ring, n, start, goal, gens):
     return None
 
 
-def _compiled_links(ring, action, n, gens, start, bound):
+def _compiled_reached(ring, action, n, gens, start, bound):
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, gens)
-    links, complete = _bfs(_encode(tables, action, n, start), moves, tables, bound)
-
-    def dec(state):
-        return _decode(tables, action, n, state)
-
-    return [(dec(y), None if step is None else (dec(step[0]), step[1]))
-            for y, step in links.items()], complete
+    reached, complete = _bfs(_encode(tables, action, n, start), moves, tables, bound)
+    return {_decode(tables, action, n, state) for state in reached}, complete
 
 
 def _objects(ring, ideal, action, n):
@@ -918,11 +913,13 @@ def test_compiled_bfs_matches_reference(spec, gen, action, n, kind, full):
     gens = _gens(ring, ideal, n, kind)
     objects = _objects(ring, ideal, action, n)
     neighbors = _ref_neighbors(action, ring, n, gens)
+    # a cutting bound keeps the states found first, so it checks the
+    # order of discovery as well as the closure
     for start in (objects[0], objects[len(objects) // 2]):
         for bound in ((None, 40) if full else (40, 300)):
-            links, complete = _compiled_links(ring, action, n, gens, start, bound)
+            reached, complete = _compiled_reached(ring, action, n, gens, start, bound)
             ref, ref_complete = _ref_bfs(start, neighbors, gens, bound)
-            assert links == list(ref.items())
+            assert reached == ref.keys()
             assert complete == ref_complete
             assert complete == (bound is None or len(ref) < bound)
 
@@ -1031,7 +1028,7 @@ def test_path_undoes_short_exact_words(spec, gen):
         word = GroupWord(ring, 8, tuple(gens[p].token for p in picks))
         moved = padded.congruent_by(word_eval(word))
         tokens = _path(*(_encode(tables, ACTION_CONGRUENCE, 8, m.entries)
-                         for m in (padded, moved)), moves, tables, None)
+                         for m in (padded, moved)), moves, ring, None)
         assert tokens is not None and len(tokens) <= len(picks)
         found = GroupWord(ring, 8, tokens)
         assert relative_level(found, e1.ideal)
@@ -1099,6 +1096,14 @@ def test_universe_refuses_an_ideal_of_another_ring():
     (lambda: find_equivalence_certificate(make_witt_symbol(I24, chi_n(M4, 1)),
                                           make_witt_symbol(unit_ideal(M4), chi_n(M4, 1))),
      RingMismatch, "symbols relative to different ideals"),
+    # no level to search is a refusal, not the None of an exhausted search
+    (lambda: find_equivalence_certificate(make_witt_symbol(I24, chi_n(M4, 1)),
+                                          make_witt_symbol(I24, chi_n(M4, 1)), levels=-1),
+     MalformedSpec, "stabilization must be >= 0, got -1"),
+    (lambda: find_equivalence_certificate(
+        make_witt_symbol(I24, chi_n(M4, 1)),
+        make_witt_symbol(I24, RingMatrix.from_rows(M4, [[0, 3], [1, 0]])), levels=-1),
+     MalformedSpec, "stabilization must be >= 0, got -1"),
     (lambda: vdk_product_aligned(um_row(F3, (1, 0, 0)), um_row(M4, (1, 0, 0))),
      RingMismatch, "rows over different rings"),
     (lambda: vdk_product_aligned(um_row(M4, (1, 0, 0), I24), um_row(M4, (1, 0, 0))),
@@ -1108,7 +1113,8 @@ def test_universe_refuses_an_ideal_of_another_ring():
 ], ids=["generators-Z", "generators-other-ideal", "unknown-action", "unlisted-state",
         "empty-bfs", "empty-translation", "duplicate-bfs", "duplicate-translation",
         "rows-Z", "rows-n0", "universe-Z", "universe-other-ideal", "negative-levels",
-        "certificate-other-ideals", "vdk-other-rings", "vdk-other-ideals",
+        "certificate-other-ideals", "certificate-negative-levels-same",
+        "certificate-negative-levels", "vdk-other-rings", "vdk-other-ideals",
         "vdk-other-lengths"])
 def test_orbit_engine_refusals(call, error, message):
     with pytest.raises(error) as exc:
