@@ -13,7 +13,7 @@ checkouts, their runs of each command alternate (parent, change, then
 change, parent, ...), so drift of the host between runs falls on both
 sides alike instead of reading as a change.  The peak RSS of each run
 is the child's ru_maxrss, read with os.wait4.  The medians per command
-go into the output file (BENCH_25.json at the root of this repository
+go into the output file (BENCH_26.json at the root of this repository
 by default) under each timed checkout's commit, together with the
 machine: nproc, Python and platform.  Entries already in the file for
 other commits are kept, so one file holds a parent and a change side
@@ -54,7 +54,10 @@ Z/6 (3) stabilized to level 2, whose two level-0 classes differ mod I,
 so no level needs a search (it used to search 149,797 states of 8 x 8
 matrices and be refused at the memory cap); and the lift of a row
 of Z/65536 (2) to R (+) I, which asks the ideal and its pair ideal
-whether each entry lies in them.  The child sets its own
+whether each entry lies in them; and the completion of (2, 4, 6) over
+Z/16384, which has no unit entry, so its completion search would try
+8192 partial sums against 16,384 elements at its second entry and must
+be refused before that step (it used to run about 43 s).  The child sets its own
 address-space limit of AS_LIMIT_MB before it imports symwitt, so a
 checkout that does enumerate fails with a MemoryError at the cap
 instead of taking the machine's memory; the reports stay far below it.
@@ -145,6 +148,8 @@ LARGE_CASES = (
      ["report", "vaserstein", "--ring", "zmod:6", "--ideal", "3", "--stab", "2"]),
     ("um lift Z/65536 (2)",
      ["um", "lift", "--ring", "zmod:65536", "--ideal", "2", "--row", '["3","2","0"]']),
+    ("um complete Z/16384 (2,4,6)",
+     ["um", "complete", "--ring", "zmod:16384", "--row", '["2","4","6"]']),
 )
 
 LAUNCH = (
@@ -238,7 +243,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_25.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_26.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     for src in srcs:

@@ -70,10 +70,6 @@ class NonInvertibleIndex(ArtifactError):
     """Taking an m-th root needs 1/m (and small factorials) in the ring."""
 
 
-class NotLinear(ArtifactError):
-    """Matrix entry has degree > 1 in the outer variable."""
-
-
 # -- rows ---------------------------------------------------------------
 
 class NotCompleted(ArtifactError):

@@ -238,13 +238,6 @@ def congruent_mod_ideal(a: RingMatrix, b: RingMatrix, ideal: Ideal) -> bool:
     return all(ideal.contains(r.sub(x, y)) for x, y in zip(a.entries, b.entries))
 
 
-def in_congruence_level(m: RingMatrix, ideal: Ideal) -> bool:
-    """Entrywise membership of m - identity in the ideal."""
-    if m.rows != m.cols:
-        raise SizeMismatch("congruence level needs a square matrix")
-    return congruent_mod_ideal(m, RingMatrix.identity(m.ring, m.rows), ideal)
-
-
 # ---------------------------------------------------------------------------
 # group words for (relative) elementary matrices
 # ---------------------------------------------------------------------------
@@ -337,13 +330,6 @@ def word_eval(word: GroupWord) -> RingMatrix:
 def word_inverse(word: GroupWord) -> GroupWord:
     toks = tuple(_invert_token(word.ring, t) for t in reversed(word.tokens))
     return GroupWord(word.ring, word.size, toks)
-
-
-def pad_word(word: GroupWord, size: int) -> GroupWord:
-    """Same tokens acting on a larger identity block."""
-    if size < word.size:
-        raise SizeMismatch("cannot shrink a word")
-    return GroupWord(word.ring, size, word.tokens)
 
 
 def _core_entry(tok: Token):

@@ -287,38 +287,25 @@ def _step(state: tuple, terms: tuple, add: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 class OrbitPartition:
-    """Orbit ids and representatives of listed objects.
+    """Orbit ids and representatives of objects held as table states.
 
-    The objects are held as payload tuples (`objects`, with `index`
-    mapping each to its position), as table states (`states`, with `at`
-    mapping each to its position), or both.  A partition built from
-    states alone, such as the symbol universe's, decodes only its
-    representatives: `objects` and `index` are decoded on first access.
-    One built from payloads alone has no states (None).
+    `states` are the objects' states on the ring's tables and `at` maps
+    each state to its position, the partition's one index of them.  Only
+    the representatives are decoded when the partition is built; the
+    payload tuples `objects` are decoded on first access.
     """
 
-    def __init__(self, ring: Ring, objects: Optional[tuple], index: Optional[dict],
-                 ids: tuple, reps: tuple, orbit_saturated: tuple, bound: Optional[int],
-                 meta: Optional[dict] = None, states: Optional[tuple] = None,
-                 at: Optional[dict] = None):
-        self.ring, self.ids, self.reps = ring, ids, reps
-        self.orbit_saturated, self.bound = orbit_saturated, bound
-        self.meta = {} if meta is None else meta
-        self.states, self.at = states, at
-        if objects is not None:
-            self.objects = objects
-        if index is not None:
-            self.index = index
+    def __init__(self, ring: Ring, states: tuple, at: dict, ids: tuple, reps: tuple,
+                 orbit_saturated: tuple, bound: Optional[int], meta: dict):
+        self.ring, self.states, self.at = ring, states, at
+        self.ids, self.reps = ids, reps
+        self.orbit_saturated, self.bound, self.meta = orbit_saturated, bound, meta
 
     @functools.cached_property
     def objects(self) -> tuple:
         tables, action = self.ring.compile(), self.meta["action"]
         n = _size(action, states=self.states)
         return tuple(_decode(tables, action, n, st) for st in self.states)
-
-    @functools.cached_property
-    def index(self) -> dict:
-        return {s: k for k, s in enumerate(self.objects)}
 
     @property
     def norbits(self) -> int:
@@ -328,11 +315,19 @@ class OrbitPartition:
     def saturated(self) -> bool:
         return all(self.orbit_saturated)
 
-    def id_of(self, state) -> int:
-        k = self.index.get(state)
+    def _position(self, obj) -> int:
+        """Position of a payload tuple, through its state and `at`."""
+        tables, action = self.ring.compile(), self.meta["action"]
+        try:
+            k = self.at.get(_encode(tables, action, _size(action, states=self.states), obj))
+        except (KeyError, SizeMismatch, MalformedSpec):
+            k = None  # not a state of this action, so not a listed one
         if k is None:
             raise VerificationFailed("state is not one of the partitioned objects")
-        return self.ids[k]
+        return k
+
+    def id_of(self, obj) -> int:
+        return self.ids[self._position(obj)]
 
     def orbit_sizes(self) -> tuple:
         sizes = [0] * self.norbits
@@ -454,15 +449,14 @@ def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring,
 
 def _setup(ring: Ring, objects: Optional[Sequence], action: str,
            gens: Sequence[Generator], states: Optional[tuple]) -> tuple:
-    """Objects, tables, moves, states, state -> position map and a
-    representative getter of a partition.
+    """Tables, moves, size n, states and state -> position map of a
+    partition.
 
-    Objects are payload tuples, or None where `states` are given; the
-    size is read from the first of them.  Given states are trusted:
+    Objects are payload tuples, encoded here, or None where `states` are
+    given; n is read from the first of them.  Given states are trusted:
     this module passes them where it built them on the tables.  The map
     is the partition's one index of its objects, so duplicates are
-    refused there.  The getter returns the payload at a position,
-    decoding it from its state when no objects were given.
+    refused there.
     """
     if objects is not None:
         objects = tuple(objects)
@@ -476,12 +470,7 @@ def _setup(ring: Ring, objects: Optional[Sequence], action: str,
     at = {st: k for k, st in enumerate(states)}
     if len(at) != len(states):
         raise MalformedSpec("duplicate objects in orbit enumeration")
-    if objects is None:
-        def rep(k):
-            return _decode(tables, action, n, states[k])
-    else:
-        rep = objects.__getitem__
-    return objects, tables, moves, states, at, rep
+    return tables, moves, n, states, at
 
 
 def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
@@ -495,13 +484,11 @@ def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
     excursions and assigns ids only to listed objects.  A capped orbit is
     flagged unsaturated and later objects it failed to reach start their
     own (possibly spurious) orbit.  Congruence objects must be
-    alternating.  `states`, when given, are the objects' states in the
-    same order, and `objects` may then be None: only the representatives
-    are decoded.  The action's size comes from the objects, so an empty
+    alternating.  `states`, when given, stand for the objects, which may
+    then be None.  The action's size comes from the objects, so an empty
     generator set acts as the trivial group.
     """
-    objects, tables, moves, states, at, rep = _setup(ring, objects, action,
-                                                     generators, states)
+    tables, moves, n, states, at = _setup(ring, objects, action, generators, states)
     ids = [-1] * len(states)
     reps, sat_flags = [], []
     for k, start in enumerate(states):
@@ -522,12 +509,10 @@ def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
                 continue
             ids[j] = label
         # every earlier object already has an id, so k is the smallest
-        reps.append(rep(k))
+        reps.append(_decode(tables, action, n, start))
         sat_flags.append(saturated and not overlap)
-    return OrbitPartition(ring, objects, None, tuple(ids), tuple(reps),
-                          tuple(sat_flags), bound,
-                          {"action": action, "generators": len(generators)},
-                          states, at)
+    return OrbitPartition(ring, states, at, tuple(ids), tuple(reps), tuple(sat_flags),
+                          bound, {"action": action, "generators": len(generators)})
 
 
 def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
@@ -606,8 +591,7 @@ def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: s
     listed objects in that coset; closed mode asserts it was listed whole.
     The span holds states, so a congruence vector is an upper triangle.
     """
-    objects, tables, moves, states, at, rep = _setup(ring, objects, action, gens,
-                                                     states)
+    tables, moves, n, states, at = _setup(ring, objects, action, gens, states)
     add, neg = tables.add, tables.neg
     ids = [-1] * len(states)
     reps = []
@@ -623,11 +607,10 @@ def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: s
             raise VerificationFailed("translation left the object set")
         for j in members:
             ids[j] = len(reps)
-        reps.append(rep(k))
-    return OrbitPartition(ring, objects, None, tuple(ids), tuple(reps),
-                          (True,) * len(reps), None,
-                          {"action": action, "generators": len(gens),
-                           "fast_path": "translation"}, states, at)
+        reps.append(_decode(tables, action, n, seed))
+    return OrbitPartition(ring, states, at, tuple(ids), tuple(reps), (True,) * len(reps),
+                          None, {"action": action, "generators": len(gens),
+                                 "fast_path": "translation"})
 
 
 # perfbench/tracing.py hooks both names, so the open-mode one stays bound
@@ -888,8 +871,8 @@ class WittClassFamily:
     def class_count(self) -> int:
         return len(self.final_reps)
 
-    def class_of(self, state) -> int:
-        return self.final_ids[self.base.index[state]]
+    def class_of(self, obj) -> int:
+        return self.final_ids[self.base._position(obj)]
 
     def to_obj(self) -> dict:
         return {"size": self.size, "levels": self.levels,

@@ -256,10 +256,6 @@ def matrix_from_obj(obj, ring: Ring = None) -> RingMatrix:
                                        for row in entries])
 
 
-def vector_to_obj(ring: Ring, coords: tuple) -> dict:
-    return {"coords": [ring.fmt(c) for c in coords], "ring": ring_to_spec(ring)}
-
-
 def vector_from_obj(obj, ring: Ring = None) -> tuple:
     """Accepts {"ring", "coords"} or a bare list of entries."""
     if isinstance(obj, list):
@@ -279,18 +275,6 @@ def vector_from_obj(obj, ring: Ring = None) -> tuple:
 # ---------------------------------------------------------------------------
 # group words
 # ---------------------------------------------------------------------------
-
-def _token_to_obj(ring: Ring, tok: Token) -> dict:
-    if isinstance(tok, Elem):
-        return {"op": "elem", "i": tok.i, "j": tok.j, "a": ring.fmt(ring.check(tok.a))}
-    if isinstance(tok, Conj):
-        return {"op": "conj",
-                "conjugator": [_token_to_obj(ring, e) for e in tok.conjugator],
-                "core": _token_to_obj(ring, tok.core)}
-    if isinstance(tok, Inv):
-        return {"op": "inv", "token": _token_to_obj(ring, tok.token)}
-    raise MalformedSpec(f"unknown token {tok!r}")
-
 
 def _token_from_obj(ring: Ring, obj: dict) -> Token:
     if not isinstance(obj, dict):
@@ -312,12 +296,6 @@ def _token_from_obj(ring: Ring, obj: dict) -> Token:
     if op == "inv":
         return Inv(_token_from_obj(ring, _need(obj, "token", "inv token")))
     raise MalformedSpec(f"unknown token op {op!r}")
-
-
-def word_to_obj(word: GroupWord) -> dict:
-    return {"size": word.size,
-            "tokens": [_token_to_obj(word.ring, t) for t in word.tokens],
-            "ring": ring_to_spec(word.ring)}
 
 
 def word_from_obj(obj: dict, ring: Ring = None) -> GroupWord:

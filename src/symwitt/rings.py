@@ -1323,21 +1323,6 @@ def zero_ideal(ring: Ring) -> Ideal:
 # the named maps between the tower's floors
 # ---------------------------------------------------------------------------
 
-def excision_section(ring: ExcisionRing, r):
-    """The multiplicative section r -> (r, 0)."""
-    ring.base.check(r)
-    return (r, ring.host.zero)
-
-
-def excision_project(ring: ExcisionRing, x, which: str = "retract"):
-    """Project (r, i): 'first' keeps r, 'retract' evaluates r + i in the host."""
-    if which == "first":
-        return x[0]
-    if which == "retract":
-        return ring.retract(x)
-    raise MalformedSpec(f"unknown projection {which!r}")
-
-
 def double_to_excision(double: DoubleRing, x) -> tuple[ExcisionRing, tuple]:
     """(a, b) -> (b, a - b); an isomorphism onto R (+) I."""
     target = ExcisionRing(double.base, double.ideal)

@@ -8,7 +8,6 @@ iterated extended Euclid over the integers.  Nothing is ever sampled.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +27,7 @@ from .errors import (
     VerificationFailed,
 )
 from .matrices import Elem, GroupWord, RingMatrix, word_eval
-from .rings import ExcisionRing, Ideal, Ring, unit_ideal
+from .rings import MEMORY_CAP, ExcisionRing, Ideal, Ring
 from .witt import WittSymbol, make_witt_symbol
 
 
@@ -92,11 +91,16 @@ def _finite_complete(ring: Ring, entries: tuple, pool: Optional[tuple] = None,
                      target=None) -> Optional[tuple]:
     """A column b over pool (default: the ring) with entries . b = target
     (default: one), by a DP over partial sums; the first witness in pool
-    order, or None."""
+    order, or None.  A step that would try more than MEMORY_CAP
+    (partial sum, pool entry) candidates is refused before it runs."""
     if pool is None:
         pool = ring.elements()
     sums = {ring.zero: ()}
     for a in entries:
+        if len(sums) * len(pool) > MEMORY_CAP:
+            raise BoundExceeded(
+                f"completion step of {len(sums)} sums x {len(pool)} pool entries "
+                f"is past the memory cap of {MEMORY_CAP}")
         nxt: dict = {}
         for s, prefix in sums.items():
             for b in pool:
@@ -304,24 +308,3 @@ def excision_map_f(v: UmRow) -> UmRow:
         raise NotRelative("excision_map_f expects a relative row")
     host = exc.host
     return um_row(host, tuple(exc.retract(x) for x in v.entries), exc.ideal)
-
-
-def stable_range_reduce(v: UmRow, n: int) -> Optional[UmRow]:
-    """Drop the last coordinate after an I-multiple correction, if possible.
-
-    Exhaustive over c in I^n (unit ideal when the row is absolute);
-    returns the first shortened unimodular row, or None.
-    """
-    if v.n != n + 1:
-        raise SizeMismatch(f"need a row of length {n + 1} to reduce to {n}")
-    ring = v.ring
-    if not ring.is_finite:
-        raise InfiniteRing("stable-range search needs a finite ring")
-    ideal = v.ideal if v.ideal is not None else unit_ideal(ring)
-    last = v.entries[n]
-    for c in itertools.product(ideal.members(), repeat=n):
-        cand = tuple(ring.add(x, ring.mul(ck, last))
-                     for x, ck in zip(v.entries[:n], c))
-        if _finite_complete(ring, cand) is not None:
-            return um_row(ring, cand, v.ideal)
-    return None

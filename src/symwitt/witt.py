@@ -19,7 +19,6 @@ from .errors import (
     NonInvertibleIndex,
     NotAUnit,
     NotInC,
-    NotLinear,
     NotUnipotent,
     RingMismatch,
     SizeMismatch,
@@ -286,26 +285,3 @@ def unipotent_root(gamma: RingMatrix, m: int) -> RingMatrix:
     if check != gamma:
         raise VerificationFailed("extracted root fails delta^m = gamma")
     return delta
-
-
-# ---------------------------------------------------------------------------
-# verifying Karoubi-style linear representatives
-# ---------------------------------------------------------------------------
-
-def karoubi_linear_verify(x: WittSymbol, l: RingMatrix,
-                          cert: EquivalenceCertificate) -> bool:
-    """Check that l is an X-linear alternating matrix with degree-1 parts
-    in the ideal, and that the certificate proves x ~ [l]."""
-    ring = x.ring
-    if ring.kind != "polynomial":
-        raise RingMismatch("linear representatives live over a polynomial ring")
-    if l.ring != ring:
-        raise RingMismatch("candidate over a different ring")
-    base = ring.base
-    for p in l.entries:
-        if len(p) > 2:
-            raise NotLinear("entry of X-degree > 1")
-        if len(p) == 2 and not x.ideal.contains((base.zero, p[1])):
-            raise NotLinear("degree-1 coefficient outside the ideal")
-    lsym = make_witt_symbol(x.ideal, l)
-    return verify_equivalence(x, lsym, cert)

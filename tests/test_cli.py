@@ -493,6 +493,18 @@ def test_large_ring_enumeration_fails_fast(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("um", "complete", "--ring", "zmod:16384", "--row", '["2","4","6"]'),
+    ("um", "symbol", "--ring", "zmod:65536", "--ideal", "2", "--row", '["3","4","6"]'),
+], ids=["complete-z16384", "symbol-z65536-2"])
+def test_completion_search_fails_fast(argv):
+    # no entry is a unit, so the completion search would try every partial
+    # sum against every ring (or ideal) element at each entry
+    code, out, err = run_capped(*argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BoundExceeded"
+
+
+@pytest.mark.parametrize("argv", [
     ("--ring", "zmod:6", "--ideal", "3", "--stab", "2"),
     ("--ring", "zmod:12", "--ideal", "4"),
 ], ids=["z6-3-stab2", "z12-4"])

@@ -550,7 +550,7 @@ def test_stabilization_merges_a_split_orbit(monkeypatch):
     first = real.ids.index(1)
     ids = tuple(1 if c else 0 if k < first else 2 for k, c in enumerate(real.ids))
     reps = tuple(real.objects[ids.index(c)] for c in range(3))
-    split = OrbitPartition(ring, real.objects, real.index, ids, reps,
+    split = OrbitPartition(ring, real.states, real.at, ids, reps,
                            (True,) * 3, None, dict(real.meta))
     monkeypatch.setattr(orbits, "alt_orbit_partition", lambda *args: split)
     fam = witt_classes_bounded(ring, ideal, 4, levels=1)
@@ -945,6 +945,34 @@ def test_compiled_partition_matches_reference(spec, gen, action, n, kind, full):
             _ref_orbit_bfs(ring, cut, action, gens)
         with pytest.raises(VerificationFailed):
             orbit_bfs(ring, cut, action, gens)
+
+
+@pytest.mark.parametrize("spec, gen, action, n, kind, full", ENGINE_CASES)
+def test_partition_from_payloads_matches_partition_from_states(spec, gen, action, n,
+                                                               kind, full):
+    ring = parse_ring(spec)
+    ideal = None if gen is None else ideal_of(ring, ring.parse(str(gen)))
+    gens = _gens(ring, ideal, n, kind)
+    objects = _objects(ring, ideal, action, n)
+    tables = ring.compile()
+    bounds = (None, 25) if full else (60,)
+    for seeds, bound in itertools.product((objects, objects[1::11]) if full
+                                          else (objects[::7],), bounds):
+        states = tuple(_encode(tables, action, n, s) for s in seeds)
+        parts = (orbit_bfs(ring, seeds, action, gens, bound=bound, closed=False),
+                 orbit_bfs(ring, None, action, gens, bound=bound, closed=False,
+                           states=states))
+        for part in parts:
+            assert "objects" not in vars(part)
+            # each representative is its orbit's first listed object
+            assert part.reps == tuple(seeds[part.ids.index(c)]
+                                      for c in range(part.norbits))
+        ours, theirs = parts
+        assert (ours.ids, ours.reps, ours.orbit_saturated) == \
+            (theirs.ids, theirs.reps, theirs.orbit_saturated)
+        assert ours.objects == theirs.objects == seeds
+        assert [ours.id_of(s) for s in seeds] == [theirs.id_of(s) for s in seeds] == \
+            list(ours.ids)
 
 
 def _symbols_to_e1(spec, gen):
@@ -1390,7 +1418,7 @@ def test_alt_partition_objects_are_the_universe(spec, gen, size):
     part = alt_orbit_partition(ring, ideal, size)
     universe = witt_universe(ring, ideal if ideal is not None else unit_ideal(ring), size)
     assert part.objects == tuple(m.entries for m in universe)
-    assert part.index == {m.entries: k for k, m in enumerate(universe)}
+    assert [part.id_of(m.entries) for m in universe] == list(part.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -1450,20 +1478,22 @@ def test_report_decodes_only_representatives(monkeypatch, spec, gen):
 
     monkeypatch.setattr(orbits, "_decode", counting)
     report = vaserstein_report(ring, ideal, depth=1)
-    universe = report.classes.base
-    # a representative per symbol orbit, and the table symbol of each row
-    # class representative for its payload cross-check
-    assert decoded == [ACTION_CONGRUENCE] * (universe.norbits + report.rows.norbits)
+    universe, rows = report.classes.base, report.rows
+    # a representative per symbol orbit and per row orbit, and the table
+    # symbol of each row class representative for its payload cross-check
+    assert decoded == ([ACTION_CONGRUENCE] * universe.norbits + [ACTION_ROW] * rows.norbits
+                       + [ACTION_CONGRUENCE] * rows.norbits)
     assert len(decoded) < len(universe.ids)
-    assert "objects" not in vars(universe) and "index" not in vars(universe)
+    assert "objects" not in vars(universe) and "objects" not in vars(rows)
 
 
 def test_partition_from_states_decodes_its_objects_on_first_access():
     ring, ideal = zmod(8), ideal_of(zmod(8), 4)
-    for part in (alt_orbit_partition(ring, ideal, 4), um_orbit_partition(ring, 3)):
-        args = (part.ids, part.reps, part.orbit_saturated, part.bound, dict(part.meta))
-        from_states = OrbitPartition(ring, None, None, *args, part.states, part.at)
-        assert "objects" not in vars(from_states)
-        assert from_states.objects == part.objects
-        assert from_states.index == part.index
-        assert OrbitPartition(ring, part.objects, None, *args).states is None
+    for part, payloads in (
+            (alt_orbit_partition(ring, ideal, 4),
+             tuple(m.entries for m in witt_universe(ring, ideal, 4))),
+            (um_orbit_partition(ring, 3), tuple(r.entries for r in enumerate_um(ring, 3)))):
+        assert "objects" not in vars(part)
+        assert part.objects == payloads
+        assert "objects" in vars(part)
+        assert [part.id_of(p) for p in payloads] == list(part.ids)

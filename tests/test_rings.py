@@ -28,8 +28,6 @@ from symwitt import (
     UndecidableMembership,
     complete,
     double_to_excision,
-    excision_project,
-    excision_section,
     excision_to_double,
     rees_contains,
     um_row,
@@ -167,14 +165,6 @@ def test_excision_multiplication():
     # (rs, rj + si + ij) = (3, 12 + 2 + 8)
     assert prod == (3, 22)
     assert exc.one == (1, 0)
-
-
-def test_excision_section_retract():
-    exc = ExcisionRing(M8, ideal_of(M8, 2))
-    for r in M8.elements():
-        assert excision_project(exc, excision_section(exc, r)) == r
-    assert excision_project(exc, (3, 2)) == 5
-    assert excision_project(exc, (3, 2), "first") == 3
 
 
 def test_double_membership():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import Z, ideal_of, zmod
 from symwitt import (
+    BoundExceeded,
     LaurentRing,
     NoP0Found,
     NotCompleted,
@@ -21,13 +22,11 @@ from symwitt import (
     excision_map_f,
     pfaffian,
     relative_level,
-    stable_range_reduce,
     theta,
     theta_independence_cert,
     theta_matrix,
     tilde_row_lift,
     um_row,
-    unit_ideal,
     vaserstein_symbol,
     vdk_product,
     verify_equivalence,
@@ -196,18 +195,18 @@ def test_excision_map_f_round_trip():
     assert back.ideal == i28
 
 
-def test_stable_range_reduce():
-    m4 = zmod(4)
-    i24 = ideal_of(m4, 2)
-    v = um_row(m4, (1, 0, 2, 2), i24)
-    red = stable_range_reduce(v, 3)
-    assert red.entries == (1, 0, 2)
-    m2 = zmod(2)
-    w = um_row(m2, (0, 1, 1, 1), unit_ideal(m2))
-    red2 = stable_range_reduce(w, 3)
-    assert red2 is not None and len(red2.entries) == 3
-    with pytest.raises(SizeMismatch):
-        stable_range_reduce(v, 2)
+def test_completion_search_refuses_past_the_memory_cap():
+    # after the entry 2, the partial sums of (2, 4, 6) over Z/16384 are the
+    # 8192 even residues, each tried against all 16384 elements
+    with pytest.raises(BoundExceeded,
+                       match=r"8192 sums x 16384 pool entries is past the memory cap of 4194304"):
+        complete(um_row(zmod(16384), (2, 4, 6)))
+    ring = zmod(65536)
+    with pytest.raises(BoundExceeded, match=r"32768 sums x 32768 pool entries"):
+        complete_relative(um_row(ring, (3, 4, 6), ideal_of(ring, 2)))
+    # the cap counts candidates, not ring elements: (2048, 1024, 6) over
+    # Z/4096 has at most 4 partial sums, and is not unimodular
+    assert complete(um_row(zmod(4096), (2048, 1024, 6))) is None
 
 
 def test_complete_zero_row_over_q():

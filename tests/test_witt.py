@@ -7,14 +7,11 @@ from symwitt import (
     Elem,
     EquivalenceCertificate,
     GroupWord,
-    Ideal,
     MultiPoly,
     NonInvertibleIndex,
     NotAUnit,
     NotInC,
-    NotLinear,
     NotUnipotent,
-    PolynomialRing,
     RingMatrix,
     RingMismatch,
     FormWitness,
@@ -24,12 +21,10 @@ from symwitt import (
     compose_certificates,
     determinant,
     identity_certificate,
-    karoubi_linear_verify,
     make_witt_symbol,
     map_i,
     map_p1,
     orth_sum,
-    pad_word,
     pf_unit,
     pfaffian,
     split_section,
@@ -108,7 +103,7 @@ def test_verify_construct_then_check(rng):
         eps = rand_word(rng, M8, 4, ideal=I2_M8, length=3, conjugated=True)
         beta_rep = alpha.rep.congruent_by(word_eval(eps))
         beta = make_witt_symbol(I2_M8, beta_rep)
-        cert = EquivalenceCertificate(0, pad_word(eps, 8))
+        cert = EquivalenceCertificate(0, GroupWord(eps.ring, 8, eps.tokens))
         assert verify_equivalence(beta, alpha, cert)
         assert verify_equivalence(alpha, beta, symmetric_certificate(beta, alpha, cert))
 
@@ -138,8 +133,8 @@ def test_certificate_composition(rng):
         e2 = rand_word(rng, ring, 4, length=3)
         beta = make_witt_symbol(ideal, alpha.rep.congruent_by(word_eval(e1)))
         gamma = make_witt_symbol(ideal, beta.rep.congruent_by(word_eval(e2)))
-        c1 = EquivalenceCertificate(0, pad_word(e1, 8))
-        c2 = EquivalenceCertificate(0, pad_word(e2, 8))
+        c1 = EquivalenceCertificate(0, GroupWord(e1.ring, 8, e1.tokens))
+        c2 = EquivalenceCertificate(0, GroupWord(e2.ring, 8, e2.tokens))
         assert verify_equivalence(beta, alpha, c1)
         assert verify_equivalence(gamma, beta, c2)
         composed = compose_certificates(gamma, beta, alpha, c2, c1)
@@ -151,7 +146,7 @@ def test_certificate_soundness(rng):
     alpha = make_witt_symbol(I2_M8, _perturb(M8, I2_M8, 4, [(0, 2, 4)]))
     eps = rand_word(rng, M8, 4, ideal=I2_M8, length=4)
     beta = make_witt_symbol(I2_M8, alpha.rep.congruent_by(word_eval(eps)))
-    cert = EquivalenceCertificate(0, pad_word(eps, 8))
+    cert = EquivalenceCertificate(0, GroupWord(eps.ring, 8, eps.tokens))
     assert verify_equivalence(beta, alpha, cert)
     assert pfaffian(alpha.rep) == pfaffian(beta.rep)
 
@@ -238,42 +233,3 @@ def test_unipotent_root_random(rng):
             for _ in range(m):
                 acc = acc.mul(delta)
             assert acc.entries == gamma.entries
-
-
-def _linear_symbol_setup():
-    ring = PolynomialRing(zmod(3), "X")
-    ideal = Ideal(ring, (ring.parse("X"),))
-    x_entry = ring.parse("X")
-    rows = [[ring.zero, ring.one, x_entry, ring.zero],
-            [ring.neg(ring.one), ring.zero, ring.zero, ring.zero],
-            [ring.neg(x_entry), ring.zero, ring.zero, ring.one],
-            [ring.zero, ring.zero, ring.neg(ring.one), ring.zero]]
-    l = RingMatrix.from_rows(ring, rows)
-    return ring, ideal, l
-
-
-def test_karoubi_linear_verify():
-    ring, ideal, l = _linear_symbol_setup()
-    x = make_witt_symbol(ideal, l)
-    assert karoubi_linear_verify(x, l, identity_certificate(x, x))
-    # quadratic symbol reduced by an explicitly constructed certificate
-    eps = GroupWord(ring, 6, (Elem(1, 3, ring.parse("X")),
-                              Elem(4, 2, ring.parse("2*X"))))
-    big = orth_sum(l, chi_n(ring, 1)).congruent_by(word_eval(eps))
-    y = make_witt_symbol(ideal, big)
-    cert = EquivalenceCertificate(0, pad_word(eps, 10))
-    assert karoubi_linear_verify(y, l, cert)
-
-
-def test_karoubi_rejects():
-    ring, ideal, l = _linear_symbol_setup()
-    x = make_witt_symbol(ideal, l)
-    quad = RingMatrix.from_rows(ring, [
-        [ring.zero, ring.parse("X^2+1")],
-        [ring.neg(ring.parse("X^2+1")), ring.zero]])
-    with pytest.raises(NotLinear):
-        karoubi_linear_verify(x, quad, identity_certificate(x, x))
-    narrow = Ideal(ring, (ring.parse("X^2"),))
-    x2 = make_witt_symbol(narrow, chi_n(ring, 2))
-    with pytest.raises(NotLinear):
-        karoubi_linear_verify(x2, l, identity_certificate(x2, x2))
