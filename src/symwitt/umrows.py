@@ -284,7 +284,7 @@ def vdk_product(u: UmRow, v: UmRow) -> UmRow:
 
 
 # ---------------------------------------------------------------------------
-# excision lifts and stable-range reduction
+# excision lifts
 # ---------------------------------------------------------------------------
 
 def tilde_row_lift(v: UmRow) -> UmRow:

@@ -967,12 +967,12 @@ def test_partition_from_payloads_matches_partition_from_states(spec, gen, action
             # each representative is its orbit's first listed object
             assert part.reps == tuple(seeds[part.ids.index(c)]
                                       for c in range(part.norbits))
-        ours, theirs = parts
-        assert (ours.ids, ours.reps, ours.orbit_saturated) == \
-            (theirs.ids, theirs.reps, theirs.orbit_saturated)
-        assert ours.objects == theirs.objects == seeds
-        assert [ours.id_of(s) for s in seeds] == [theirs.id_of(s) for s in seeds] == \
-            list(ours.ids)
+        payload, state = parts
+        assert (payload.ids, payload.reps, payload.orbit_saturated) == \
+            (state.ids, state.reps, state.orbit_saturated)
+        assert payload.objects == state.objects == seeds
+        assert [payload.id_of(s) for s in seeds] == [state.id_of(s) for s in seeds] == \
+            list(payload.ids)
 
 
 def _symbols_to_e1(spec, gen):
