@@ -675,13 +675,22 @@ def _search_moves(ring: Ring, action: str, n: int,
     MEMORY_CAP (absolute at n >= 3: the n-cycle of e_i,i+1(1) and the
     e_12(b), see `elementary_generators`), certificate searches over the
     exact set, which is closed under inverses and measured to reach more
-    over f3 (README)."""
+    over f3 (README).
+
+    The moves index the handle's tables, so the handle keeps them beside
+    those tables, one entry per (action, n, ideal), with no ideal the unit
+    ideal.  The row check runs on every call, before the lookup, so a
+    lowered MEMORY_CAP refuses a row search whose moves are kept."""
     rows = action == ACTION_ROW
     if rows:
         _row_pool(ring, n, ideal)
     tables = ring.compile()
-    return tables, _compile_moves(tables, action, n, elementary_generators(
-        ring, n, ideal, basis=rows))
+    key = (action, n, ideal if ideal is not None else unit_ideal(ring))
+    moves = ring._moves.get(key)
+    if moves is None:
+        gens = elementary_generators(ring, n, ideal, basis=rows)
+        moves = ring._moves[key] = _compile_moves(tables, action, n, gens)
+    return tables, moves
 
 
 def _unimodular_states(tables, pool: Sequence, n: int, relative: bool) -> list:

@@ -324,6 +324,8 @@ class Ring:
     def __init__(self):
         self._elements: Optional[tuple] = None
         self._tables: Optional[RingTables] = None
+        # (action, n, ideal) -> moves compiled on _tables (orbits._search_moves)
+        self._moves: dict = {}
 
     # -- identity ------------------------------------------------------
     def spec_key(self) -> tuple:

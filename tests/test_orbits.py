@@ -1370,11 +1370,17 @@ def test_basis_moves_are_fewer_where_the_basis_is():
 
 
 def _exact_only(monkeypatch):
-    """Make the module build the exact set wherever it asks for the basis."""
+    """Make the module build the exact set wherever it asks for the basis;
+    returns the basis flags of the calls made through the patch."""
     import symwitt.orbits as orbits
-    build = orbits.elementary_generators
-    monkeypatch.setattr(orbits, "elementary_generators",
-                        lambda ring, n, ideal=None, basis=False: build(ring, n, ideal))
+    build, calls = orbits.elementary_generators, []
+
+    def exact(ring, n, ideal=None, basis=False):
+        calls.append(basis)
+        return build(ring, n, ideal)
+
+    monkeypatch.setattr(orbits, "elementary_generators", exact)
+    return calls
 
 
 # (ring, ideal generator, sampled row pairs or None for every pair)
@@ -1382,21 +1388,20 @@ def _exact_only(monkeypatch):
     ("f3", None, None), ("f4", None, 200), ("zmod:4", 2, 40),
 ])
 def test_row_searches_match_exact_generators(monkeypatch, spec, gen, sample):
-    # absolute rows move over the 3-cycle (and e_12(x) over f4)
-    ring, ideal = _ring_ideal(spec, gen)
-    rows = enumerate_um(ring, 3, ideal)
-    pairs = list(itertools.product(rows, repeat=2))
-    if sample is not None:
-        pairs = random.Random(12).sample(pairs, sample)
-    tails = sorted({r.entries[1:] for r in rows})
-    firsts = sorted({r.entries[0] for r in rows})
-    if sample is not None:
-        tails, firsts = tails[:6], firsts[:3]
-    cases = [(a, b, t) for a in firsts for b in firsts for t in tails]
-
+    # absolute rows move over the 3-cycle (and e_12(x) over f4); each side
+    # runs on its own handle, which keeps the moves of its first search
     def answers():
+        ring, ideal = _ring_ideal(spec, gen)
+        rows = enumerate_um(ring, 3, ideal)
+        pairs = list(itertools.product(rows, repeat=2))
+        if sample is not None:
+            pairs = random.Random(12).sample(pairs, sample)
+        tails = sorted({r.entries[1:] for r in rows})
+        firsts = sorted({r.entries[0] for r in rows})
+        if sample is not None:
+            tails, firsts = tails[:6], firsts[:3]
         out = [vdk_product_aligned(u, v).entries for u, v in pairs]
-        for a, b, t in cases:
+        for a, b, t in ((a, b, t) for a in firsts for b in firsts for t in tails):
             try:
                 out.append(nice_mult_check(a, b, t, ring, ideal))
             except (NotCompleted, NotRelative) as e:
@@ -1405,8 +1410,97 @@ def test_row_searches_match_exact_generators(monkeypatch, spec, gen, sample):
 
     fast = answers()
     assert True in fast
-    _exact_only(monkeypatch)
+    calls = _exact_only(monkeypatch)
     assert answers() == fast
+    assert True in calls  # a basis set was asked for and the exact set given
+
+
+# ---------------------------------------------------------------------------
+# compiled moves kept on the ring handle
+# ---------------------------------------------------------------------------
+
+def _symbol(ring, entries, gen):
+    ideal = unit_ideal(ring) if gen is None else ideal_of(ring, gen)
+    return vaserstein_symbol(um_row(ring, entries, ideal))
+
+
+def test_kept_moves_are_keyed_by_ideal_and_action():
+    ring = zmod(4)
+    e1 = (1, 0, 0)
+    assert find_equivalence_certificate(_symbol(ring, (1, 2, 0), None),
+                                        _symbol(ring, e1, None), levels=0)
+    # the same handle, now relative to (2): moves by entries in (2) only
+    ideal = ideal_of(ring, 2)
+    for row in enumerate_um(ring, 3, ideal):
+        cert = find_equivalence_certificate(_symbol(ring, row.entries, 2),
+                                            _symbol(ring, e1, 2), levels=0)
+        assert cert is not None and relative_level(cert.epsilon, ideal)
+    # a row search and a congruence search at one size keep their own
+    # moves, and no ideal shares the unit ideal's entry
+    rows = _search_moves(ring, ACTION_ROW, 4, None)[1]
+    congruence = _search_moves(ring, ACTION_CONGRUENCE, 4, None)[1]
+    assert rows == _search_moves(zmod(4), ACTION_ROW, 4, None)[1]
+    assert congruence == _search_moves(zmod(4), ACTION_CONGRUENCE, 4, None)[1]
+    assert _search_moves(ring, ACTION_CONGRUENCE, 4, unit_ideal(ring))[1] is congruence
+
+
+def test_kept_row_moves_still_meet_the_memory_cap(monkeypatch):
+    import symwitt.orbits as orbits
+    _search_moves(F3, ACTION_ROW, 3, None)
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 26)
+    with pytest.raises(BoundExceeded, match=r"3\^3 rows"):
+        _search_moves(F3, ACTION_ROW, 3, None)
+
+
+@pytest.mark.parametrize("spec, gen", [("f2", None), ("zmod:4", 2)])
+def test_warmed_certificates_match_fresh_handles(spec, gen):
+    warm = parse_ring(spec)
+    # warm entries that differ in one part of the key: the row one and the
+    # absolute one at size 8, and the same ideal's at size 4
+    ideal = None if gen is None else ideal_of(warm, gen)
+    _search_moves(warm, ACTION_ROW, 8, ideal)
+    _search_moves(warm, ACTION_CONGRUENCE, 8, None)
+    _search_moves(warm, ACTION_CONGRUENCE, 4, ideal)
+    for row in enumerate_um(warm, 3, ideal):
+        tokens = []
+        for ring in (warm, parse_ring(spec)):
+            cert = find_equivalence_certificate(_symbol(ring, row.entries, gen),
+                                                _symbol(ring, (1, 0, 0), gen), levels=0)
+            tokens.append(cert.epsilon.tokens)
+        assert tokens[0] == tokens[1], row.entries
+
+
+def test_warmed_alignment_matches_fresh_handles():
+    warm = f4()
+    _search_moves(warm, ACTION_ROW, 2, None)
+    _search_moves(warm, ACTION_CONGRUENCE, 3, None)
+    rows = [r.entries for r in enumerate_um(warm, 3)]
+    rng = random.Random(27)
+    for u, v in (rng.sample(rows, 2) for _ in range(20)):
+        fresh = f4()
+        assert vdk_product_aligned(um_row(warm, u), um_row(warm, v)).entries == \
+            vdk_product_aligned(um_row(fresh, u), um_row(fresh, v)).entries
+
+
+def test_certificate_searches_build_moves_once_per_key(monkeypatch):
+    import symwitt.orbits as orbits
+    build, calls = orbits.elementary_generators, []
+
+    def spy(ring, n, ideal=None, basis=False):
+        calls.append((n, ideal))
+        return build(ring, n, ideal, basis)
+
+    monkeypatch.setattr(orbits, "elementary_generators", spy)
+    ring = zmod(4)
+    # every question brings its own Ideal objects, as the queries do
+    relative = [r.entries for r in enumerate_um(ring, 3, ideal_of(ring, 2))]
+    absolute = [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (3, 0, 0), (1, 1, 1)]
+    for rows, gen in ((relative, 2), (absolute, None)):
+        for entries in rows:
+            assert find_equivalence_certificate(_symbol(ring, entries, gen),
+                                                _symbol(ring, (1, 0, 0), gen), levels=0)
+    assert len(relative) + len(absolute) == 15
+    assert calls == [(8, ideal_of(ring, 2)), (8, unit_ideal(ring))]
 
 
 @pytest.mark.parametrize("spec, gen, size", [
