@@ -13,7 +13,7 @@ checkouts, their runs of each command alternate (parent, change, then
 change, parent, ...), so drift of the host between runs falls on both
 sides alike instead of reading as a change.  The peak RSS of each run
 is the child's ru_maxrss, read with os.wait4.  The medians per command
-go into the output file (BENCH_27.json at the root of this repository
+go into the output file (BENCH_28.json at the root of this repository
 by default) under each timed checkout's commit, together with the
 machine: nproc, Python and platform.  Entries already in the file for
 other commits are kept, so one file holds a parent and a change side
@@ -26,7 +26,10 @@ pairs falls on both runs of a pair, so it leaves the ratios unskewed,
 while their range shows the noise that remains.
 
 The report group ends with the absolute report over Z/12, whose BFS
-partitions 209,664 universe states.
+partitions 209,664 universe states.  Its rows with no unit entry, such
+as (2, 3, 0), and every row of the relative reports (Z/4 (2), Z/8 (4),
+Z/9 (3) and Z/6 (3) stab 2) get their symbols' completions from the
+completion search, so their stdout digests check its witnesses.
 
 The polynomial group monicizes X1^100+X2^100 over Z/2, whose
 substitution runs on the dict loops, and a dense input over Z/3 with a
@@ -243,7 +246,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_27.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_28.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     for src in srcs:

@@ -282,18 +282,6 @@ class GroupWord:
             raise SizeMismatch(f"word size must be positive, got {self.size}")
 
 
-def _elem_matrix(ring: Ring, size: int, tok: Elem) -> RingMatrix:
-    if tok.i == tok.j:
-        raise BadIndices(f"e_{{{tok.i}{tok.j}}} needs distinct indices")
-    if not (1 <= tok.i <= size and 1 <= tok.j <= size):
-        raise IndexOutOfRange(f"indices {tok.i},{tok.j} exceed size {size}")
-    m = [ring.zero] * (size * size)
-    for k in range(size):
-        m[k * size + k] = ring.one
-    m[(tok.i - 1) * size + (tok.j - 1)] = ring.check(tok.a)
-    return RingMatrix(ring, size, size, tuple(m))
-
-
 def _invert_token(ring: Ring, tok: Token) -> Token:
     if isinstance(tok, Elem):
         return Elem(tok.i, tok.j, ring.neg(ring.check(tok.a)))
@@ -304,27 +292,41 @@ def _invert_token(ring: Ring, tok: Token) -> Token:
     raise BadIndices(f"unknown token {tok!r}")
 
 
-def token_matrix(ring: Ring, size: int, tok: Token) -> RingMatrix:
+def _transvections(ring: Ring, tok: Token) -> list:
+    """The token as a product of transvections, left to right: a Conj is
+    its conjugator, its core, then the inverted conjugator reversed."""
     if isinstance(tok, Elem):
-        return _elem_matrix(ring, size, tok)
+        return [tok]
     if isinstance(tok, Conj):
-        c = RingMatrix.identity(ring, size)
-        for e in tok.conjugator:
-            c = c.mul(_elem_matrix(ring, size, e))
-        c_inv = RingMatrix.identity(ring, size)
-        for e in reversed(tok.conjugator):
-            c_inv = c_inv.mul(_elem_matrix(ring, size, _invert_token(ring, e)))
-        return c.mul(token_matrix(ring, size, tok.core)).mul(c_inv)
+        return [*tok.conjugator, *_transvections(ring, tok.core),
+                *(_invert_token(ring, e) for e in reversed(tok.conjugator))]
     if isinstance(tok, Inv):
-        return token_matrix(ring, size, _invert_token(ring, tok.token))
+        return _transvections(ring, _invert_token(ring, tok.token))
     raise BadIndices(f"unknown token {tok!r}")
 
 
 def word_eval(word: GroupWord) -> RingMatrix:
-    out = RingMatrix.identity(word.ring, word.size)
+    """The product of the word's tokens.  Each transvection e_ij(a)
+    multiplies on the right as one column operation, col_j += col_i a."""
+    ring, n = word.ring, word.size
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    m = list(RingMatrix.identity(ring, n).entries)
     for tok in word.tokens:
-        out = out.mul(token_matrix(word.ring, word.size, tok))
-    return out
+        for e in _transvections(ring, tok):
+            if e.i == e.j:
+                raise BadIndices(f"e_{{{e.i}{e.j}}} needs distinct indices")
+            if not (1 <= e.i <= n and 1 <= e.j <= n):
+                raise IndexOutOfRange(f"indices {e.i},{e.j} exceed size {n}")
+            a, shift = ring.check(e.a), e.j - e.i
+            for k in range(e.i - 1, n * n, n):
+                if m[k] != zero:
+                    m[k + shift] = add(m[k + shift], mul(m[k], a))
+    return RingMatrix(ring, n, n, tuple(m))
+
+
+def token_matrix(ring: Ring, size: int, tok: Token) -> RingMatrix:
+    """The matrix of one token: `word_eval` of the one-token word."""
+    return word_eval(GroupWord(ring, size, (tok,)))
 
 
 def word_inverse(word: GroupWord) -> GroupWord:

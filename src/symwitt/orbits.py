@@ -1096,53 +1096,37 @@ class BijectivityReport:
         }
 
 
-def _table_complete(tables, v: tuple, pool: Sequence, target: int) -> Optional[tuple]:
-    """`umrows._finite_complete` on element indices: the same DP over
-    partial sums, in the same order, so the same first witness b over
-    pool with v . b = target, or None."""
-    add, mul = tables.add, tables.mul
-    sums = {tables.zero: ()}
-    for a in v:
-        row, nxt = mul[a], {}
-        for s, prefix in sums.items():
-            shifted = add[s]
-            for b in pool:
-                s2 = shifted[row[b]]
-                if s2 not in nxt:
-                    nxt[s2] = prefix + (b,)
-        sums = nxt
-    return sums.get(target)
-
-
 def _symbol_states(tables, ideal: Ideal, rows: Sequence) -> list:
     """The upper triangle of the symbol matrix theta(a, v) of each row
     state v of length 3, built on the tables as `vaserstein_symbol`
     builds it.
 
     a is v's relative completion as `complete_relative` finds it:
-    absolute, the inverse of v's first unit entry, else the first
-    witness of a . v = 1 over R; relative, e1 plus the first witness of
-    shift . v = 1 - v_1 over I.  The symbol is then the upper triangle
-    (-v_1, -v_2, -v_3, -a_3, a_2, -a_1) of `theta_matrix`.
+    absolute, the inverse of v's first unit entry, found on the tables;
+    otherwise `umrows._finite_complete` runs on v's entries, and a is
+    its first witness of a . v = 1 over R, or relative, e1 plus its
+    first witness of shift . v = 1 - v_1 over I.  The symbol is then the
+    upper triangle (-v_1, -v_2, -v_3, -a_3, a_2, -a_1) of `theta_matrix`.
     """
     add, mul, neg, inv, zero, one = (tables.add, tables.mul, tables.neg, tables.inv,
                                      tables.zero, tables.one)
-    absolute = ideal.contains(ideal.ring.one)
-    pool = range(len(tables.elements)) if absolute else [
-        tables.index[x] for x in ideal.members()]
+    ring, els, ix = ideal.ring, tables.elements, tables.index
+    absolute = ideal.contains(ring.one)
+    pool = ring.elements() if absolute else ideal.members()
     out = []
     for v in rows:
-        if absolute:
-            k = next((k for k, x in enumerate(v) if inv[x] is not None), None)
-            if k is None:
-                a = _table_complete(tables, v, pool, one)
-            else:
-                a = tuple(inv[x] if j == k else zero for j, x in enumerate(v))
+        units = [k for k, x in enumerate(v) if inv[x] is not None] if absolute else ()
+        if units:
+            a = tuple(inv[x] if j == units[0] else zero for j, x in enumerate(v))
         else:
-            shift = _table_complete(tables, v, pool, add[one][neg[v[0]]])
-            a = None if shift is None else (add[one][shift[0]],) + shift[1:]
-        if a is None:
-            raise NoRelativeCompletionFound("row has no relative completion")
+            entries = tuple(map(els.__getitem__, v))
+            target = ring.one if absolute else ring.sub(ring.one, entries[0])
+            b = _finite_complete(ring, entries, pool, target)
+            if b is None:
+                raise NoRelativeCompletionFound("row has no relative completion")
+            a = tuple(map(ix.__getitem__, b))
+            if not absolute:
+                a = (add[one][a[0]],) + a[1:]
         (a1, a2, a3), (v1, v2, v3) = a, v
         if add[add[mul[a1][v1]][mul[a2][v2]]][mul[a3][v3]] != one:
             raise NotCompleted("theta needs a . b = 1")

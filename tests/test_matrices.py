@@ -181,6 +181,53 @@ def test_word_eval_elem():
     assert word_eval(two).entries == (4, 1, 3, 1)
 
 
+def _dense_token(ring, size, tok, inverse=False):
+    """The old dense evaluation, the oracle for word_eval: I + a E_ij
+    multiplied with RingMatrix.mul, a conjugate as c core c^-1, and an
+    inverse by flipping the sign of every transvection it is made of."""
+    if isinstance(tok, Elem):
+        m = list(RingMatrix.identity(ring, size).entries)
+        m[(tok.i - 1) * size + (tok.j - 1)] = ring.neg(tok.a) if inverse else tok.a
+        return RingMatrix(ring, size, size, tuple(m))
+    if isinstance(tok, Conj):
+        c = c_inv = RingMatrix.identity(ring, size)
+        for e in tok.conjugator:
+            c = c.mul(_dense_token(ring, size, e))
+        for e in reversed(tok.conjugator):
+            c_inv = c_inv.mul(_dense_token(ring, size, e, True))
+        return c.mul(_dense_token(ring, size, tok.core, inverse)).mul(c_inv)
+    return _dense_token(ring, size, tok.token, not inverse)
+
+
+def _rand_token(rng, ring, size, depth=0):
+    """An Elem, a Conj with 0-3 conjugators, or an Inv of any of the three."""
+    kind = rng.randrange(3 if depth < 2 else 2)
+    if kind == 0:
+        return _rand_elem(rng, ring, size)
+    if kind == 1:
+        return Conj(tuple(_rand_elem(rng, ring, size) for _ in range(rng.randrange(4))),
+                    _rand_elem(rng, ring, size))
+    return Inv(_rand_token(rng, ring, size, depth + 1))
+
+
+def _rand_elem(rng, ring, size):
+    i, j = rng.sample(range(1, size + 1), 2)
+    return Elem(i, j, _draw(rng, ring))
+
+
+@pytest.mark.parametrize("ring", [Z, zmod(8), f4()], ids=lambda r: r.describe())
+def test_word_eval_matches_dense_products(ring, rng):
+    for size in (2, 3, 4, 8):
+        for _ in range(8):
+            tokens = tuple(_rand_token(rng, ring, size) for _ in range(rng.randrange(1, 6)))
+            want = RingMatrix.identity(ring, size)
+            for tok in tokens:
+                dense = _dense_token(ring, size, tok)
+                assert token_matrix(ring, size, tok) == dense
+                want = want.mul(dense)
+            assert word_eval(GroupWord(ring, size, tokens)) == want
+
+
 def test_conj_token_semantics():
     ring = zmod(7)
     g = Elem(2, 3, 4)

@@ -375,7 +375,8 @@ def test_product_key_dedup_matches_payload_matrices(spec, gen, n):
 
 
 def _span(ring, width, deltas):
-    # as the translation partition calls it: index vectors under the table add
+    # the listed span of index vectors under the table add, the reference
+    # that the translation partition's _EchelonSpan is checked against
     tables = ring.compile()
     return additive_span((tables.zero,) * width, functools.partial(_vec_add, tables.add),
                          deltas, width)
@@ -1202,6 +1203,14 @@ def test_nice_mult_check_errors_and_bound():
     assert prod.entries == (0, 2, 0)
     assert nice_mult_check(2, 2, (1, 0), F3)
     assert not nice_mult_check(2, 2, (1, 0), F3, bound=1)
+
+
+def test_path_searches_refuse_a_bound_below_one():
+    x = make_witt_symbol(I24, chi_n(M4, 1))
+    with pytest.raises(MalformedSpec, match="bound must be >= 1, got 0"):
+        find_equivalence_certificate(x, x, levels=0, bound=0)
+    with pytest.raises(MalformedSpec, match="bound must be >= 1, got 0"):
+        nice_mult_check(2, 2, (1, 0), F3, bound=0)
 
 
 # ---------------------------------------------------------------------------

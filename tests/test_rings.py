@@ -318,6 +318,15 @@ def test_polynomial_ideal_membership():
     assert not constant.contains(p.parse("2*X+1"))
 
 
+def test_polynomial_ideal_membership_over_a_field():
+    # a principal ideal with a unit leading coefficient decides membership
+    # by the remainder of polynomial division
+    p = PolynomialRing(zmod(3), "X")
+    ideal = Ideal(p, (p.parse("X^2+1"),))
+    assert ideal.contains(p.parse("X^3+X"))
+    assert not ideal.contains(p.parse("X"))
+
+
 @pytest.mark.parametrize("content, core", [
     (2, "X+1"), (3, "X^2-1"), (-2, "X"), (1, "X^2+X+1"), (-4, "2*X^3+3*X"),
 ])

@@ -62,6 +62,12 @@ def test_complete_relative():
     assert all(i28.contains(x) for x in aw.entries[1:])
 
 
+def test_complete_relative_none_without_completion():
+    # 4 is 1 mod 3 but not a unit of Z/6, so (4, 0, 0) completes to nothing
+    m6 = zmod(6)
+    assert complete_relative(um_row(m6, (4, 0, 0), ideal_of(m6, 3))) is None
+
+
 def test_complete_relative_over_z():
     ideal = ideal_of(Z, 2)
     v = um_row(Z, (3, 2, 0), ideal)

@@ -114,6 +114,13 @@ def test_verify_rejects_non_relative_word():
     assert not verify_equivalence(x, x, cert)
 
 
+def test_verify_rejects_word_of_wrong_size():
+    # chi_2 against itself needs a word of size 8 at t = 0
+    x = make_witt_symbol(I2_M8, chi_n(M8, 2))
+    cert = EquivalenceCertificate(0, GroupWord(M8, 4, ()))
+    assert not verify_equivalence(x, x, cert)
+
+
 def test_neutrality_padding():
     x = make_witt_symbol(I2_M8, chi_n(M8, 1))
     for k in range(1, 4):
