@@ -292,17 +292,21 @@ def _invert_token(ring: Ring, tok: Token) -> Token:
     raise BadIndices(f"unknown token {tok!r}")
 
 
-def _transvections(ring: Ring, tok: Token) -> list:
+def _transvections(ring: Ring, tok: Token):
     """The token as a product of transvections, left to right: a Conj is
-    its conjugator, its core, then the inverted conjugator reversed."""
+    its conjugator, its core, then the inverted conjugator reversed.
+    Lazy, so each transvection is checked before the next is built."""
     if isinstance(tok, Elem):
-        return [tok]
-    if isinstance(tok, Conj):
-        return [*tok.conjugator, *_transvections(ring, tok.core),
-                *(_invert_token(ring, e) for e in reversed(tok.conjugator))]
-    if isinstance(tok, Inv):
-        return _transvections(ring, _invert_token(ring, tok.token))
-    raise BadIndices(f"unknown token {tok!r}")
+        yield tok
+    elif isinstance(tok, Conj):
+        yield from tok.conjugator
+        yield from _transvections(ring, tok.core)
+        for e in reversed(tok.conjugator):
+            yield _invert_token(ring, e)
+    elif isinstance(tok, Inv):
+        yield from _transvections(ring, _invert_token(ring, tok.token))
+    else:
+        raise BadIndices(f"unknown token {tok!r}")
 
 
 def word_eval(word: GroupWord) -> RingMatrix:

@@ -16,6 +16,7 @@ from symwitt import (
     NotAlternating,
     OddSize,
     RingMatrix,
+    RingMismatch,
     SizeMismatch,
     chi_n,
     chi_of_signs,
@@ -254,6 +255,18 @@ def test_word_token_validation():
         word_eval(GroupWord(Z, 2, (Elem(1, 3, 1),)))
     with pytest.raises(SizeMismatch):
         GroupWord(Z, 0, ())
+
+
+@pytest.mark.parametrize("tok, error", [
+    (Conj((Elem(1, 1, 1), Elem(1, 2, 9)), Elem(1, 2, 1)), BadIndices),
+    (Conj((Elem(1, 3, 1), Elem(1, 2, 9)), Elem(1, 2, 1)), IndexOutOfRange),
+    (Conj((Elem(1, 2, 9),), Elem(1, 1, 1)), RingMismatch),
+], ids=["indices", "range", "payload"])
+def test_conj_checks_its_transvections_in_order(tok, error):
+    # the first faulty transvection of c core c^-1 decides the error,
+    # though a later conjugator's payload is checked when it is inverted
+    with pytest.raises(error):
+        token_matrix(zmod(4), 2, tok)
 
 
 def test_relative_level():
