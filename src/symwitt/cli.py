@@ -285,32 +285,21 @@ def _h_um_lift(ns):
             "row": [lifted.ring.fmt(x) for x in lifted.entries]}
 
 
-def _depth_of(ns) -> int:
-    """--conj-depth, checked: the generator sets are exact, so it changes
-    no orbit and is only echoed, as `depth`."""
-    if ns.conj_depth < 0:
-        raise MalformedSpec(f"conjugation depth must be >= 0, got {ns.conj_depth}")
-    return ns.conj_depth
-
-
-def _partition_obj(part, depth):
-    return dict(part.to_obj(), schema="orbit-partition/1",
-                ring=ring_to_spec(part.ring), depth=depth)
+def _partition_obj(part):
+    return dict(part.to_obj(), schema="orbit-partition/2", ring=ring_to_spec(part.ring))
 
 
 def _h_orbit_um(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    n, depth = _need(ns, "n"), _depth_of(ns)
-    return _partition_obj(um_orbit_partition(ring, n, ideal, bound=ns.bound), depth)
+    return _partition_obj(um_orbit_partition(ring, _need(ns, "n"), ideal, bound=ns.bound))
 
 
 def _h_orbit_alt(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    size, depth = _need(ns, "size"), _depth_of(ns)
-    return _partition_obj(alt_orbit_partition(ring, ideal, size, bound=ns.bound),
-                          depth)
+    return _partition_obj(alt_orbit_partition(ring, ideal, _need(ns, "size"),
+                                              bound=ns.bound))
 
 
 def _h_report_vaserstein(ns):
@@ -351,11 +340,8 @@ _COMMANDS = (
     ("um", "symbol", _h_um_symbol, dict(ring=_S, ideal=_S, row=_S)),
     ("um", "vdk", _h_um_vdk, dict(ring=_S, ideal=_S, u=_S, v=_S, bound=_I)),
     ("um", "lift", _h_um_lift, dict(ring=_S, ideal=_S, row=_S)),
-    ("orbit", "um", _h_orbit_um,
-     dict(ring=_S, ideal=_S, n=_I, conj_depth=dict(_I, default=1), bound=_I)),
-    ("orbit", "alt", _h_orbit_alt,
-     dict(ring=_S, ideal=_S, size=_I, conj_depth=dict(_I, default=1),
-          bound=_I)),
+    ("orbit", "um", _h_orbit_um, dict(ring=_S, ideal=_S, n=_I, bound=_I)),
+    ("orbit", "alt", _h_orbit_alt, dict(ring=_S, ideal=_S, size=_I, bound=_I)),
     ("report", "vaserstein", _h_report_vaserstein,
      dict(ring=_S, ideal=_S, stab=dict(_I, default=1),
           conj_depth=dict(_I, default=2), bound=_I)),

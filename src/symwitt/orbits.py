@@ -621,30 +621,22 @@ def _partition(ring: Ring, objects: Optional[tuple], action: str, n: int,
                ideal: Optional[Ideal], bound: Optional[int],
                closed: bool = True, states: Optional[tuple] = None
                ) -> OrbitPartition:
-    """Orbits of E_n(R, I); every partition picks its generating set here.
+    """Orbits of E_n(R, I), moving over the basis set.
 
-    An absolute search moves over the basis set, which at n >= 3 is the
-    n-cycle of e_i,i+1(1) and the e_12(b) (`elementary_generators`).  A
-    relative one moves over the z_ij basis set when the ideal's basis is
-    smaller than its nonzero members.  The payload counts the exact set.
-    Both sets generate one group, so ids and reps are the same, but a
-    bound can cut the two searches off at different states.  The bound
-    is checked here too, since the translation path never reads it.
+    The basis set (`elementary_generators` with basis) generates the
+    same group as the exact set, so ids and reps are the same; absolute
+    at n >= 3 it is the n-cycle of e_i,i+1(1) and the e_12(b).  The
+    payload counts the moves searched.  The bound is checked here too,
+    since the translation path never reads it.
     """
     if bound is not None and bound < 1:
         raise MalformedSpec(f"bound must be >= 1, got {bound}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
-    absolute = ideal.contains(ring.one)
-    gens = moves = elementary_generators(ring, n, ideal)
-    if absolute or len(ideal.basis()) < len(ideal.members()) - 1:
-        moves = elementary_generators(ring, n, ideal, basis=True)
-    if not absolute and ideal.products_vanish():
-        part = _translation_partition(ring, objects, moves, action, closed, states)
-    else:
-        part = orbit_bfs(ring, objects, action, moves, bound=bound, closed=closed,
-                         states=states)
-    part.meta["generators"] = len(gens)
-    return part
+    moves = elementary_generators(ring, n, ideal, basis=True)
+    if not ideal.contains(ring.one) and ideal.products_vanish():
+        return _translation_partition(ring, objects, moves, action, closed, states)
+    return orbit_bfs(ring, objects, action, moves, bound=bound, closed=closed,
+                     states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +745,8 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
 def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
                        bound: Optional[int] = None) -> OrbitPartition:
     rows = enumerate_um(ring, n, ideal)
-    states = tuple(r.entries for r in rows)
-    part = _partition(ring, states, ACTION_ROW, n, ideal, bound)
+    objects = tuple(r.entries for r in rows)
+    part = _partition(ring, objects, ACTION_ROW, n, ideal, bound)
     part.meta.update({"kind": "um", "n": n,
                       "relative": ideal is not None and not ideal.contains(ring.one)})
     return part

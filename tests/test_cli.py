@@ -181,7 +181,7 @@ def test_um_theta_symbol_vdk_lift(capsys):
 
 def test_orbit_um_partition(capsys):
     obj = run_json(capsys, "orbit", "um", "--ring", "f2", "--n", "3")
-    assert obj["schema"] == "orbit-partition/1"
+    assert obj["schema"] == "orbit-partition/2"
     assert obj["objects"] == 7
     assert obj["count"] == 1
     assert obj["saturated"] is True
@@ -209,14 +209,14 @@ def test_orbit_alt_relative_universe(capsys):
     ("report vaserstein --ring zmod:4 --ideal 2",
      "a9899eb56e3ad126144032bfb5e1d644f4c6846406a384c91717fc8ab11ac6ca"),
     ("orbit alt --ring zmod:8 --ideal 4 --size 4",
-     "7537d6d27e4fd0e6c4008a56427c7c748ebd18b886127af30e51fe2cf3a38a7b"),
+     "b83224b89a7f43d873b94d2c1f21d94077c7f2f3421f4ae5d7cb928598f7cbf2"),
     ("orbit alt --ring zmod:4 --ideal 2 --size 4",
-     "58061d7f1ca7cb48d5cc50fb4da59a67a3cdeb2edee00ad07a24e35d47d3a029"),
+     "a0591abf449f1b678b557fa96a7a7bf82a2c01220afaae131d2ae4f281298330"),
     # the z_ij(x, a) generators (n >= 3) and the n = 2 conjugation closure
     ("orbit um --ring zmod:9 --ideal 3 --n 3",
-     "99ac9aa21fde12e0f017fe363240838771fef2599360b04b67b51f15d1a1d448"),
+     "01abaf9be8d7a8363d0ccb6274d7feaf61d3d43f9e6af1448e13ec7d1a7f512b"),
     ("orbit um --ring zmod:4 --ideal 2 --n 2",
-     "885a37c2887c591cff1e5e5f2f30b90c70961521b2a0eadabe388f38798a8220"),
+     "972ece568f0433f9130f3225fe576c88ae8b89e221e21d2d0cc6b8352b39b169"),
     # absolute: the whole universe under the bare transvections
     ("report vaserstein --ring f3",
      "c1dd18a2f154913cdc32cbe2ab3820cfd3ac2313e426cce9cd6bd867835447d4"),
@@ -227,9 +227,9 @@ def test_orbit_alt_relative_universe(capsys):
     ("report vaserstein --ring zmod:4",
      "217c1cf4043df19bd6db634e159c89c76d9a631b7b0f113a0ba69321fecd0c5d"),
     ("orbit alt --ring f5 --size 4",
-     "b7f64d6aa856226aa48ca6610ecebb6a4ef10ddb1f59421ebc9f0eaed3206b18"),
+     "05483ea10f6ea65ece2ae82adc0904acce1aea9c820dfdaeecf6109917acb14c"),
     ("orbit um --ring f4 --n 3",
-     "83f62e6f472d77b0287e616883a5ab6cea407851a468bdb6ec70a2276bd5892f"),
+     "4d12a2940423d509fdcc07edc5ffeb817abe4c3c42626816ce5b20b8aec47029"),
     # the polynomial grammar: X1..Xd terms over Z/3, Z/9 and f4, with phi
     ('poly nagata --ring zmod:3 --nvars 2 --poly 2*X1^2*X2+X2^2+X1+1',
      "5160c1f1bc6de67bf101eb9eb3f4a4bbc8c28d01fd5709566b9b3ac4f089f0c7"),
@@ -385,9 +385,9 @@ def test_config_values_are_converted_like_flags(tmp_path, capsys):
     assert run(capsys, "report", "vaserstein", "--ring", "f2",
                "--config", str(cfg)) == run(capsys, "report", "vaserstein",
                                             "--ring", "f2", "--bound", "5")
-    cfg.write_text(json.dumps({"n": "2", "conj_depth": 0}))
+    cfg.write_text(json.dumps({"n": "2", "bound": "3"}))
     obj = run_json(capsys, "orbit", "um", "--ring", "f3", "--config", str(cfg))
-    assert (obj["n"], obj["depth"], obj["count"]) == (2, 0, 1)
+    assert (obj["n"], obj["bound"], obj["count"]) == (2, 3, 4)
     cfg.write_text(json.dumps({"n": "two"}))
     with pytest.raises(SystemExit) as exc:
         main(["orbit", "um", "--ring", "f3", "--config", str(cfg)])
@@ -581,21 +581,33 @@ def test_defaults_do_not_carry_over(capsys):
     assert (code, out, err) == run_capped(*argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ("orbit", "um", "--ring", "zmod:4", "--ideal", "2", "--n", "2"),
-    ("orbit", "alt", "--ring", "zmod:4", "--ideal", "2", "--size", "4"),
-    ("report", "vaserstein", "--ring", "zmod:4", "--ideal", "2"),
-], ids=lambda argv: " ".join(argv[:2]))
-def test_conj_depth_is_checked_and_echoed(capsys, argv):
+def test_conj_depth_is_checked_and_echoed(capsys):
+    argv = ("report", "vaserstein", "--ring", "zmod:4", "--ideal", "2")
     code, out, err = run(capsys, *argv, "--conj-depth", "-1")
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "MalformedSpec",
                                "message": "conjugation depth must be >= 0, got -1"}
     objs = [run_json(capsys, *argv, "--conj-depth", str(d)) for d in (0, 3)]
     assert [o.pop("depth") for o in objs] == [0, 3]
-    if argv[0] == "report":
-        assert [o["witt"].pop("depth") for o in objs] == [0, 3]
+    assert [o["witt"].pop("depth") for o in objs] == [0, 3]
     assert objs[0] == objs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "um", "--ring", "zmod:4", "--ideal", "2", "--n", "2"),
+    ("orbit", "alt", "--ring", "zmod:4", "--ideal", "2", "--size", "4"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_orbit_commands_take_no_conj_depth(tmp_path, capsys, argv):
+    # a partition's moves generate the group exactly, so no depth is asked
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--conj-depth", "1"])
+    assert exc.value.code == 64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"conj_depth": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 64
+    assert "depth" not in run_json(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [[part for part in row[:2] if part]
@@ -634,12 +646,12 @@ def test_orbit_um_length_one_is_the_trivial_group(capsys):
     code, out, err = run(capsys, "orbit", "um", "--ring", "zmod:4", "--ideal", "2",
                          "--n", "1")
     assert code == 0
-    assert out == ('{"action":"row","count":2,"depth":1,"fast_path":"translation",'
+    assert out == ('{"action":"row","count":2,"fast_path":"translation",'
                    '"generators":0,"kind":"um","n":1,"objects":2,"orbits":'
                    '[{"rep":["1"],"saturated":true,"size":1},'
                    '{"rep":["3"],"saturated":true,"size":1}],"relative":true,'
                    '"ring":{"kind":"zmod","n":4},"saturated":true,'
-                   '"schema":"orbit-partition/1"}\n')
+                   '"schema":"orbit-partition/2"}\n')
 
 
 @pytest.mark.parametrize("op, args, result", [

@@ -540,6 +540,22 @@ def test_witt_classes_single():
     assert rel.class_of(state) == 0
 
 
+def test_position_refuses_what_is_not_a_partitioned_object():
+    # a wrong length, a non-alternating matrix and an entry outside the
+    # ring have no table state, so they are refused like an unlisted object
+    rows = um_orbit_partition(M4, 3, I24)
+    fam = witt_classes_bounded(M4, I24, 4)
+    mat = fam.base.objects[0]
+    skew = (mat[0], M4.add(mat[1], 1)) + mat[2:]  # (1, 2) moves, (2, 1) not
+    outside = (5,) + mat[1:]
+    for call, obj in [(rows.id_of, (1, 0)), (rows.id_of, (1, 0, 5)),
+                      (fam.base.id_of, skew), (fam.class_of, mat[:-1]),
+                      (fam.class_of, skew), (fam.class_of, outside)]:
+        with pytest.raises(VerificationFailed,
+                           match="state is not one of the partitioned objects"):
+            call(obj)
+
+
 def test_stabilization_merges_a_split_orbit(monkeypatch):
     # real inputs reach level 1 only with level-0 classes that differ mod I,
     # which E_n(R, I) cannot merge; so split the first true orbit of Z/8 (4)
@@ -1292,7 +1308,8 @@ def test_basis_partition_matches_exact_generators(spec, gen, action, n):
     exact = elementary_generators(ring, n, ideal)
     ref = orbit_bfs(ring, part.objects, action, exact)
     assert (part.ids, part.reps) == (ref.ids, ref.reps)
-    assert part.saturated and part.meta["generators"] == len(exact)
+    moves = elementary_generators(ring, n, ideal, basis=True)
+    assert part.saturated and part.meta["generators"] == len(moves)
     relative = ideal is not None and not ideal.contains(ring.one)
     translation = relative and ideal.products_vanish()
     assert ("fast_path" in part.meta) == translation
@@ -1373,9 +1390,48 @@ def test_basis_moves_are_fewer_where_the_basis_is():
     assert len(elementary_generators(zmod(16), 3, ideal_of(zmod(16), 4),
                                      basis=True)) < \
         len(elementary_generators(zmod(16), 3, ideal_of(zmod(16), 4)))
-    # the pinned payloads count the exact set
-    assert alt_orbit_partition(m9, None, 2).meta["generators"] == 16
+    # the payloads count the moves searched: e_12(1), e_21(1) over Z/9,
+    # and over (2) in Z/4 the basis set, which is the exact set there
+    assert alt_orbit_partition(m9, None, 2).meta["generators"] == 2
     assert um_orbit_partition(M4, 3, I24).meta["generators"] == 9
+
+
+@pytest.mark.parametrize("spec", [f"zmod:{m}" for m in (4, 6, 8, 9, 12, 16, 18, 25, 27)]
+                         + ["f4"])
+def test_basis_set_is_the_exact_set_where_the_basis_is_not_smaller(spec):
+    # a proper ideal whose basis is no smaller than its nonzero members is
+    # 0 or {0, x}; there the basis set is the exact set token for token,
+    # so partitions may move over the basis set everywhere
+    ring = parse_ring(spec)
+    ideals = {frozenset(i.members()): i for i in (Ideal(ring, (x,)) for x in ring.elements())
+              if not i.contains(ring.one)}
+    small = [i for i in ideals.values() if len(i.basis()) >= len(i.members()) - 1]
+    assert sorted(len(i.members()) for i in small) in ([1], [1, 2])
+    for ideal in small:
+        for n in (2, 3, 4, 6):
+            assert elementary_generators(ring, n, ideal, basis=True) == \
+                elementary_generators(ring, n, ideal), (ideal.members(), n)
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "vaserstein", "--ring", "f3"],
+    ["report", "vaserstein", "--ring", "zmod:4", "--ideal", "2"],
+    ["orbit", "alt", "--ring", "zmod:9", "--ideal", "3", "--size", "4"],
+    ["orbit", "um", "--ring", "f4", "--n", "3"],
+], ids=" ".join)
+def test_reports_and_partitions_build_only_basis_sets(monkeypatch, capsys, argv):
+    import symwitt.orbits as orbits
+    from symwitt.cli import main
+    build, calls = orbits.elementary_generators, []
+
+    def spy(ring, n, ideal=None, basis=False):
+        calls.append(basis)
+        return build(ring, n, ideal, basis)
+
+    monkeypatch.setattr(orbits, "elementary_generators", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls and all(calls)
 
 
 def _exact_only(monkeypatch):

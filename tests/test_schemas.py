@@ -15,8 +15,9 @@ from symwitt.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 HOME = "bijectivity-report"
-SCHEMAS = {p.name.removesuffix(".v1.json"): json.loads(p.read_text())
-           for p in SCHEMA_DIR.glob("*.v1.json")}
+# each file's title is "<name>/<version>", the `schema` its payloads carry
+FILES = {p.name: json.loads(p.read_text()) for p in SCHEMA_DIR.glob("*.json")}
+SCHEMAS = {s["title"].split("/")[0]: s for s in FILES.values()}
 REGISTRY = Registry().with_resources(
     (s["$id"], Resource.from_contents(s)) for s in SCHEMAS.values())
 
@@ -96,17 +97,20 @@ def test_schema_files_are_valid_schemas(name):
 
 
 def test_every_emitted_schema_key_is_documented():
-    names = {p.name.removesuffix(".v1.json") for p in SCHEMA_DIR.glob("*.v1.json")}
     emitted = {n for n, _ in CASES}
-    assert emitted <= names
-    assert len(names) == 17
+    assert emitted <= set(SCHEMAS)
+    # one file per name, at the version its title names
+    assert len(FILES) == len(SCHEMAS) == 17
+    for file, schema in FILES.items():
+        name, version = schema["title"].split("/")
+        assert file == f"{name}.v{version}.json"
 
 
 @pytest.mark.parametrize("name,argv", CASES,
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(CASES)])
 def test_payload_validates(name, argv, capsys):
     payload = _payload(argv, capsys)
-    assert payload["schema"] == f"{name}/1"
+    assert payload["schema"] == SCHEMAS[name]["title"]
     Draft202012Validator(SCHEMAS[name], registry=REGISTRY).validate(payload)
 
 

@@ -14,7 +14,9 @@ from symwitt import (
     NotRelative,
     RationalField,
     RingMatrix,
+    RingMismatch,
     SizeMismatch,
+    TailAlignmentFailed,
     chi_n,
     complete,
     complete_relative,
@@ -31,6 +33,7 @@ from symwitt import (
     vdk_product,
     verify_equivalence,
     word_eval,
+    zero_ideal,
 )
 from symwitt.umrows import _ext_gcd
 
@@ -60,6 +63,12 @@ def test_complete_relative():
     aw = complete_relative(w)
     assert w.dot(aw.entries) == M8.one
     assert all(i28.contains(x) for x in aw.entries[1:])
+
+
+def test_complete_relative_over_z_with_the_zero_ideal():
+    # e1 is the one row congruent to e1 modulo 0, and completes to itself
+    row = complete_relative(um_row(Z, (1, 0, 0), zero_ideal(Z)))
+    assert row.entries == (1, 0, 0) and row.ideal == zero_ideal(Z)
 
 
 def test_complete_relative_none_without_completion():
@@ -168,6 +177,17 @@ def test_vdk_product():
     assert vdk_product(u, v).entries == (2, 0, 0)
     with pytest.raises(SizeMismatch):
         vdk_product(u, um_row(m5, (1, 0)))
+
+
+def test_vdk_product_refuses_rows_that_do_not_match():
+    m5 = zmod(5)
+    u = um_row(m5, (2, 0, 0))
+    with pytest.raises(RingMismatch, match="rows over different rings"):
+        vdk_product(u, um_row(zmod(7), (1, 0, 0)))
+    with pytest.raises(RingMismatch, match="rows relative to different ideals"):
+        vdk_product(um_row(M9, (1, 3, 0), ideal_of(M9, 3)), um_row(M9, (1, 3, 0)))
+    with pytest.raises(TailAlignmentFailed, match="tails differ"):
+        vdk_product(u, um_row(m5, (1, 1, 0)))
 
 
 def test_vdk_no_p0():

@@ -7,6 +7,7 @@ from symwitt import (
     Elem,
     EquivalenceCertificate,
     GroupWord,
+    MalformedSpec,
     MultiPoly,
     NonInvertibleIndex,
     NotAUnit,
@@ -112,6 +113,17 @@ def test_verify_rejects_non_relative_word():
     x = make_witt_symbol(ideal_of(Z, 2), chi_n(Z, 2))
     cert = EquivalenceCertificate(0, GroupWord(Z, 8, (Elem(1, 2, 1),)))
     assert not verify_equivalence(x, x, cert)
+
+
+def test_verify_refuses_pieces_that_do_not_match():
+    x = make_witt_symbol(I2_M8, chi_n(M8, 1))
+    y = make_witt_symbol(ideal_of(M8, 4), chi_n(M8, 1))
+    with pytest.raises(RingMismatch, match="symbols relative to different ideals"):
+        verify_equivalence(x, y, EquivalenceCertificate(0, GroupWord(M8, 4, ())))
+    with pytest.raises(RingMismatch, match="certificate pieces live over different rings"):
+        verify_equivalence(x, x, EquivalenceCertificate(0, GroupWord(zmod(4), 4, ())))
+    with pytest.raises(MalformedSpec, match="stabilization level must be >= 0, got -1"):
+        EquivalenceCertificate(-1, GroupWord(M8, 4, ()))
 
 
 def test_verify_rejects_word_of_wrong_size():
