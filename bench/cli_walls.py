@@ -13,7 +13,7 @@ checkouts, their runs of each command alternate (parent, change, then
 change, parent, ...), so drift of the host between runs falls on both
 sides alike instead of reading as a change.  The peak RSS of each run
 is the child's ru_maxrss, read with os.wait4.  The medians per command
-go into the output file (BENCH_29.json at the root of this repository
+go into the output file (BENCH_30.json at the root of this repository
 by default) under each timed checkout's commit, together with the
 machine: nproc, Python and platform.  Entries already in the file for
 other commits are kept, so one file holds a parent and a change side
@@ -246,7 +246,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_30.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     for src in srcs:

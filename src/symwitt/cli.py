@@ -271,7 +271,7 @@ def _h_um_vdk(ns):
     ideal = _ideal_of(ring, ns.ideal)
     u = _row_of(ns, ring, ideal, "u")
     v = _row_of(ns, ring, ideal, "v")
-    prod = vdk_product_aligned(u, v, bound=ns.bound)
+    prod = vdk_product_aligned(u, v)
     return {"schema": "um-vdk/1",
             "row": [ring.fmt(x) for x in prod.entries]}
 
@@ -292,21 +292,19 @@ def _partition_obj(part):
 def _h_orbit_um(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    return _partition_obj(um_orbit_partition(ring, _need(ns, "n"), ideal, bound=ns.bound))
+    return _partition_obj(um_orbit_partition(ring, _need(ns, "n"), ideal))
 
 
 def _h_orbit_alt(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    return _partition_obj(alt_orbit_partition(ring, ideal, _need(ns, "size"),
-                                              bound=ns.bound))
+    return _partition_obj(alt_orbit_partition(ring, ideal, _need(ns, "size")))
 
 
 def _h_report_vaserstein(ns):
     ring = _ring_of(ns)
     ideal = _ideal_of(ring, ns.ideal)
-    report = vaserstein_report(ring, ideal, levels=ns.stab,
-                               depth=ns.conj_depth, bound=ns.bound)
+    report = vaserstein_report(ring, ideal, levels=ns.stab, depth=ns.conj_depth)
     obj = report.to_obj()
     obj["schema"] = "bijectivity-report/1"
     return obj
@@ -338,13 +336,13 @@ _COMMANDS = (
     ("um", "complete", _h_um_complete, dict(ring=_S, ideal=_S, row=_S)),
     ("um", "theta", _h_um_theta, dict(ring=_S, a=_S, b=_S)),
     ("um", "symbol", _h_um_symbol, dict(ring=_S, ideal=_S, row=_S)),
-    ("um", "vdk", _h_um_vdk, dict(ring=_S, ideal=_S, u=_S, v=_S, bound=_I)),
+    ("um", "vdk", _h_um_vdk, dict(ring=_S, ideal=_S, u=_S, v=_S)),
     ("um", "lift", _h_um_lift, dict(ring=_S, ideal=_S, row=_S)),
-    ("orbit", "um", _h_orbit_um, dict(ring=_S, ideal=_S, n=_I, bound=_I)),
-    ("orbit", "alt", _h_orbit_alt, dict(ring=_S, ideal=_S, size=_I, bound=_I)),
+    ("orbit", "um", _h_orbit_um, dict(ring=_S, ideal=_S, n=_I)),
+    ("orbit", "alt", _h_orbit_alt, dict(ring=_S, ideal=_S, size=_I)),
     ("report", "vaserstein", _h_report_vaserstein,
      dict(ring=_S, ideal=_S, stab=dict(_I, default=1),
-          conj_depth=dict(_I, default=2), bound=_I)),
+          conj_depth=dict(_I, default=2))),
     (None, "pf", _h_mat_pf, dict(ring=_S, matrix=_S)),
 )
 

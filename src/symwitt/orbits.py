@@ -1,10 +1,11 @@
-"""Bounded orbit search over finite rings.
+"""Exhaustive orbit search over finite rings.
 
 Ground truth by brute force: enumerate unimodular rows or alternating
 matrices, close them up under (relative) elementary moves, and compare
 the row-class group against the symbol classes.  Everything here is
-finite, deterministic, and honest about bounds: a capped search is
-reported unsaturated, never complete.
+finite and deterministic: every search runs to saturation, or is
+refused with BoundExceeded once it would hold more than MEMORY_CAP
+state entries.
 """
 
 from collections import deque
@@ -296,10 +297,9 @@ class OrbitPartition:
     """
 
     def __init__(self, ring: Ring, states: tuple, at: dict, ids: tuple, reps: tuple,
-                 orbit_saturated: tuple, bound: Optional[int], meta: dict):
+                 meta: dict):
         self.ring, self.states, self.at = ring, states, at
-        self.ids, self.reps = ids, reps
-        self.orbit_saturated, self.bound, self.meta = orbit_saturated, bound, meta
+        self.ids, self.reps, self.meta = ids, reps, meta
 
     @functools.cached_property
     def objects(self) -> tuple:
@@ -310,10 +310,6 @@ class OrbitPartition:
     @property
     def norbits(self) -> int:
         return len(self.reps)
-
-    @property
-    def saturated(self) -> bool:
-        return all(self.orbit_saturated)
 
     def _position(self, obj) -> int:
         """Position of a payload tuple, through its state and `at`."""
@@ -336,39 +332,32 @@ class OrbitPartition:
         return tuple(sizes)
 
     def to_obj(self) -> dict:
+        # every orbit is searched whole, so each is saturated
         matrix = self.meta["action"] == ACTION_CONGRUENCE
         orbits = [{"rep": _fmt_rows(self.ring, rep, math.isqrt(len(rep))) if matrix
                    else [self.ring.fmt(x) for x in rep],
-                   "size": size, "saturated": sat}
-                  for rep, size, sat in zip(self.reps, self.orbit_sizes(),
-                                            self.orbit_saturated)]
+                   "size": size, "saturated": True}
+                  for rep, size in zip(self.reps, self.orbit_sizes())]
         obj = {"count": self.norbits, "objects": len(self.ids),
-               "orbits": orbits, "saturated": self.saturated}
-        if self.bound is not None:
-            obj["bound"] = self.bound
+               "orbits": orbits, "saturated": True}
         obj.update(self.meta)
         return obj
 
 
 def _refuse_past_cap(states: int, width: int) -> None:
     """Refuse a search that would hold `states` states of `width`
-    entries each, past MEMORY_CAP state entries, bound or no bound."""
+    entries each, past MEMORY_CAP state entries."""
     if states * width > MEMORY_CAP:
         raise BoundExceeded(
             f"search of {states} states x {width} entries "
             f"is past the memory cap of {MEMORY_CAP}")
 
 
-def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int]):
-    """Breadth-first closure of start under moves, tried in order.
-
-    Returns (reached, complete): the set of reached states, and False
-    if the bound cut the search off.  Which states a cut search reaches
-    depends on the order of discovery.  Past MEMORY_CAP state entries
-    the search raises (`_refuse_past_cap`).
+def _bfs(start: tuple, moves: tuple, tables) -> set:
+    """The set of states reached from start under moves: its whole
+    orbit, since each move permutes the finite set of states.  Past
+    MEMORY_CAP state entries the search raises (`_refuse_past_cap`).
     """
-    if bound is not None and bound < 1:
-        raise MalformedSpec(f"bound must be >= 1, got {bound}")
     add = tables.add
     width = len(start)
     reached = {start}
@@ -379,12 +368,10 @@ def _bfs(start: tuple, moves: tuple, tables, bound: Optional[int]):
             y = _step(x, terms, add)
             if y in reached:
                 continue
-            if bound is not None and len(reached) >= bound:
-                return reached, False
             _refuse_past_cap(len(reached) + 1, width)
             reached.add(y)
             queue.append(y)
-    return reached, True
+    return reached
 
 
 def _trace(links: dict, state: tuple) -> list:
@@ -397,8 +384,7 @@ def _trace(links: dict, state: tuple) -> list:
     return tokens
 
 
-def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring,
-          bound: Optional[int]) -> Optional[tuple]:
+def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring) -> Optional[tuple]:
     """Tokens of a shortest word over moves from start to goal, or None.
 
     States are on `ring.compile()`'s tables.  The search runs from both
@@ -410,12 +396,9 @@ def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring,
     must be closed under inverses for the word to lie over them.  Over
     a finite group each move's inverse is a power of it, so whether a
     path exists does not depend on that.  None means the ends lie in
-    different orbits, or that `bound` states of both ends together cut
-    the search off.  Past MEMORY_CAP state entries the search raises
-    (`_refuse_past_cap`).
+    different orbits.  Past MEMORY_CAP state entries of both ends
+    together the search raises (`_refuse_past_cap`).
     """
-    if bound is not None and bound < 1:
-        raise MalformedSpec(f"bound must be >= 1, got {bound}")
     if start == goal:
         return ()
     add = ring.compile().add
@@ -437,8 +420,6 @@ def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring,
                     head, tail = (near, far) if side == 0 else (far, near)
                     return tuple(head) + tuple(_invert_token(ring, tok)
                                                for tok in reversed(tail))
-                if bound is not None and total >= bound:
-                    return None
                 total += 1
                 _refuse_past_cap(total, width)
                 links[y] = (x, token)
@@ -474,45 +455,36 @@ def _setup(ring: Ring, objects: Optional[Sequence], action: str,
 
 
 def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
-              generators: Sequence[Generator], bound: Optional[int] = None,
-              closed: bool = True, states: Optional[tuple] = None
-              ) -> OrbitPartition:
+              generators: Sequence[Generator], closed: bool = True,
+              states: Optional[tuple] = None) -> OrbitPartition:
     """Partition `objects` into orbits under the configured action.
 
     Closed mode asserts every BFS edge stays inside the object set (the
     action must preserve the defining invariants); open mode tolerates
-    excursions and assigns ids only to listed objects.  A capped orbit is
-    flagged unsaturated and later objects it failed to reach start their
-    own (possibly spurious) orbit.  Congruence objects must be
-    alternating.  `states`, when given, stand for the objects, which may
+    excursions and assigns ids only to listed objects.  Each search
+    closes a whole orbit, so it reaches no object an earlier one
+    labeled.  Congruence objects must be alternating.  `states`, when given, stand for the objects, which may
     then be None.  The action's size comes from the objects, so an empty
     generator set acts as the trivial group.
     """
     tables, moves, n, states, at = _setup(ring, objects, action, generators, states)
     ids = [-1] * len(states)
-    reps, sat_flags = [], []
+    reps = []
     for k, start in enumerate(states):
         if ids[k] >= 0:
             continue
-        reached, saturated = _bfs(start, moves, tables, bound)
-        label, overlap = len(reps), False
-        for x in reached:
+        label = len(reps)
+        for x in _bfs(start, moves, tables):
             j = at.get(x)
             if j is None:
                 if closed:
                     raise VerificationFailed("orbit step left the object set")
                 continue
-            if ids[j] >= 0:
-                # reached into an earlier capped orbit: the split between
-                # them is an artifact of the cap, so neither side is exact
-                overlap = True
-                continue
             ids[j] = label
         # every earlier object already has an id, so k is the smallest
         reps.append(_decode(tables, action, n, start))
-        sat_flags.append(saturated and not overlap)
-    return OrbitPartition(ring, states, at, tuple(ids), tuple(reps), tuple(sat_flags),
-                          bound, {"action": action, "generators": len(generators)})
+    return OrbitPartition(ring, states, at, tuple(ids), tuple(reps),
+                          {"action": action, "generators": len(generators)})
 
 
 def _vec_add(add: tuple, x: tuple, d: tuple) -> tuple:
@@ -587,7 +559,7 @@ def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: s
 
     Every generator then moves a whole congruence coset by a constant
     vector, so each orbit is seed + (additive span of the per-generator
-    deltas) and saturation is unconditional.  An orbit's members are the
+    deltas).  An orbit's members are the
     listed objects in that coset; closed mode asserts it was listed whole.
     The span holds states, so a congruence vector is an upper triangle.
     """
@@ -608,9 +580,9 @@ def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: s
         for j in members:
             ids[j] = len(reps)
         reps.append(_decode(tables, action, n, seed))
-    return OrbitPartition(ring, states, at, tuple(ids), tuple(reps), (True,) * len(reps),
-                          None, {"action": action, "generators": len(gens),
-                                 "fast_path": "translation"})
+    return OrbitPartition(ring, states, at, tuple(ids), tuple(reps),
+                          {"action": action, "generators": len(gens),
+                           "fast_path": "translation"})
 
 
 # perfbench/tracing.py hooks both names, so the open-mode one stays bound
@@ -618,25 +590,20 @@ _translation_partition_open = _translation_partition
 
 
 def _partition(ring: Ring, objects: Optional[tuple], action: str, n: int,
-               ideal: Optional[Ideal], bound: Optional[int],
-               closed: bool = True, states: Optional[tuple] = None
-               ) -> OrbitPartition:
+               ideal: Optional[Ideal], closed: bool = True,
+               states: Optional[tuple] = None) -> OrbitPartition:
     """Orbits of E_n(R, I), moving over the basis set.
 
     The basis set (`elementary_generators` with basis) generates the
     same group as the exact set, so ids and reps are the same; absolute
     at n >= 3 it is the n-cycle of e_i,i+1(1) and the e_12(b).  The
-    payload counts the moves searched.  The bound is checked here too,
-    since the translation path never reads it.
+    payload counts the moves searched.
     """
-    if bound is not None and bound < 1:
-        raise MalformedSpec(f"bound must be >= 1, got {bound}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     moves = elementary_generators(ring, n, ideal, basis=True)
     if not ideal.contains(ring.one) and ideal.products_vanish():
         return _translation_partition(ring, objects, moves, action, closed, states)
-    return orbit_bfs(ring, objects, action, moves, bound=bound, closed=closed,
-                     states=states)
+    return orbit_bfs(ring, objects, action, moves, closed=closed, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +709,11 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
     return tuple(UmRow(ring, tuple(map(els.__getitem__, st)), ideal) for st in states)
 
 
-def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None,
-                       bound: Optional[int] = None) -> OrbitPartition:
+def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None
+                       ) -> OrbitPartition:
     rows = enumerate_um(ring, n, ideal)
     objects = tuple(r.entries for r in rows)
-    part = _partition(ring, objects, ACTION_ROW, n, ideal, bound)
+    part = _partition(ring, objects, ACTION_ROW, n, ideal)
     part.meta.update({"kind": "um", "n": n,
                       "relative": ideal is not None and not ideal.contains(ring.one)})
     return part
@@ -841,13 +808,12 @@ def _universe_states(ring: Ring, ideal: Ideal, size: int) -> list:
     return states
 
 
-def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int,
-                        bound: Optional[int] = None) -> OrbitPartition:
+def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int
+                        ) -> OrbitPartition:
     """Level-zero symbol classes: congruence orbits on the witt universe."""
     ideal = ideal if ideal is not None else unit_ideal(ring)
     states = tuple(_universe_states(ring, ideal, size))
-    part = _partition(ring, None, ACTION_CONGRUENCE, size, ideal, bound,
-                      states=states)
+    part = _partition(ring, None, ACTION_CONGRUENCE, size, ideal, states=states)
     part.meta.update({"kind": "alt", "size": size})
     return part
 
@@ -866,7 +832,6 @@ class WittClassFamily:
     merge_log: tuple
     final_ids: tuple
     final_reps: tuple
-    saturated: bool
 
     @property
     def class_count(self) -> int:
@@ -879,12 +844,11 @@ class WittClassFamily:
         return {"size": self.size, "levels": self.levels,
                 "level0_count": self.base.norbits, "count": self.class_count,
                 "reps": [_fmt_rows(self.ring, r, self.size) for r in self.final_reps],
-                "merges": list(self.merge_log), "saturated": self.saturated}
+                "merges": list(self.merge_log), "saturated": True}
 
 
 def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
-                         levels: int = 1,
-                         bound: Optional[int] = None) -> WittClassFamily:
+                         levels: int = 1) -> WittClassFamily:
     """Symbol classes of the given size with stabilization up to `levels`.
 
     Level zero is a full partition of the universe; each higher level t
@@ -898,12 +862,11 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     ideal = ideal if ideal is not None else unit_ideal(ring)
     if levels < 0:
         raise MalformedSpec(f"stabilization must be >= 0, got {levels}")
-    base = alt_orbit_partition(ring, ideal, size, bound)
+    base = alt_orbit_partition(ring, ideal, size)
     mats = [RingMatrix(ring, size, size, rep) for rep in base.reps]
     # each level-0 orbit's class, named by the class's smallest orbit
     label = list(range(base.norbits))
     merge_log = []
-    saturated = base.saturated
 
     for t in range(1, levels + 1):
         roots = sorted(set(label))
@@ -912,21 +875,19 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
             continue
         roots = [c for c in roots if any(
             d != c and congruent_mod_ideal(mats[c], mats[d], ideal) for d in roots)]
-        merged, level_saturated = [], True
+        merged = []
         if roots:
             pad = chi_n(ring, t)
             seeds = tuple(orth_sum(mats[c], pad).entries for c in roots)
             part = _partition(ring, seeds, ACTION_CONGRUENCE, size + 2 * t, ideal,
-                              bound, closed=False)
+                              closed=False)
             for oid in range(part.norbits):
                 group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
                 if len(group) > 1:
                     merged.append(group)
                     # distinct roots, smallest first: it names the merged class
                     label = [group[0] if c in group else c for c in label]
-            level_saturated = part.saturated
-        saturated = saturated and level_saturated
-        merge_log.append({"t": t, "merged": merged, "saturated": level_saturated})
+        merge_log.append({"t": t, "merged": merged, "saturated": True})
 
     # a root is its class's smallest member: classes keep level-zero order
     order = sorted(set(label))
@@ -934,17 +895,16 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
     final_ids = tuple(relabel[label[c]] for c in base.ids)
     final_reps = tuple(base.reps[r] for r in order)
     return WittClassFamily(ring, ideal, size, levels, base,
-                           tuple(merge_log), final_ids, final_reps, saturated)
+                           tuple(merge_log), final_ids, final_reps)
 
 
 # ---------------------------------------------------------------------------
 # certificates from paths
 # ---------------------------------------------------------------------------
 
-def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
-                                 levels: int = 1, bound: Optional[int] = None
+def find_equivalence_certificate(x: WittSymbol, y: WittSymbol, levels: int = 1
                                  ) -> Optional[EquivalenceCertificate]:
-    """Bounded search for a certificate that x and y are the same class.
+    """Search for a certificate that x and y are the same class.
 
     A search from y's padding towards x's padding, one stabilization
     level at a time, over the exact set (`_search_moves`).  It runs
@@ -952,9 +912,8 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
     goal half's are reversed and inverted, e_ij(a) to e_ij(-a) and a
     conjugate's core likewise, so the word epsilon has only Elem and
     Conj tokens with core entries in I, and is a shortest word over the
-    exact set.  `bound` counts the states of both ends together.  None
-    means the search was exhausted (or capped), not that the symbols
-    differ.
+    exact set.  None means no level up to `levels` joins them, not
+    that the symbols differ.
     """
     if x.ideal != y.ideal:
         raise RingMismatch("symbols relative to different ideals")
@@ -968,7 +927,7 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
         start, goal = (_encode(tables, ACTION_CONGRUENCE, n,
                                orth_sum(rep, chi_n(ring, h + t)).entries)
                        for rep, h in ((y.rep, hx), (x.rep, hy)))
-        tokens = _path(start, goal, moves, ring, bound)
+        tokens = _path(start, goal, moves, ring)
         if tokens is None:
             continue
         cert = EquivalenceCertificate(t, GroupWord(ring, n, tokens))
@@ -982,14 +941,14 @@ def find_equivalence_certificate(x: WittSymbol, y: WittSymbol,
 # row class arithmetic
 # ---------------------------------------------------------------------------
 
-def vdk_product_aligned(u: UmRow, v: UmRow,
-                        bound: Optional[int] = None) -> UmRow:
+def vdk_product_aligned(u: UmRow, v: UmRow) -> UmRow:
     """Row-class product, aligning tails by orbit search when needed.
 
     Both factors are moved within their elementary orbits until the
     tails agree (canonically: smallest matching pair in enumeration
-    order); the coordinate formula then applies.  Rows that would not
-    all fit under MEMORY_CAP are refused before any search.
+    order); the coordinate formula then applies.  When v lies in u's
+    orbit the two orbits are one set, searched once.  Rows that would
+    not all fit under MEMORY_CAP are refused before any search.
     """
     if u.ring != v.ring:
         raise RingMismatch("rows over different rings")
@@ -1001,10 +960,9 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
         return vdk_product(u, v)
     ring, n = u.ring, u.n
     tables, moves = _search_moves(ring, ACTION_ROW, n, u.ideal)
-    orb_u, sat_u = _bfs(_encode(tables, ACTION_ROW, n, u.entries), moves,
-                        tables, bound)
-    orb_v, sat_v = _bfs(_encode(tables, ACTION_ROW, n, v.entries), moves,
-                        tables, bound)
+    orb_u = _bfs(_encode(tables, ACTION_ROW, n, u.entries), moves, tables)
+    v_state = _encode(tables, ACTION_ROW, n, v.entries)
+    orb_v = orb_u if v_state in orb_u else _bfs(v_state, moves, tables)
     # states are element indices, so their order is enumeration order
     by_tail = {}
     for s in sorted(orb_u):
@@ -1014,19 +972,16 @@ def vdk_product_aligned(u: UmRow, v: UmRow,
         if mate is not None:
             return vdk_product(um_row(ring, _decode(tables, ACTION_ROW, n, mate), u.ideal),
                                um_row(ring, _decode(tables, ACTION_ROW, n, s), v.ideal))
-    raise TailAlignmentFailed(
-        "no common tail found"
-        + ("" if sat_u and sat_v else " (search was capped)"))
+    raise TailAlignmentFailed("no common tail found")
 
 
-def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
-                    bound: Optional[int] = None) -> bool:
+def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None) -> bool:
     """Does the coordinatewise product rule hold for (a, tail), (b, tail)?
 
     True iff vdk_product((b, tail), (a, tail)) lands in the same orbit
-    as (ab, tail): a search from both ends (`_path`), cut off at
-    `bound` states of both together.  The ends share an orbit iff some
-    word joins them, so the search may run over the basis set.
+    as (ab, tail): a search from both ends (`_path`).  The ends share
+    an orbit iff some word joins them, so the search may run over the
+    basis set.
     """
     a, b = ring.check(a), ring.check(b)
     tail = tuple(ring.check(x) for x in tail)
@@ -1043,7 +998,7 @@ def nice_mult_check(a, b, tail, ring: Ring, ideal: Optional[Ideal] = None,
     tables, moves = _search_moves(ring, ACTION_ROW, n, ideal)
     return _path(_encode(tables, ACTION_ROW, n, prod.entries),
                  _encode(tables, ACTION_ROW, n, target.entries),
-                 moves, ring, bound) is not None
+                 moves, ring) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1031,7 @@ class BijectivityReport:
                     "objects": len(self.rows.ids),
                     "reps": [[self.ring.fmt(x) for x in rep]
                              for rep in self.rows.reps],
-                    "saturated": self.rows.saturated},
+                    "saturated": True},
             "witt": dict(self.classes.to_obj(), depth=self.depth),
             "map": list(self.assignments),
             "image": sorted(set(self.assignments)),
@@ -1127,8 +1082,7 @@ def _symbol_states(tables, ideal: Ideal, rows: Sequence) -> list:
 
 
 def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
-                      levels: int = 1, depth: int = 1,
-                      bound: Optional[int] = None) -> BijectivityReport:
+                      levels: int = 1, depth: int = 1) -> BijectivityReport:
     """Empirical check that row classes biject onto symbol classes.
 
     Every unimodular row (not just class representatives) is pushed
@@ -1139,17 +1093,18 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     Pfaffian-one matrices with a standard witness mod I, so a symbol
     outside it fails what `make_witt_symbol` checks.  The payload map
     `vaserstein_symbol` cross-checks one row per row class.  A claim is
-    confirmed or inconclusive: a failed claim under fully saturated
-    search is still only `inconclusive` because the stabilization level
-    is a bound too (`depth` is only recorded).
+    confirmed or inconclusive: every orbit is searched whole, but a
+    failed claim is still only `inconclusive` because the stabilization
+    level is a bound (`depth` is only recorded).  A symbol map that is
+    not constant on a row class leaves every claim inconclusive.
     """
     if depth < 0:
         raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     # the symbol universe's size check (|R|^6, or |I|^6 relative) refuses
     # a large ring before the row enumeration's (|R|^3) would
-    classes = witt_classes_bounded(ring, ideal, 4, levels, bound)
-    rows = um_orbit_partition(ring, 3, ideal, bound)
+    classes = witt_classes_bounded(ring, ideal, 4, levels)
+    rows = um_orbit_partition(ring, 3, ideal)
 
     tables = ring.compile()
     symbols = _symbol_states(tables, ideal, rows.states)
@@ -1171,17 +1126,14 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
         notes.append("symbol map is not constant on some bounded row class")
     assignments = tuple(min(per_class[c]) for c in range(rows.norbits))
 
-    sat = rows.saturated and classes.saturated and constant
     injective = len(set(assignments)) == len(assignments)
     surjective = set(assignments) == set(range(classes.class_count))
     claims = {}
     for name, ok in (("injective", injective), ("surjective", surjective)):
-        claims[name] = CONFIRMED if ok and sat else INCONCLUSIVE
+        claims[name] = CONFIRMED if ok and constant else INCONCLUSIVE
         if not ok:
             notes.append(f"{name} fails within bounds "
                          f"(levels={levels}, depth={depth})")
-        elif not sat:
-            notes.append(f"{name} holds but some search was not saturated")
     bijective = claims["injective"] == CONFIRMED and claims["surjective"] == CONFIRMED
     claims["bijective"] = CONFIRMED if bijective else INCONCLUSIVE
     verdict = claims["bijective"]

@@ -884,7 +884,10 @@ class QuotientRing(Ring):
 
     def check(self, a):
         self.base.check(a)
-        if self.reduce(a) != a:
+        # a compiled handle lists exactly the canonical forms
+        canonical = (a in self._tables.index if self._tables is not None
+                     else self.reduce(a) == a)
+        if not canonical:
             raise RingMismatch(f"payload {a!r} is not in canonical form")
         return a
 

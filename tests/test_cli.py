@@ -381,13 +381,13 @@ def test_config_reaches_flags_with_defaults(tmp_path, capsys):
 
 def test_config_values_are_converted_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bound": "5"}))
+    cfg.write_text(json.dumps({"stab": "0"}))
     assert run(capsys, "report", "vaserstein", "--ring", "f2",
                "--config", str(cfg)) == run(capsys, "report", "vaserstein",
-                                            "--ring", "f2", "--bound", "5")
-    cfg.write_text(json.dumps({"n": "2", "bound": "3"}))
+                                            "--ring", "f2", "--stab", "0")
+    cfg.write_text(json.dumps({"n": "2"}))
     obj = run_json(capsys, "orbit", "um", "--ring", "f3", "--config", str(cfg))
-    assert (obj["n"], obj["bound"], obj["count"]) == (2, 3, 4)
+    assert (obj["n"], obj["objects"], obj["count"]) == (2, 8, 1)
     cfg.write_text(json.dumps({"n": "two"}))
     with pytest.raises(SystemExit) as exc:
         main(["orbit", "um", "--ring", "f3", "--config", str(cfg)])
@@ -593,21 +593,33 @@ def test_conj_depth_is_checked_and_echoed(capsys):
     assert objs[0] == objs[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ("orbit", "um", "--ring", "zmod:4", "--ideal", "2", "--n", "2"),
-    ("orbit", "alt", "--ring", "zmod:4", "--ideal", "2", "--size", "4"),
-], ids=lambda argv: " ".join(argv[:2]))
-def test_orbit_commands_take_no_conj_depth(tmp_path, capsys, argv):
-    # a partition's moves generate the group exactly, so no depth is asked
+ORBIT_UM = ("orbit", "um", "--ring", "zmod:4", "--ideal", "2", "--n", "2")
+ORBIT_ALT = ("orbit", "alt", "--ring", "zmod:4", "--ideal", "2", "--size", "4")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    pytest.param("conj_depth", ORBIT_UM, id="orbit um"),
+    pytest.param("conj_depth", ORBIT_ALT, id="orbit alt"),
+    pytest.param("bound", ORBIT_UM, id="orbit um --bound"),
+    pytest.param("bound", ORBIT_ALT, id="orbit alt --bound"),
+    pytest.param("bound", ("um", "vdk", "--ring", "zmod:5", "--u", '["2","1","0"]',
+                           "--v", '["1","0","1"]'), id="um vdk --bound"),
+    pytest.param("bound", ("report", "vaserstein", "--ring", "f2"),
+                 id="report vaserstein --bound"),
+])
+def test_orbit_commands_take_no_conj_depth(tmp_path, capsys, flag, argv):
+    # a partition's moves generate the group exactly, so no depth is
+    # asked; every search is exhaustive or refused at the memory cap, so
+    # no bound is asked either
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--conj-depth", "1"])
+        main([*argv, "--" + flag.replace("_", "-"), "1"])
     assert exc.value.code == 64
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"conj_depth": 1}))
+    cfg.write_text(json.dumps({flag: 1}))
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--config", str(cfg)])
     assert exc.value.code == 64
-    assert "depth" not in run_json(capsys, *argv)
+    assert {"conj_depth": "depth"}.get(flag, flag) not in run_json(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [[part for part in row[:2] if part]
@@ -619,22 +631,6 @@ def test_every_command_has_help(argv, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: symwitt {' '.join(argv)} [-h]")
     assert "--config CONFIG" in out and "--seed SEED" in out
-
-
-@pytest.mark.parametrize("argv", [
-    ["report", "vaserstein", "--ring", "f2", "--bound", "0"],
-    ["report", "vaserstein", "--ring", "f2", "--bound", "-3"],
-    # the translation path, which never reads the bound
-    ["orbit", "alt", "--ring", "zmod:8", "--ideal", "4", "--size", "4",
-     "--bound", "-3"],
-    ["um", "vdk", "--ring", "zmod:5", "--u", '["2","1","0"]',
-     "--v", '["1","0","1"]', "--bound", "0"],
-], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
-def test_bound_below_one_is_refused(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "MalformedSpec",
-                               "message": f"bound must be >= 1, got {argv[-1]}"}
 
 
 def test_orbit_um_length_one_is_the_trivial_group(capsys):

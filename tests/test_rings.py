@@ -139,6 +139,31 @@ def test_quotient_int_mode():
         QuotientRing(Z, (0,))
 
 
+def test_compiled_quotient_checks_like_uncompiled(monkeypatch):
+    # a compiled handle reads canonical form off its element index, so it
+    # must accept and refuse exactly what reduction does, without dividing
+    import symwitt.rings as rings
+    plain, compiled = f4(), f4()
+    compiled.compile()
+    payloads = [*compiled.elements(), (0, 0, 1), (1, 1, 1), (1, 0), (2,), [1], "x", 1]
+
+    def outcome(ring, a):
+        try:
+            return ring.check(a)
+        except RingMismatch as e:
+            return str(e)
+
+    want = [outcome(plain, a) for a in payloads]
+    assert want[:4] == list(compiled.elements())
+    assert want[4] == "payload (0, 0, 1) is not in canonical form"
+
+    def no_division(*args):
+        raise AssertionError("a compiled handle divided to check a payload")
+
+    monkeypatch.setattr(rings, "_poly_divmod", no_division)
+    assert [outcome(compiled, a) for a in payloads] == want
+
+
 def test_laurent_arithmetic():
     l = LaurentRing(Z, "t")
     x = l.parse("t+t^-1")
