@@ -667,6 +667,19 @@ def test_vdk_product_aligned_searches_one_orbit_once(monkeypatch):
     assert len(starts) == 1
 
 
+def test_vdk_product_aligned_capped_search(monkeypatch):
+    # a search past the memory cap is refused, never cut short into a
+    # failed tail alignment
+    import symwitt.orbits as orbits
+    u, v = um_row(F3, (2, 1, 0)), um_row(F3, (1, 0, 1))
+    want = vdk_product_aligned(u, v).entries
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 3 * 25)
+    with pytest.raises(BoundExceeded, match="search of 26 states x 3 entries"):
+        vdk_product_aligned(u, v)
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 3 * 26)
+    assert vdk_product_aligned(u, v).entries == want
+
+
 def test_search_refuses_past_the_memory_cap(monkeypatch):
     import symwitt.orbits as orbits
     tables, moves = _search_moves(F3, ACTION_ROW, 3, None)
@@ -700,6 +713,15 @@ def test_vaserstein_report_confirmed():
     assert obj["counterexample"] is None
     assert obj["verdict"] == CONFIRMED
     assert obj["mse"]["count"] == 1
+
+
+def test_vaserstein_report_refuses_past_the_memory_cap(monkeypatch):
+    # the report's searches are whole or refused: a cap they meet raises,
+    # and no claim is left inconclusive by a cut search
+    import symwitt.orbits as orbits
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 729)  # 3^6, the universe's size
+    with pytest.raises(BoundExceeded, match="x 6 entries is past the memory cap of 729"):
+        vaserstein_report(F3)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,6 +1218,17 @@ def test_nice_mult_check_errors():
     # the check holds only through a search that joins the two
     prod = vdk_product(um_row(F3, (2, 1, 0)), um_row(F3, (2, 1, 0)))
     assert prod.entries == (0, 2, 0)
+    assert nice_mult_check(2, 2, (1, 0), F3)
+
+
+def test_path_searches_refuse_past_the_memory_cap(monkeypatch):
+    # the two ends' states count together, and a search that meets the
+    # cap raises rather than answering False
+    import symwitt.orbits as orbits
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 3 * 10)
+    with pytest.raises(BoundExceeded, match="search of 11 states x 3 entries"):
+        nice_mult_check(2, 2, (1, 0), F3)
+    monkeypatch.setattr(orbits, "MEMORY_CAP", 3 * 26)
     assert nice_mult_check(2, 2, (1, 0), F3)
 
 
