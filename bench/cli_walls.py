@@ -1,4 +1,4 @@
-"""Wall time and peak RSS of symwitt commands on named rings.
+"""Wall time, CPU time and peak RSS of symwitt commands on named rings.
 
     python3 bench/cli_walls.py                      # time this checkout
     python3 bench/cli_walls.py --src OTHER_CHECKOUT # time another checkout
@@ -11,19 +11,21 @@ before the first run, so a fresh clone does not compile its modules in
 every run where PYTHONDONTWRITEBYTECODE=1 is set.  Given two
 checkouts, their runs of each command alternate (parent, change, then
 change, parent, ...), so drift of the host between runs falls on both
-sides alike instead of reading as a change.  The peak RSS of each run
-is the child's ru_maxrss, read with os.wait4.  The medians per command
-go into the output file (BENCH_30.json at the root of this repository
-by default) under each timed checkout's commit, together with the
-machine: nproc, Python and platform.  Entries already in the file for
+sides alike instead of reading as a change.  The CPU time of each run
+is the child's ru_utime + ru_stime and its peak RSS is the child's
+ru_maxrss, both read with os.wait4; CPU time leaves out the waits that
+a busy host adds to a wall.  The medians per command go into the
+output file (BENCH_31.json at the root of this repository by default)
+under each timed checkout's commit, together with the machine: nproc,
+Python and platform.  Entries already in the file for
 other commits are kept, so one file holds a parent and a change side
 by side.  The sha256 of each command's stdout and the error name of a
 failed run are recorded too, to show both sides printed the same
 bytes.  Given two checkouts, the second one's entry also records, per
-command, the wall ratio (second over first) of each pair of runs made
-back to back, with their median and range: drift of the host between
-pairs falls on both runs of a pair, so it leaves the ratios unskewed,
-while their range shows the noise that remains.
+command, the wall and the CPU ratio (second over first) of each pair
+of runs made back to back, with their median and range: drift of the
+host between pairs falls on both runs of a pair, so it leaves the
+ratios unskewed, while their range shows the noise that remains.
 
 The report group ends with the absolute report over Z/12, whose BFS
 partitions 209,664 universe states.  Its rows with no unit entry, such
@@ -39,11 +41,14 @@ and print through the shared term grammar.
 The orbit group partitions the relative symbol universe of Z/16 (2)
 at size 4, a BFS over 96 basis moves (378 exact generators).
 
-The span group holds relative reports whose stabilization levels
-partition by translation spans far past the memory cap as lists:
-Z/9 (3) at level 1 (4,782,969 vectors of 15 entries) and Z/8 (4) at
-levels 1 and 2 (16,384 vectors of 15 entries, then 2^27 of 28).  Their
-membership is decided through an echelon table of each span.
+The span group holds the relative reports over Z/9 (3) at level 1 and
+Z/8 (4) at levels 1 and 2.  Their levels once partitioned translation
+spans far past the memory cap as lists (4,782,969 vectors of 15
+entries; 16,384 of 15, then 2^27 of 28).  Today both print
+"merged": [] at every level: their two level-0 classes differ mod I,
+so `witt_classes_bounded` searches no level.  They time the relative
+universe (486 and 64 states), its level-0 translation partition through
+an echelon table of each span, and the rows and their symbols.
 
 The large-ring group holds commands over rings of 10^7 elements and
 more, which must be answered or refused without enumerating the ring;
@@ -172,7 +177,8 @@ def _git(src, *args):
 
 
 def run_once(src, argv, env):
-    """One run: wall seconds, exit code, stdout, stderr, peak RSS in MB."""
+    """One run: wall seconds, exit code, stdout, stderr, peak RSS in MB
+    and CPU seconds (user plus system)."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", LAUNCH] + argv, cwd=src,
@@ -188,7 +194,8 @@ def run_once(src, argv, env):
         out.seek(0)
         err.seek(0)
         # ru_maxrss is in KB on Linux
-        return wall, proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024
+        return (wall, proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024,
+                usage.ru_utime + usage.ru_stime)
 
 
 def _error_name(stderr):
@@ -213,19 +220,27 @@ def time_case(srcs, argv):
         order.reverse()
     out = [_summary(argv, r) for r in runs]
     if len(srcs) == 2:
-        ratios = [change[0] / parent[0] for parent, change in zip(*runs)]
-        out[1]["pair_ratios"] = {"runs": [round(r, 3) for r in ratios],
-                                 "median": round(statistics.median(ratios), 3),
-                                 "range": [round(min(ratios), 3), round(max(ratios), 3)]}
+        parent, change = runs
+        for key, at in (("pair_ratios", 0), ("cpu_pair_ratios", 5)):
+            out[1][key] = _pair_ratios([r[at] for r in parent], [r[at] for r in change])
     return out
 
 
+def _pair_ratios(first, second):
+    """Ratios second / first of paired runs, with their median and range."""
+    ratios = [b / a for a, b in zip(first, second)]
+    return {"runs": [round(r, 3) for r in ratios],
+            "median": round(statistics.median(ratios), 3),
+            "range": [round(min(ratios), 3), round(max(ratios), 3)]}
+
+
 def _summary(argv, runs):
-    """Walls and peak RSS of the runs of one command, its exit code,
-    error name and stdout digest."""
-    walls, rss, codes, digests, errors = [], [], set(), set(), set()
-    for wall, code, stdout, stderr, peak in runs:
+    """Walls, CPU times and peak RSS of the runs of one command, its
+    exit code, error name and stdout digest."""
+    walls, cpus, rss, codes, digests, errors = [], [], [], set(), set(), set()
+    for wall, code, stdout, stderr, peak, cpu in runs:
         walls.append(wall)
+        cpus.append(cpu)
         rss.append(peak)
         codes.add(code)
         digests.add(hashlib.sha256(stdout).hexdigest())
@@ -233,6 +248,8 @@ def _summary(argv, runs):
             errors.add(_error_name(stderr))
     out = {"argv": argv, "median_s": round(statistics.median(walls), 3),
            "runs_s": [round(w, 3) for w in walls],
+           "median_cpu_s": round(statistics.median(cpus), 3),
+           "runs_cpu_s": [round(c, 3) for c in cpus],
            "median_peak_rss_mb": round(statistics.median(rss), 1),
            "runs_peak_rss_mb": [round(m, 1) for m in rss],
            "exit": sorted(codes), "stdout_sha256": sorted(digests)}
@@ -246,7 +263,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_30.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_31.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     for src in srcs:
@@ -273,10 +290,12 @@ def main():
                         + list(LARGE_CASES)):
         for entry, res in zip(entries, time_case(srcs, argv)):
             entry["walls"][label] = res
-            ratio = res.get("pair_ratios")
+            ratio, cpu = res.get("pair_ratios"), res.get("cpu_pair_ratios")
             print(f"{label:24s} {str(entry['commit'])[:7]:7s} {res['median_s']:9.3f} s "
+                  f"{res['median_cpu_s']:9.3f} s cpu "
                   f"{res['median_peak_rss_mb']:8.1f} MB  exit {res['exit']}"
-                  + (f"  ratio {ratio['median']:.3f}" if ratio else ""),
+                  + (f"  ratio {ratio['median']:.3f} cpu {cpu['median']:.3f}"
+                     if ratio else ""),
                   file=sys.stderr, flush=True)
     doc = {"script": "bench/cli_walls.py", "entries": []}
     if args.out.exists():

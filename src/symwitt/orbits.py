@@ -212,16 +212,17 @@ def _entries(n: int):
                         for i in range(n) for j in range(n)))
 
 
-def _size(action: str, objects: Optional[tuple] = None,
-          states: Optional[tuple] = None) -> int:
-    """The action's size n, read from the first object (n entries, or
-    n x n) or else from the first state (n entries, or the n(n-1)/2 of
-    an upper triangle)."""
-    if objects is not None:
-        width = len(objects[0])
-        return width if action == ACTION_ROW else math.isqrt(width)
+def _size(action: str, states: tuple) -> int:
+    """The action's size n, read from the first state: n entries, or the
+    n(n-1)/2 of an upper triangle.  A congruence state of any other
+    width (an n x n payload, say) is refused, not read as a triangle."""
     width = len(states[0])
-    return width if action == ACTION_ROW else (1 + math.isqrt(1 + 8 * width)) // 2
+    if action == ACTION_ROW:
+        return width
+    n = (1 + math.isqrt(1 + 8 * width)) // 2
+    if n * (n - 1) // 2 != width:
+        raise SizeMismatch(f"congruence state of {width} entries is no upper triangle")
+    return n
 
 
 def _decode(tables, action: str, n: int, state: tuple) -> tuple:
@@ -304,7 +305,7 @@ class OrbitPartition:
     @functools.cached_property
     def objects(self) -> tuple:
         tables, action = self.ring.compile(), self.meta["action"]
-        n = _size(action, states=self.states)
+        n = _size(action, self.states)
         return tuple(_decode(tables, action, n, st) for st in self.states)
 
     @property
@@ -315,7 +316,7 @@ class OrbitPartition:
         """Position of a payload tuple, through its state and `at`."""
         tables, action = self.ring.compile(), self.meta["action"]
         try:
-            k = self.at.get(_encode(tables, action, _size(action, states=self.states), obj))
+            k = self.at.get(_encode(tables, action, _size(action, self.states), obj))
         except (KeyError, SizeMismatch, MalformedSpec):
             k = None  # not a state of this action, so not a listed one
         if k is None:
@@ -428,46 +429,39 @@ def _path(start: tuple, goal: tuple, moves: tuple, ring: Ring) -> Optional[tuple
     return None
 
 
-def _setup(ring: Ring, objects: Optional[Sequence], action: str,
-           gens: Sequence[Generator], states: Optional[tuple]) -> tuple:
-    """Tables, moves, size n, states and state -> position map of a
-    partition.
+def _setup(ring: Ring, states: tuple, action: str, gens: Sequence[Generator]) -> tuple:
+    """Tables, moves, size n and state -> position map of a partition.
 
-    Objects are payload tuples, encoded here, or None where `states` are
-    given; n is read from the first of them.  Given states are trusted:
-    this module passes them where it built them on the tables.  The map
-    is the partition's one index of its objects, so duplicates are
-    refused there.
+    The states are trusted: they are built on the ring's tables, by
+    this module or by `_encode` at the edges.  n is read from the first
+    of them.  The map is the partition's one index of its objects, so
+    duplicates are refused there.
     """
-    if objects is not None:
-        objects = tuple(objects)
-    if not (states if objects is None else objects):
+    if not states:
         raise MalformedSpec("nothing to partition")
-    n = _size(action, objects, states)
+    n = _size(action, states)
     tables = ring.compile()
     moves = _compile_moves(tables, action, n, gens)
-    if states is None:
-        states = tuple(_encode(tables, action, n, s) for s in objects)
     at = {st: k for k, st in enumerate(states)}
     if len(at) != len(states):
         raise MalformedSpec("duplicate objects in orbit enumeration")
-    return tables, moves, n, states, at
+    return tables, moves, n, at
 
 
-def orbit_bfs(ring: Ring, objects: Optional[Sequence], action: str,
-              generators: Sequence[Generator], closed: bool = True,
-              states: Optional[tuple] = None) -> OrbitPartition:
-    """Partition `objects` into orbits under the configured action.
+def orbit_bfs(ring: Ring, states: tuple, action: str,
+              generators: Sequence[Generator], closed: bool = True) -> OrbitPartition:
+    """Partition `states` into orbits under the configured action.
 
-    Closed mode asserts every BFS edge stays inside the object set (the
-    action must preserve the defining invariants); open mode tolerates
-    excursions and assigns ids only to listed objects.  Each search
-    closes a whole orbit, so it reaches no object an earlier one
-    labeled.  Congruence objects must be alternating.  `states`, when given, stand for the objects, which may
-    then be None.  The action's size comes from the objects, so an empty
-    generator set acts as the trivial group.
+    Closed mode asserts every BFS edge stays inside the listed states
+    (the action must preserve the defining invariants); open mode
+    tolerates excursions and assigns ids only to listed states.  Each
+    search closes a whole orbit, so it reaches no state an earlier one
+    labeled.  Payload tuples are encoded first (`_encode`), which
+    checks that a congruence object is alternating.  The action's size
+    comes from the states, so an empty generator set acts as the
+    trivial group.
     """
-    tables, moves, n, states, at = _setup(ring, objects, action, generators, states)
+    tables, moves, n, at = _setup(ring, states, action, generators)
     ids = [-1] * len(states)
     reps = []
     for k, start in enumerate(states):
@@ -552,18 +546,17 @@ class _EchelonSpan:
         return v == self.cleared
 
 
-def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: str,
-                           closed: bool = True,
-                           states: Optional[tuple] = None) -> OrbitPartition:
+def _translation_partition(ring: Ring, states: tuple, gens, action: str,
+                           closed: bool = True) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
 
     Every generator then moves a whole congruence coset by a constant
     vector, so each orbit is seed + (additive span of the per-generator
-    deltas).  An orbit's members are the
-    listed objects in that coset; closed mode asserts it was listed whole.
-    The span holds states, so a congruence vector is an upper triangle.
+    deltas).  An orbit's members are the listed states in that coset;
+    closed mode asserts it was listed whole.  The span holds states, so
+    a congruence vector is an upper triangle.
     """
-    tables, moves, n, states, at = _setup(ring, objects, action, gens, states)
+    tables, moves, n, at = _setup(ring, states, action, gens)
     add, neg = tables.add, tables.neg
     ids = [-1] * len(states)
     reps = []
@@ -589,9 +582,8 @@ def _translation_partition(ring: Ring, objects: Optional[tuple], gens, action: s
 _translation_partition_open = _translation_partition
 
 
-def _partition(ring: Ring, objects: Optional[tuple], action: str, n: int,
-               ideal: Optional[Ideal], closed: bool = True,
-               states: Optional[tuple] = None) -> OrbitPartition:
+def _partition(ring: Ring, states: tuple, action: str, n: int,
+               ideal: Optional[Ideal], closed: bool = True) -> OrbitPartition:
     """Orbits of E_n(R, I), moving over the basis set.
 
     The basis set (`elementary_generators` with basis) generates the
@@ -602,8 +594,8 @@ def _partition(ring: Ring, objects: Optional[tuple], action: str, n: int,
     ideal = ideal if ideal is not None else unit_ideal(ring)
     moves = elementary_generators(ring, n, ideal, basis=True)
     if not ideal.contains(ring.one) and ideal.products_vanish():
-        return _translation_partition(ring, objects, moves, action, closed, states)
-    return orbit_bfs(ring, objects, action, moves, closed=closed, states=states)
+        return _translation_partition(ring, states, moves, action, closed)
+    return orbit_bfs(ring, states, action, moves, closed=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +703,12 @@ def enumerate_um(ring: Ring, n: int, ideal: Optional[Ideal] = None) -> tuple:
 
 def um_orbit_partition(ring: Ring, n: int, ideal: Optional[Ideal] = None
                        ) -> OrbitPartition:
-    rows = enumerate_um(ring, n, ideal)
-    objects = tuple(r.entries for r in rows)
-    part = _partition(ring, objects, ACTION_ROW, n, ideal)
+    # enumerate_um decodes each row state into a UmRow, encoded back here;
+    # the round trip stays while perfbench counts rows from enumerate_um
+    tables = ring.compile()
+    states = tuple(_encode(tables, ACTION_ROW, n, r.entries)
+                   for r in enumerate_um(ring, n, ideal))
+    part = _partition(ring, states, ACTION_ROW, n, ideal)
     part.meta.update({"kind": "um", "n": n,
                       "relative": ideal is not None and not ideal.contains(ring.one)})
     return part
@@ -813,7 +808,7 @@ def alt_orbit_partition(ring: Ring, ideal: Optional[Ideal], size: int
     """Level-zero symbol classes: congruence orbits on the witt universe."""
     ideal = ideal if ideal is not None else unit_ideal(ring)
     states = tuple(_universe_states(ring, ideal, size))
-    part = _partition(ring, None, ACTION_CONGRUENCE, size, ideal, states=states)
+    part = _partition(ring, states, ACTION_CONGRUENCE, size, ideal)
     part.meta.update({"kind": "alt", "size": size})
     return part
 
@@ -877,10 +872,10 @@ def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
             d != c and congruent_mod_ideal(mats[c], mats[d], ideal) for d in roots)]
         merged = []
         if roots:
-            pad = chi_n(ring, t)
-            seeds = tuple(orth_sum(mats[c], pad).entries for c in roots)
-            part = _partition(ring, seeds, ACTION_CONGRUENCE, size + 2 * t, ideal,
-                              closed=False)
+            pad, n, tables = chi_n(ring, t), size + 2 * t, ring.compile()
+            seeds = tuple(_encode(tables, ACTION_CONGRUENCE, n,
+                                  orth_sum(mats[c], pad).entries) for c in roots)
+            part = _partition(ring, seeds, ACTION_CONGRUENCE, n, ideal, closed=False)
             for oid in range(part.norbits):
                 group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
                 if len(group) > 1:

@@ -89,8 +89,7 @@ def standard_form_witness(a: RingMatrix, ideal: Ideal) -> Optional[FormWitness]:
     return None
 
 
-def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
-                     witness: Optional[FormWitness] = None) -> WittSymbol:
+def make_witt_symbol(ideal: Ideal, rep: RingMatrix) -> WittSymbol:
     """Validated constructor: alternating, invertible, witnessed mod I."""
     if ideal.ring != rep.ring:
         raise RingMismatch("ideal and representative over different rings")
@@ -99,15 +98,9 @@ def make_witt_symbol(ideal: Ideal, rep: RingMatrix,
     # det = Pf^2, and an odd alternating matrix has det 0
     if rep.rows % 2 or not rep.ring.is_unit(pfaffian(rep)):
         raise NotAUnit("representative is not invertible")
+    witness = standard_form_witness(rep, ideal)
     if witness is None:
-        # the scan has already checked the congruence of the form it returns
-        witness = standard_form_witness(rep, ideal)
-        if witness is None:
-            raise VerificationFailed("no standard form witness modulo the ideal")
-    elif 2 * witness.n != rep.rows:
-        raise SizeMismatch("witness size does not match the representative")
-    elif not congruent_mod_ideal(rep, witness.realize(rep.ring), ideal):
-        raise VerificationFailed("witness congruence fails modulo the ideal")
+        raise VerificationFailed("no standard form witness modulo the ideal")
     return WittSymbol(ideal, rep, witness)
 
 

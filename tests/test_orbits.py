@@ -3,6 +3,7 @@ certificate search, and the bijectivity report."""
 
 import functools
 import itertools
+import math
 import random
 from collections import deque
 
@@ -66,9 +67,12 @@ from symwitt.orbits import (
     _encode,
     _partition,
     _path,
+    _row_pool,
     _search_moves,
+    _size,
     _step,
     _symbol_states,
+    _unimodular_states,
     _universe_states,
     _upper,
     _vec_add,
@@ -81,6 +85,14 @@ F2 = zmod(2)
 F3 = zmod(3)
 M4 = zmod(4)
 I24 = ideal_of(M4, 2)
+
+
+def _states(ring, action, objects):
+    """Payload tuples (rows, or n x n matrices) as the table states every
+    partition function takes."""
+    tables = ring.compile()
+    size = len if action == ACTION_ROW else lambda o: math.isqrt(len(o))
+    return tuple(_encode(tables, action, size(o), o) for o in objects)
 
 
 def test_enumerate_um_counts():
@@ -141,9 +153,10 @@ def test_generator_counts():
 
 def test_orbit_bfs_closed_mode():
     gens = elementary_generators(F2, 2)
+    seed = _states(F2, ACTION_ROW, ((1, 0),))
     with pytest.raises(VerificationFailed):
-        orbit_bfs(F2, ((1, 0),), ACTION_ROW, gens, closed=True)
-    part = orbit_bfs(F2, ((1, 0),), ACTION_ROW, gens, closed=False)
+        orbit_bfs(F2, seed, ACTION_ROW, gens, closed=True)
+    part = orbit_bfs(F2, seed, ACTION_ROW, gens, closed=False)
     assert part.norbits == 1
     with pytest.raises(MalformedSpec):
         orbit_bfs(F2, (), ACTION_ROW, gens)
@@ -151,12 +164,24 @@ def test_orbit_bfs_closed_mode():
 
 def test_orbit_bfs_empty_generators_is_the_trivial_group():
     rows = ((1, 0), (0, 1), (1, 1))
-    part = orbit_bfs(F2, rows, ACTION_ROW, ())
+    part = orbit_bfs(F2, _states(F2, ACTION_ROW, rows), ACTION_ROW, ())
     assert part.ids == (0, 1, 2) and part.reps == rows
     assert part.meta["generators"] == 0
     mats = tuple(m.entries for m in witt_universe(F2, unit_ideal(F2), 4))
     assert len(mats) > 1
-    assert orbit_bfs(F2, mats, ACTION_CONGRUENCE, ()).ids == tuple(range(len(mats)))
+    part = orbit_bfs(F2, _states(F2, ACTION_CONGRUENCE, mats), ACTION_CONGRUENCE, ())
+    assert part.ids == tuple(range(len(mats))) and part.reps == mats
+
+
+def test_congruence_states_of_no_triangle_width_are_refused():
+    # a 4 x 4 payload over Z/2 has 16 entries that are also element
+    # indices, one more than the 15 of a 6 x 6 upper triangle
+    mats = tuple(m.entries for m in witt_universe(F2, unit_ideal(F2), 4))
+    for call in (lambda: orbit_bfs(F2, mats, ACTION_CONGRUENCE, ()),
+                 lambda: _partition(F2, mats, ACTION_CONGRUENCE, 4, None)):
+        with pytest.raises(SizeMismatch, match="state of 16 entries is no upper triangle"):
+            call()
+    assert [_size(ACTION_CONGRUENCE, ((0,) * w,)) for w in (1, 6, 15)] == [2, 4, 6]
 
 
 def test_um_orbit_partitions_single():
@@ -202,27 +227,25 @@ def test_rep_idempotence():
 
 def test_translation_fast_path_matches_generic_bfs():
     # I^2 = 0 engages the translation strategy; compare with plain BFS
-    rows = enumerate_um(M4, 3, I24)
-    states = tuple(r.entries for r in rows)
+    rows = _states(M4, ACTION_ROW, (r.entries for r in enumerate_um(M4, 3, I24)))
     gens = elementary_generators(M4, 3, I24)
     fast = um_orbit_partition(M4, 3, I24)
-    slow = orbit_bfs(M4, states, ACTION_ROW, gens)
+    slow = orbit_bfs(M4, rows, ACTION_ROW, gens)
     assert fast.ids == slow.ids
     assert fast.reps == slow.reps
     alt_fast = alt_orbit_partition(M4, I24, 4)
-    alt_slow = orbit_bfs(M4, alt_fast.objects, ACTION_CONGRUENCE,
+    alt_slow = orbit_bfs(M4, alt_fast.states, ACTION_CONGRUENCE,
                          elementary_generators(M4, 4, I24))
     assert alt_fast.ids == alt_slow.ids
 
     # open mode, as the stabilization levels use it: only listed seeds get
     # ids, and a seed subset need not hold whole orbits
     m8, m9 = zmod(8), zmod(9)
-    cases = [(ring, ideal, ACTION_CONGRUENCE, 4,
-              tuple(m.entries for m in witt_universe(ring, ideal, 4)))
+    cases = [(ring, ideal, ACTION_CONGRUENCE, 4, tuple(_universe_states(ring, ideal, 4)))
              for ring, ideal in ((M4, I24), (m8, ideal_of(m8, 4)))]
     i39 = ideal_of(m9, 3)
     cases.append((m9, i39, ACTION_ROW, 3,
-                  tuple(r.entries for r in enumerate_um(m9, 3, i39))))
+                  _states(m9, ACTION_ROW, (r.entries for r in enumerate_um(m9, 3, i39)))))
     for ring, ideal, action, n, objects in cases:
         gens = elementary_generators(ring, n, ideal)
         for seeds in (objects, objects[::3], objects[1::5]):
@@ -276,7 +299,7 @@ def test_exact_generators_match_depth_k(kind, n, gen, size):
     else:
         exact, action = alt_orbit_partition(ring, ideal, size), ACTION_CONGRUENCE
     for depth in (1, 2):
-        ref = orbit_bfs(ring, exact.objects, action,
+        ref = orbit_bfs(ring, exact.states, action,
                         _depth_k_generators(ring, size, ideal, depth))
         assert (exact.ids, exact.reps) == (ref.ids, ref.reps), depth
 
@@ -955,18 +978,19 @@ def test_compiled_partition_matches_reference(spec, gen, action, n, kind, full):
     ideal = None if gen is None else ideal_of(ring, ring.parse(str(gen)))
     gens = _gens(ring, ideal, n, kind)
     objects = _objects(ring, ideal, action, n)
+    # the engine partitions states, the reference the payloads themselves
     for seeds in (objects[::7], objects[1::11]):
-        part = orbit_bfs(ring, seeds, action, gens, closed=False)
+        part = orbit_bfs(ring, _states(ring, action, seeds), action, gens, closed=False)
         assert (part.ids, part.reps) == \
             _ref_orbit_bfs(ring, seeds, action, gens, closed=False)
     if full:
-        part = orbit_bfs(ring, objects, action, gens)
+        part = orbit_bfs(ring, _states(ring, action, objects), action, gens)
         assert (part.ids, part.reps) == _ref_orbit_bfs(ring, objects, action, gens)
         cut = objects[1::3]
         with pytest.raises(VerificationFailed):
             _ref_orbit_bfs(ring, cut, action, gens)
         with pytest.raises(VerificationFailed):
-            orbit_bfs(ring, cut, action, gens)
+            orbit_bfs(ring, _states(ring, action, cut), action, gens)
 
 
 @pytest.mark.parametrize("spec, gen, action, n, kind, full", ENGINE_CASES)
@@ -976,21 +1000,26 @@ def test_partition_from_payloads_matches_partition_from_states(spec, gen, action
     ideal = None if gen is None else ideal_of(ring, ring.parse(str(gen)))
     gens = _gens(ring, ideal, n, kind)
     objects = _objects(ring, ideal, action, n)
-    tables = ring.compile()
-    for seeds in (objects, objects[1::11]) if full else (objects[::7],):
-        states = tuple(_encode(tables, action, n, s) for s in seeds)
-        parts = (orbit_bfs(ring, seeds, action, gens, closed=False),
-                 orbit_bfs(ring, None, action, gens, closed=False, states=states))
-        for part in parts:
-            assert "objects" not in vars(part)
-            # each representative is its orbit's first listed object
-            assert part.reps == tuple(seeds[part.ids.index(c)]
-                                      for c in range(part.norbits))
-        payload, state = parts
-        assert (payload.ids, payload.reps) == (state.ids, state.reps)
-        assert payload.objects == state.objects == seeds
-        assert [payload.id_of(s) for s in seeds] == [state.id_of(s) for s in seeds] == \
-            list(payload.ids)
+    # the states the engine enumerates, in the order of their payloads
+    if action == ACTION_ROW:
+        tables, relative = ring.compile(), ideal is not None and not ideal.contains(ring.one)
+        enumerated = tuple(_unimodular_states(
+            tables, [tables.index[x] for x in _row_pool(ring, n, ideal)], n, relative))
+    else:
+        enumerated = tuple(_universe_states(
+            ring, ideal if ideal is not None else unit_ideal(ring), n))
+    cuts = (slice(None), slice(1, None, 11)) if full else (slice(None, None, 7),)
+    for cut in cuts:
+        seeds = objects[cut]
+        # payloads encoded at the edge are the enumerated states
+        states = _states(ring, action, seeds)
+        assert states == enumerated[cut]
+        part = orbit_bfs(ring, states, action, gens, closed=False)
+        assert "objects" not in vars(part)
+        # each representative is its orbit's first listed object
+        assert part.reps == tuple(seeds[part.ids.index(c)] for c in range(part.norbits))
+        assert part.objects == seeds
+        assert [part.id_of(s) for s in seeds] == list(part.ids)
 
 
 def _symbols_to_e1(spec, gen):
@@ -1097,14 +1126,14 @@ def test_partitions_refuse_mismatched_sizes():
     ]
     for action, obj, gens in cases:
         with pytest.raises(SizeMismatch):
-            orbit_bfs(M4, (obj,), action, gens, closed=False)
-    # the translation fast path encodes its objects too
+            orbit_bfs(M4, _states(M4, action, (obj,)), action, gens, closed=False)
+    # the translation fast path reads the size off its states too
     for ideal in (I24, None):
         with pytest.raises(SizeMismatch):
-            _partition(M4, ((1, 0, 0, 0),), ACTION_ROW, 3, ideal)
+            _partition(M4, _states(M4, ACTION_ROW, ((1, 0, 0, 0),)), ACTION_ROW, 3, ideal)
         with pytest.raises(SizeMismatch):
-            _partition(M4, (chi_n(M4, 1).entries,), ACTION_CONGRUENCE, 4, ideal,
-                       closed=False)
+            _partition(M4, _states(M4, ACTION_CONGRUENCE, (chi_n(M4, 1).entries,)),
+                       ACTION_CONGRUENCE, 4, ideal, closed=False)
 
 
 def test_universe_refuses_an_ideal_of_another_ring():
@@ -1127,9 +1156,10 @@ def test_universe_refuses_an_ideal_of_another_ring():
     (lambda: orbit_bfs(F2, (), ACTION_ROW, ()), MalformedSpec, "nothing to partition"),
     (lambda: _partition(M4, (), ACTION_ROW, 3, I24), MalformedSpec,
      "nothing to partition"),
-    (lambda: orbit_bfs(F2, ((1, 0), (1, 0)), ACTION_ROW, ()), MalformedSpec,
-     "duplicate objects"),
-    (lambda: _partition(M4, ((1, 0, 0), (1, 0, 0)), ACTION_ROW, 3, I24),
+    (lambda: orbit_bfs(F2, _states(F2, ACTION_ROW, ((1, 0), (1, 0))), ACTION_ROW, ()),
+     MalformedSpec, "duplicate objects"),
+    (lambda: _partition(M4, _states(M4, ACTION_ROW, ((1, 0, 0), (1, 0, 0))), ACTION_ROW,
+                        3, I24),
      MalformedSpec, "duplicate objects"),
     (lambda: enumerate_um(Z, 3), InfiniteRing, "cannot enumerate rows"),
     (lambda: enumerate_um(F2, 0), MalformedSpec, "row length must be >= 1, got 0"),
@@ -1177,13 +1207,10 @@ def test_congruence_refuses_non_alternating_objects():
     gm = token_matrix(F3, 2, g.token)
     assert gm.transpose().mul(ident).mul(gm).entries == (1, 1, 1, 2)
     assert _congruence_neighbors(F3, 2, [g])(ident.entries) == [(1, 1, 2, 1)]
-    with pytest.raises(MalformedSpec, match="alternating"):
-        orbit_bfs(F3, (ident.entries,), ACTION_CONGRUENCE, gens)
-    m9 = zmod(9)
-    for ring, ideal in ((F3, None), (m9, ideal_of(m9, 3))):
+    # payloads reach a partition through _encode, which refuses them
+    for ring in (F3, zmod(9)):
         with pytest.raises(MalformedSpec, match="alternating"):
-            _partition(ring, (RingMatrix.identity(ring, 2).entries,),
-                       ACTION_CONGRUENCE, 2, ideal)
+            _encode(ring.compile(), ACTION_CONGRUENCE, 2, RingMatrix.identity(ring, 2).entries)
     x = make_witt_symbol(unit_ideal(F3), chi_n(F3, 1))
     with pytest.raises(MalformedSpec, match="alternating"):
         find_equivalence_certificate(x, WittSymbol(x.ideal, ident, x.witness))
@@ -1309,7 +1336,7 @@ def test_basis_partition_matches_exact_generators(spec, gen, action, n):
     else:
         part = alt_orbit_partition(ring, ideal, n)
     exact = elementary_generators(ring, n, ideal)
-    ref = orbit_bfs(ring, part.objects, action, exact)
+    ref = orbit_bfs(ring, part.states, action, exact)
     assert (part.ids, part.reps) == (ref.ids, ref.reps)
     moves = elementary_generators(ring, n, ideal, basis=True)
     assert part.meta["generators"] == len(moves)
@@ -1318,7 +1345,7 @@ def test_basis_partition_matches_exact_generators(spec, gen, action, n):
     assert ("fast_path" in part.meta) == translation
     if translation:
         # open mode on seed subsets, as the stabilization levels use it
-        for seeds in filter(None, (part.objects[::3], part.objects[1::5])):
+        for seeds in filter(None, (part.states[::3], part.states[1::5])):
             fast = _partition(ring, seeds, action, n, ideal, closed=False)
             slow = orbit_bfs(ring, seeds, action, exact, closed=False)
             assert (fast.ids, fast.reps) == (slow.ids, slow.reps)
@@ -1351,14 +1378,14 @@ def test_cycle_moves_match_exact_generators(spec, action, n):
         part = um_orbit_partition(ring, n)
     else:
         part = alt_orbit_partition(ring, None, n)
-    exact = orbit_bfs(ring, part.objects, action, elementary_generators(ring, n))
+    exact = orbit_bfs(ring, part.states, action, elementary_generators(ring, n))
     assert (part.ids, part.reps) == (exact.ids, exact.reps)
     # without the closing move the chain is unitriangular, so it splits
-    split = orbit_bfs(ring, part.objects, action, chain)
+    split = orbit_bfs(ring, part.states, action, chain)
     assert split.norbits > exact.norbits
     # the bare cycle moves by the multiples of 1 only: it splits f4, f8
     # and f2 x f2, and is all it takes where 1 spans R, as over f2 x f3
-    bare = orbit_bfs(ring, part.objects, action, cycle)
+    bare = orbit_bfs(ring, part.states, action, cycle)
     if len(additive_span(ring.zero, ring.add, [ring.one])) < len(ring.elements()):
         assert bare.norbits > exact.norbits
     else:
@@ -1369,8 +1396,8 @@ def test_cycle_moves_match_exact_generators_on_padded_seeds():
     # open mode at size 6, as a stabilization level searches: the seeds
     # are the size-4 universe over f2 padded with chi_1
     pad = chi_n(F2, 1)
-    seeds = tuple(orth_sum(RingMatrix(F2, 4, 4, m), pad).entries
-                  for m in alt_orbit_partition(F2, None, 4).objects)
+    seeds = _states(F2, ACTION_CONGRUENCE, (orth_sum(RingMatrix(F2, 4, 4, m), pad).entries
+                                            for m in alt_orbit_partition(F2, None, 4).objects))
     part = _partition(F2, seeds, ACTION_CONGRUENCE, 6, None, closed=False)
     exact = orbit_bfs(F2, seeds, ACTION_CONGRUENCE, elementary_generators(F2, 6),
                       closed=False)
