@@ -15,7 +15,7 @@ sides alike instead of reading as a change.  The CPU time of each run
 is the child's ru_utime + ru_stime and its peak RSS is the child's
 ru_maxrss, both read with os.wait4; CPU time leaves out the waits that
 a busy host adds to a wall.  The medians per command go into the
-output file (BENCH_31.json at the root of this repository by default)
+output file (BENCH_32.json at the root of this repository by default)
 under each timed checkout's commit, together with the machine: nproc,
 Python and platform.  Entries already in the file for
 other commits are kept, so one file holds a parent and a change side
@@ -42,13 +42,14 @@ The orbit group partitions the relative symbol universe of Z/16 (2)
 at size 4, a BFS over 96 basis moves (378 exact generators).
 
 The span group holds the relative reports over Z/9 (3) at level 1 and
-Z/8 (4) at levels 1 and 2.  Their levels once partitioned translation
-spans far past the memory cap as lists (4,782,969 vectors of 15
-entries; 16,384 of 15, then 2^27 of 28).  Today both print
-"merged": [] at every level: their two level-0 classes differ mod I,
-so `witt_classes_bounded` searches no level.  They time the relative
-universe (486 and 64 states), its level-0 translation partition through
-an echelon table of each span, and the rows and their symbols.
+Z/8 (4) at levels 1 and 2.  Levels never search: each level-0 class is
+a whole residue coset mod I, which no level can merge, so both print
+"merged": [] at every level without a partition.  (Their levels once
+partitioned translation spans far past the memory cap as lists:
+4,782,969 vectors of 15 entries; 16,384 of 15, then 2^27 of 28.)  They
+time the relative universe (486 and 64 states), its level-0 translation
+partition through an echelon table of each span, and the rows and
+their symbols.
 
 The large-ring group holds commands over rings of 10^7 elements and
 more, which must be answered or refused without enumerating the ring;
@@ -58,9 +59,9 @@ whose 211^3 rows must be refused before any search; the members of
 a double ring of 3000 * 3000 pairs, which must be refused before any
 pair is drawn; the 10^5 members of an ideal of Z/200000, which must
 be listed in time and memory linear in the ring; a report over
-Z/6 (3) stabilized to level 2, whose two level-0 classes differ mod I,
-so no level needs a search (it used to search 149,797 states of 8 x 8
-matrices and be refused at the memory cap); and the lift of a row
+Z/6 (3) stabilized to level 2, whose levels never search (one used to
+search 149,797 states of 8 x 8 matrices and be refused at the memory
+cap); and the lift of a row
 of Z/65536 (2) to R (+) I, which asks the ideal and its pair ideal
 whether each entry lies in them; and the completion of (2, 4, 6) over
 Z/16384, which has no unit entry, so its completion search would try
@@ -263,7 +264,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_31.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_32.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     for src in srcs:

@@ -312,8 +312,8 @@ class OrbitPartition:
     def norbits(self) -> int:
         return len(self.reps)
 
-    def _position(self, obj) -> int:
-        """Position of a payload tuple, through its state and `at`."""
+    def id_of(self, obj) -> int:
+        """Orbit id of a payload tuple, through its state and `at`."""
         tables, action = self.ring.compile(), self.meta["action"]
         try:
             k = self.at.get(_encode(tables, action, _size(action, self.states), obj))
@@ -321,10 +321,7 @@ class OrbitPartition:
             k = None  # not a state of this action, so not a listed one
         if k is None:
             raise VerificationFailed("state is not one of the partitioned objects")
-        return k
-
-    def id_of(self, obj) -> int:
-        return self.ids[self._position(obj)]
+        return self.ids[k]
 
     def orbit_sizes(self) -> tuple:
         sizes = [0] * self.norbits
@@ -449,14 +446,13 @@ def _setup(ring: Ring, states: tuple, action: str, gens: Sequence[Generator]) ->
 
 
 def orbit_bfs(ring: Ring, states: tuple, action: str,
-              generators: Sequence[Generator], closed: bool = True) -> OrbitPartition:
+              generators: Sequence[Generator]) -> OrbitPartition:
     """Partition `states` into orbits under the configured action.
 
-    Closed mode asserts every BFS edge stays inside the listed states
-    (the action must preserve the defining invariants); open mode
-    tolerates excursions and assigns ids only to listed states.  Each
-    search closes a whole orbit, so it reaches no state an earlier one
-    labeled.  Payload tuples are encoded first (`_encode`), which
+    Every BFS edge must stay inside the listed states (the action must
+    preserve the defining invariants), else the partition is refused.
+    Each search closes a whole orbit, so it reaches no state an earlier
+    one labeled.  Callers encode payload tuples first (`_encode`), which
     checks that a congruence object is alternating.  The action's size
     comes from the states, so an empty generator set acts as the
     trivial group.
@@ -471,9 +467,7 @@ def orbit_bfs(ring: Ring, states: tuple, action: str,
         for x in _bfs(start, moves, tables):
             j = at.get(x)
             if j is None:
-                if closed:
-                    raise VerificationFailed("orbit step left the object set")
-                continue
+                raise VerificationFailed("orbit step left the object set")
             ids[j] = label
         # every earlier object already has an id, so k is the smallest
         reps.append(_decode(tables, action, n, start))
@@ -546,15 +540,15 @@ class _EchelonSpan:
         return v == self.cleared
 
 
-def _translation_partition(ring: Ring, states: tuple, gens, action: str,
-                           closed: bool = True) -> OrbitPartition:
+def _translation_partition(ring: Ring, states: tuple, gens, action: str
+                           ) -> OrbitPartition:
     """Exact orbits when the ideal squares to zero.
 
     Every generator then moves a whole congruence coset by a constant
     vector, so each orbit is seed + (additive span of the per-generator
-    deltas).  An orbit's members are the listed states in that coset;
-    closed mode asserts it was listed whole.  The span holds states, so
-    a congruence vector is an upper triangle.
+    deltas).  An orbit's members are the listed states in that coset,
+    and it must be listed whole.  The span holds states, so a
+    congruence vector is an upper triangle.
     """
     tables, moves, n, at = _setup(ring, states, action, gens)
     add, neg = tables.add, tables.neg
@@ -568,7 +562,7 @@ def _translation_partition(ring: Ring, states: tuple, gens, action: str,
             _vec_add(add, _step(seed, terms, add), minus) for _, terms in moves})
         members = [j for j in range(k, len(states))
                    if ids[j] < 0 and _vec_add(add, states[j], minus) in span]
-        if closed and len(members) < len(span):
+        if len(members) < len(span):
             raise VerificationFailed("translation left the object set")
         for j in members:
             ids[j] = len(reps)
@@ -578,12 +572,12 @@ def _translation_partition(ring: Ring, states: tuple, gens, action: str,
                            "fast_path": "translation"})
 
 
-# perfbench/tracing.py hooks both names, so the open-mode one stays bound
+# perfbench/tracing.py hooks this name as well, so it stays bound
 _translation_partition_open = _translation_partition
 
 
 def _partition(ring: Ring, states: tuple, action: str, n: int,
-               ideal: Optional[Ideal], closed: bool = True) -> OrbitPartition:
+               ideal: Optional[Ideal]) -> OrbitPartition:
     """Orbits of E_n(R, I), moving over the basis set.
 
     The basis set (`elementary_generators` with basis) generates the
@@ -594,8 +588,8 @@ def _partition(ring: Ring, states: tuple, action: str, n: int,
     ideal = ideal if ideal is not None else unit_ideal(ring)
     moves = elementary_generators(ring, n, ideal, basis=True)
     if not ideal.contains(ring.one) and ideal.products_vanish():
-        return _translation_partition(ring, states, moves, action, closed)
-    return orbit_bfs(ring, states, action, moves, closed=closed)
+        return _translation_partition(ring, states, moves, action)
+    return orbit_bfs(ring, states, action, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -825,72 +819,40 @@ class WittClassFamily:
     levels: int
     base: OrbitPartition
     merge_log: tuple
-    final_ids: tuple
-    final_reps: tuple
 
     @property
     def class_count(self) -> int:
-        return len(self.final_reps)
+        return self.base.norbits
 
     def class_of(self, obj) -> int:
-        return self.final_ids[self.base._position(obj)]
+        return self.base.id_of(obj)
 
     def to_obj(self) -> dict:
         return {"size": self.size, "levels": self.levels,
                 "level0_count": self.base.norbits, "count": self.class_count,
-                "reps": [_fmt_rows(self.ring, r, self.size) for r in self.final_reps],
+                "reps": [_fmt_rows(self.ring, r, self.size) for r in self.base.reps],
                 "merges": list(self.merge_log), "saturated": True}
 
 
 def witt_classes_bounded(ring: Ring, ideal: Optional[Ideal], size: int,
                          levels: int = 1) -> WittClassFamily:
-    """Symbol classes of the given size with stabilization up to `levels`.
+    """Symbol classes of the given size, stabilized up to `levels`.
 
-    Level zero is a full partition of the universe; each higher level t
-    only pads one representative per class with chi_t and merges classes
-    whose padded representatives meet.  Every element of E_n(R, I) is
-    1 mod I, and padding keeps residues mod I apart, so a level searches
-    only the classes whose representative agrees mod I with another's;
-    a level with none merges nothing, exactly.  A single surviving class
-    stops the climb early, since merging cannot split.
+    The classes are the level-zero partition of the universe.  No level
+    searches: over a finite ring each level-zero class is a whole residue
+    coset mod I, which padding and E_n(R, I) keep apart (proof sketch in
+    README: over a local ring Sp lifts from R/I, and SL_n(R, I) = E_n(R, I)
+    for a semilocal R, by Bass).  The evidence is the property test in
+    tests/test_ring_zoo.py.
     """
     ideal = ideal if ideal is not None else unit_ideal(ring)
     if levels < 0:
         raise MalformedSpec(f"stabilization must be >= 0, got {levels}")
     base = alt_orbit_partition(ring, ideal, size)
-    mats = [RingMatrix(ring, size, size, rep) for rep in base.reps]
-    # each level-0 orbit's class, named by the class's smallest orbit
-    label = list(range(base.norbits))
-    merge_log = []
-
-    for t in range(1, levels + 1):
-        roots = sorted(set(label))
-        if len(roots) <= 1:
-            merge_log.append({"t": t, "skipped": "single class"})
-            continue
-        roots = [c for c in roots if any(
-            d != c and congruent_mod_ideal(mats[c], mats[d], ideal) for d in roots)]
-        merged = []
-        if roots:
-            pad, n, tables = chi_n(ring, t), size + 2 * t, ring.compile()
-            seeds = tuple(_encode(tables, ACTION_CONGRUENCE, n,
-                                  orth_sum(mats[c], pad).entries) for c in roots)
-            part = _partition(ring, seeds, ACTION_CONGRUENCE, n, ideal, closed=False)
-            for oid in range(part.norbits):
-                group = [roots[k] for k in range(len(roots)) if part.ids[k] == oid]
-                if len(group) > 1:
-                    merged.append(group)
-                    # distinct roots, smallest first: it names the merged class
-                    label = [group[0] if c in group else c for c in label]
-        merge_log.append({"t": t, "merged": merged, "saturated": True})
-
-    # a root is its class's smallest member: classes keep level-zero order
-    order = sorted(set(label))
-    relabel = {r: k for k, r in enumerate(order)}
-    final_ids = tuple(relabel[label[c]] for c in base.ids)
-    final_reps = tuple(base.reps[r] for r in order)
-    return WittClassFamily(ring, ideal, size, levels, base,
-                           tuple(merge_log), final_ids, final_reps)
+    merge_log = tuple({"t": t, "skipped": "single class"} if base.norbits <= 1
+                      else {"t": t, "merged": [], "saturated": True}
+                      for t in range(1, levels + 1))
+    return WittClassFamily(ring, ideal, size, levels, base, merge_log)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,9 +1051,9 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     outside it fails what `make_witt_symbol` checks.  The payload map
     `vaserstein_symbol` cross-checks one row per row class.  A claim is
     confirmed or inconclusive: every orbit is searched whole, but a
-    failed claim is still only `inconclusive` because the stabilization
-    level is a bound (`depth` is only recorded).  A symbol map that is
-    not constant on a row class leaves every claim inconclusive.
+    failed claim is still only `inconclusive` (`depth` is only recorded).
+    A symbol map not constant on a row class, or two level-zero classes
+    that agree mod I (named in a note), leave every claim inconclusive.
     """
     if depth < 0:
         raise MalformedSpec(f"conjugation depth must be >= 0, got {depth}")
@@ -1110,7 +1072,7 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
         k = universe.get(sym)
         if k is None:
             raise VerificationFailed("symbol landed outside the universe")
-        per_class.setdefault(mse_id, set()).add(classes.final_ids[k])
+        per_class.setdefault(mse_id, set()).add(classes.base.ids[k])
     for c, rep in enumerate(rows.reps):
         payload = vaserstein_symbol(um_row(ring, rep, ideal)).rep.entries
         if payload != _decode(tables, ACTION_CONGRUENCE, 4, symbols[rows.ids.index(c)]):
@@ -1119,13 +1081,18 @@ def vaserstein_report(ring: Ring, ideal: Optional[Ideal] = None,
     constant = all(len(v) == 1 for v in per_class.values())
     if not constant:
         notes.append("symbol map is not constant on some bounded row class")
+    mats = [RingMatrix(ring, 4, 4, rep) for rep in classes.base.reps]
+    agree = [(c, d) for c, d in itertools.combinations(range(len(mats)), 2)
+             if congruent_mod_ideal(mats[c], mats[d], ideal)]
+    notes += [f"level-0 classes {c} and {d} agree mod I, so a level might merge them"
+              for c, d in agree]
     assignments = tuple(min(per_class[c]) for c in range(rows.norbits))
 
     injective = len(set(assignments)) == len(assignments)
     surjective = set(assignments) == set(range(classes.class_count))
     claims = {}
     for name, ok in (("injective", injective), ("surjective", surjective)):
-        claims[name] = CONFIRMED if ok and constant else INCONCLUSIVE
+        claims[name] = CONFIRMED if ok and constant and not agree else INCONCLUSIVE
         if not ok:
             notes.append(f"{name} fails within bounds "
                          f"(levels={levels}, depth={depth})")

@@ -525,9 +525,9 @@ def test_report_levels_apart_mod_ideal_answer(argv):
     ("--ring", "zmod:8", "--ideal", "4", "--stab", "2"),
 ], ids=["z9-3", "z25-5", "z8-4-stab2"])
 def test_report_translation_levels_answer(argv):
-    # each stabilization level partitions by translation spans that are far
-    # past the memory cap as lists; the two level-0 classes lie in distinct
-    # cosets mod I, so no level merges them
+    # the two level-0 classes lie in distinct cosets mod I, which no
+    # stabilization level merges, so no level searches; their level spans
+    # once were far past the memory cap as lists
     code, out, err = run_capped("report", "vaserstein", *argv, timeout=30)
     assert code == 0, err
     witt = json.loads(out)["witt"]

@@ -58,6 +58,7 @@ from symwitt.orbits import (
     ACTION_CONGRUENCE,
     ACTION_ROW,
     CONFIRMED,
+    INCONCLUSIVE,
     MEMORY_CAP,
     OrbitPartition,
     _EchelonSpan,
@@ -151,13 +152,11 @@ def test_generator_counts():
         len(elementary_generators(F3, 2))
 
 
-def test_orbit_bfs_closed_mode():
+def test_orbit_bfs_refuses_a_step_off_the_object_set():
     gens = elementary_generators(F2, 2)
     seed = _states(F2, ACTION_ROW, ((1, 0),))
-    with pytest.raises(VerificationFailed):
-        orbit_bfs(F2, seed, ACTION_ROW, gens, closed=True)
-    part = orbit_bfs(F2, seed, ACTION_ROW, gens, closed=False)
-    assert part.norbits == 1
+    with pytest.raises(VerificationFailed, match="orbit step left the object set"):
+        orbit_bfs(F2, seed, ACTION_ROW, gens)
     with pytest.raises(MalformedSpec):
         orbit_bfs(F2, (), ACTION_ROW, gens)
 
@@ -238,8 +237,6 @@ def test_translation_fast_path_matches_generic_bfs():
                          elementary_generators(M4, 4, I24))
     assert alt_fast.ids == alt_slow.ids
 
-    # open mode, as the stabilization levels use it: only listed seeds get
-    # ids, and a seed subset need not hold whole orbits
     m8, m9 = zmod(8), zmod(9)
     cases = [(ring, ideal, ACTION_CONGRUENCE, 4, tuple(_universe_states(ring, ideal, 4)))
              for ring, ideal in ((M4, I24), (m8, ideal_of(m8, 4)))]
@@ -247,15 +244,12 @@ def test_translation_fast_path_matches_generic_bfs():
     cases.append((m9, i39, ACTION_ROW, 3,
                   _states(m9, ACTION_ROW, (r.entries for r in enumerate_um(m9, 3, i39)))))
     for ring, ideal, action, n, objects in cases:
-        gens = elementary_generators(ring, n, ideal)
-        for seeds in (objects, objects[::3], objects[1::5]):
-            fast = _partition(ring, seeds, action, n, ideal, closed=False)
-            slow = orbit_bfs(ring, seeds, action, gens, closed=False)
-            assert fast.meta["fast_path"] == "translation"
-            assert fast.ids == slow.ids
-            assert fast.reps == slow.reps
-        # closed mode refuses a subset that cuts an orbit
-        with pytest.raises(VerificationFailed):
+        fast = _partition(ring, objects, action, n, ideal)
+        slow = orbit_bfs(ring, objects, action, elementary_generators(ring, n, ideal))
+        assert fast.meta["fast_path"] == "translation"
+        assert (fast.ids, fast.reps) == (slow.ids, slow.reps)
+        # a subset that cuts an orbit is refused
+        with pytest.raises(VerificationFailed, match="translation left the object set"):
             _partition(ring, objects[::3], action, n, ideal)
 
 
@@ -576,10 +570,10 @@ def test_position_refuses_what_is_not_a_partitioned_object():
             call(obj)
 
 
-def test_stabilization_merges_a_split_orbit(monkeypatch):
-    # real inputs reach level 1 only with level-0 classes that differ mod I,
-    # which E_n(R, I) cannot merge; so split the first true orbit of Z/8 (4)
-    # into the classes before and after the second one
+def test_split_level0_orbit_is_kept_apart_and_noted(monkeypatch):
+    # level-0 classes are residue cosets mod I (tests/test_ring_zoo.py), so
+    # no real ring has two that agree mod I; split the first true orbit of
+    # Z/8 (4) into the classes before and after the second one instead
     import symwitt.orbits as orbits
     ring, ideal = zmod(8), ideal_of(zmod(8), 4)
     real = alt_orbit_partition(ring, ideal, 4)
@@ -588,14 +582,25 @@ def test_stabilization_merges_a_split_orbit(monkeypatch):
     ids = tuple(1 if c else 0 if k < first else 2 for k, c in enumerate(real.ids))
     reps = tuple(real.objects[ids.index(c)] for c in range(3))
     split = OrbitPartition(ring, real.states, real.at, ids, reps, dict(real.meta))
+    sizes, partition = [], orbits._partition
+
+    def spy(ring, states, action, n, ideal):
+        sizes.append(n)
+        return partition(ring, states, action, n, ideal)
+
     monkeypatch.setattr(orbits, "alt_orbit_partition", lambda *args: split)
+    monkeypatch.setattr(orbits, "_partition", spy)
     fam = witt_classes_bounded(ring, ideal, 4, levels=1)
     assert fam.base is split
-    assert fam.merge_log == ({"t": 1, "merged": [[0, 2]], "saturated": True},)
-    # the merged class keeps its level-0 rep and id, ahead of the other
-    assert fam.final_reps == (reps[0], reps[1])
-    assert fam.final_ids == real.ids
-    assert fam.class_count == 2
+    assert fam.merge_log == ({"t": 1, "merged": [], "saturated": True},)
+    assert (fam.class_count, fam.class_of(reps[2])) == (3, 2)
+    # no level searches: the report partitions only its rows
+    report = vaserstein_report(ring, ideal, levels=1)
+    assert sizes == [3]
+    assert report.to_obj()["witt"]["count"] == 3
+    assert "level-0 classes 0 and 2 agree mod I, so a level might merge them" in \
+        report.notes
+    assert set(report.claims.values()) == {INCONCLUSIVE}
 
 
 def test_unbounded_search_fails_fast():
@@ -604,7 +609,7 @@ def test_unbounded_search_fails_fast():
     ring = zmod(6)
     ideal = ideal_of(ring, 3)
     fam = witt_classes_bounded(ring, ideal, 4, levels=0)
-    x, y = (make_witt_symbol(ideal, RingMatrix(ring, 4, 4, rep)) for rep in fam.final_reps)
+    x, y = (make_witt_symbol(ideal, RingMatrix(ring, 4, 4, rep)) for rep in fam.base.reps)
     with pytest.raises(BoundExceeded, match="x 28 entries is past the memory cap"):
         find_equivalence_certificate(x, y, levels=0)
 
@@ -820,7 +825,7 @@ def _ref_bfs(start, neighbors, gens, goal=None):
     return links
 
 
-def _ref_orbit_bfs(ring, objects, action, gens, closed=True):
+def _ref_orbit_bfs(ring, objects, action, gens):
     """(ids, reps) of the generic-ring partition."""
     n = len(gens[0].u)
     neighbors = _ref_neighbors(action, ring, n, gens)
@@ -833,9 +838,7 @@ def _ref_orbit_bfs(ring, objects, action, gens, closed=True):
         for x in _ref_bfs(s, neighbors, gens):
             j = index.get(x)
             if j is None:
-                if closed:
-                    raise VerificationFailed("orbit step left the object set")
-                continue
+                raise VerificationFailed("orbit step left the object set")
             assert ids[j] < 0, "a whole orbit reached an earlier one"
             members.append(j)
         members.sort()
@@ -935,9 +938,10 @@ def _gens(ring, ideal, n, kind):
     return elementary_generators(ring, n, ideal, basis=kind == "basis")
 
 
-# (ring, ideal generator or None, action, n, generator kind, full search);
-# the rings whose exact sets are slow on the reference move over the
-# basis set, the one partitions search
+# (ring, ideal generator or None, action, n, generator kind, whether a
+# cut of the objects is checked for refusal too); the rings whose exact
+# sets are slow on the reference move over the basis set, the one
+# partitions search
 ENGINE_CASES = [
     ("f2", None, ACTION_CONGRUENCE, 4, "exact", True),
     ("f3", None, ACTION_CONGRUENCE, 4, "exact", True),
@@ -979,13 +983,9 @@ def test_compiled_partition_matches_reference(spec, gen, action, n, kind, full):
     gens = _gens(ring, ideal, n, kind)
     objects = _objects(ring, ideal, action, n)
     # the engine partitions states, the reference the payloads themselves
-    for seeds in (objects[::7], objects[1::11]):
-        part = orbit_bfs(ring, _states(ring, action, seeds), action, gens, closed=False)
-        assert (part.ids, part.reps) == \
-            _ref_orbit_bfs(ring, seeds, action, gens, closed=False)
+    part = orbit_bfs(ring, _states(ring, action, objects), action, gens)
+    assert (part.ids, part.reps) == _ref_orbit_bfs(ring, objects, action, gens)
     if full:
-        part = orbit_bfs(ring, _states(ring, action, objects), action, gens)
-        assert (part.ids, part.reps) == _ref_orbit_bfs(ring, objects, action, gens)
         cut = objects[1::3]
         with pytest.raises(VerificationFailed):
             _ref_orbit_bfs(ring, cut, action, gens)
@@ -1008,18 +1008,15 @@ def test_partition_from_payloads_matches_partition_from_states(spec, gen, action
     else:
         enumerated = tuple(_universe_states(
             ring, ideal if ideal is not None else unit_ideal(ring), n))
-    cuts = (slice(None), slice(1, None, 11)) if full else (slice(None, None, 7),)
-    for cut in cuts:
-        seeds = objects[cut]
-        # payloads encoded at the edge are the enumerated states
-        states = _states(ring, action, seeds)
-        assert states == enumerated[cut]
-        part = orbit_bfs(ring, states, action, gens, closed=False)
-        assert "objects" not in vars(part)
-        # each representative is its orbit's first listed object
-        assert part.reps == tuple(seeds[part.ids.index(c)] for c in range(part.norbits))
-        assert part.objects == seeds
-        assert [part.id_of(s) for s in seeds] == list(part.ids)
+    # payloads encoded at the edge are the enumerated states
+    states = _states(ring, action, objects)
+    assert states == enumerated
+    part = orbit_bfs(ring, states, action, gens)
+    assert "objects" not in vars(part)
+    # each representative is its orbit's first listed object
+    assert part.reps == tuple(objects[part.ids.index(c)] for c in range(part.norbits))
+    assert part.objects == objects
+    assert [part.id_of(s) for s in objects] == list(part.ids)
 
 
 def _symbols_to_e1(spec, gen):
@@ -1126,14 +1123,14 @@ def test_partitions_refuse_mismatched_sizes():
     ]
     for action, obj, gens in cases:
         with pytest.raises(SizeMismatch):
-            orbit_bfs(M4, _states(M4, action, (obj,)), action, gens, closed=False)
+            orbit_bfs(M4, _states(M4, action, (obj,)), action, gens)
     # the translation fast path reads the size off its states too
     for ideal in (I24, None):
         with pytest.raises(SizeMismatch):
             _partition(M4, _states(M4, ACTION_ROW, ((1, 0, 0, 0),)), ACTION_ROW, 3, ideal)
         with pytest.raises(SizeMismatch):
             _partition(M4, _states(M4, ACTION_CONGRUENCE, (chi_n(M4, 1).entries,)),
-                       ACTION_CONGRUENCE, 4, ideal, closed=False)
+                       ACTION_CONGRUENCE, 4, ideal)
 
 
 def test_universe_refuses_an_ideal_of_another_ring():
@@ -1343,12 +1340,10 @@ def test_basis_partition_matches_exact_generators(spec, gen, action, n):
     relative = ideal is not None and not ideal.contains(ring.one)
     translation = relative and ideal.products_vanish()
     assert ("fast_path" in part.meta) == translation
-    if translation:
-        # open mode on seed subsets, as the stabilization levels use it
-        for seeds in filter(None, (part.states[::3], part.states[1::5])):
-            fast = _partition(ring, seeds, action, n, ideal, closed=False)
-            slow = orbit_bfs(ring, seeds, action, exact, closed=False)
-            assert (fast.ids, fast.reps) == (slow.ids, slow.reps)
+    if part.orbit_sizes()[0] > 1:
+        # without its first state the first orbit is cut, which is refused
+        with pytest.raises(VerificationFailed, match="left the object set"):
+            _partition(ring, part.states[1:], action, n, ideal)
 
 
 F2xF2 = '{"kind":"product","factors":["f2","f2"]}'
@@ -1393,18 +1388,22 @@ def test_cycle_moves_match_exact_generators(spec, action, n):
 
 
 def test_cycle_moves_match_exact_generators_on_padded_seeds():
-    # open mode at size 6, as a stabilization level searches: the seeds
-    # are the size-4 universe over f2 padded with chi_1
+    # at size 6, from the size-4 universe over f2 padded with chi_1: the
+    # n-cycle closes the exact set's orbit, which holds every padded seed
     pad = chi_n(F2, 1)
     seeds = _states(F2, ACTION_CONGRUENCE, (orth_sum(RingMatrix(F2, 4, 4, m), pad).entries
                                             for m in alt_orbit_partition(F2, None, 4).objects))
-    part = _partition(F2, seeds, ACTION_CONGRUENCE, 6, None, closed=False)
-    exact = orbit_bfs(F2, seeds, ACTION_CONGRUENCE, elementary_generators(F2, 6),
-                      closed=False)
-    assert (part.ids, part.reps) == (exact.ids, exact.reps)
-    assert part.norbits == 1
-    _, chain, _ = _cycle_faults(F2, 6)
-    assert orbit_bfs(F2, seeds, ACTION_CONGRUENCE, chain, closed=False).norbits > 1
+    tables = F2.compile()
+    moves, chain, _ = _cycle_faults(F2, 6)
+
+    def closure(gens):
+        return _bfs(seeds[0], _compile_moves(tables, ACTION_CONGRUENCE, 6, gens), tables)
+
+    exact = closure(elementary_generators(F2, 6))
+    assert closure(moves) == exact
+    assert set(seeds) <= exact
+    # the open chain misses a padded seed
+    assert not set(seeds) <= closure(chain)
 
 
 def test_basis_moves_are_fewer_where_the_basis_is():

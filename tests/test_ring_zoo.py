@@ -18,15 +18,24 @@ The invertible alternating forms over k are the GL_4-orbit of chi, with
 stabilizer Sp_4, and scaling spreads them evenly over the q - 1 values
 of the Pfaffian; over R_i each one lifts to |m_i|^6 forms, whose
 Pfaffians spread evenly over a coset of m_i.
+
+Relative to an ideal I, the level-0 symbol classes are the residue
+cosets mod I of the universe: E_n(R, I) is 1 mod I, so no class meets
+two cosets, and over a local R a g with g^T A g = B, A = B mod I, can
+be corrected by a lift of Sp(A mod I) to lie in SL_n(R, I) = E_n(R, I)
+(Bass: R has stable rank 1).  So no stabilization level can merge two
+classes, and the report searches none; the coset property below is the
+evidence for that.
 """
 
+import functools
 import itertools
 import json
 
 import pytest
 
 from conftest import ideal_of
-from symwitt import CONFIRMED, ring_from_spec, vaserstein_report
+from symwitt import CONFIRMED, alt_orbit_partition, ring_from_spec, vaserstein_report
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -185,3 +194,41 @@ def test_relative_report_over_a_local_ring_is_one_class():
     assert obj["verdict"] == CONFIRMED
     assert (obj["mse"]["count"], obj["witt"]["level0_count"], obj["witt"]["count"]) == \
         (1, 1, 1)
+
+
+@functools.cache
+def _proper_principal_ideals(spec):
+    """Generator texts of the proper principal ideals of a ring, one per
+    ideal, whose |I|^5 Pfaffian-one candidates per universe coset are
+    within BUDGET."""
+    ring = ring_from_spec(json.loads(spec))
+    found = {}
+    for a in ring.elements():
+        members = frozenset(ideal_of(ring, a).members())
+        if ring.one not in members and len(members) ** 5 <= BUDGET:
+            found.setdefault(members, ring.fmt(a))
+    return list(found.values())
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(ZOO).flatmap(lambda draw: st.tuples(
+    st.just(draw[0]), st.sampled_from(_proper_principal_ideals(draw[0])))))
+@hypothesis.example((json.dumps("zmod:8"), "4"))
+@hypothesis.example((json.dumps("zmod:9"), "3"))
+@hypothesis.example((json.dumps("zmod:6"), "3"))
+@hypothesis.example((json.dumps("zmod:12"), "4"))
+@hypothesis.example((json.dumps({"kind": "product", "factors": ["f3", "f3"]}), "(0|1)"))
+@hypothesis.example((_quotient(3, "t^2"), "t"))
+def test_level0_classes_are_residue_cosets(draw):
+    spec, gen = draw
+    ring = ring_from_spec(json.loads(spec))
+    ideal = ideal_of(ring, ring.parse(gen))
+    part = alt_orbit_partition(ring, ideal, 4)
+    # x -> the coset x + I, named by its first member in element order
+    order = {x: k for k, x in enumerate(ring.elements())}
+    coset = {x: min((ring.add(x, i) for i in ideal.members()), key=order.__getitem__)
+             for x in ring.elements()}
+    reps = {tuple(map(coset.__getitem__, rep)) for rep in part.reps}
+    assert len(reps) == part.norbits, (spec, gen)
+    residues = {tuple(map(coset.__getitem__, obj)) for obj in part.objects}
+    assert part.norbits == len(residues), (spec, gen)
