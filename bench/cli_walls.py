@@ -15,7 +15,7 @@ sides alike instead of reading as a change.  The CPU time of each run
 is the child's ru_utime + ru_stime and its peak RSS is the child's
 ru_maxrss, both read with os.wait4; CPU time leaves out the waits that
 a busy host adds to a wall.  The medians per command go into the
-output file (BENCH_32.json at the root of this repository by default)
+output file (BENCH_33.json at the root of this repository by default)
 under each timed checkout's commit, together with the machine: nproc,
 Python and platform.  Entries already in the file for
 other commits are kept, so one file holds a parent and a change side
@@ -39,7 +39,11 @@ quartic phi, whose substitution runs on the packed big int; both parse
 and print through the shared term grammar.
 
 The orbit group partitions the relative symbol universe of Z/16 (2)
-at size 4, a BFS over 96 basis moves (378 exact generators).
+at size 4, a BFS over 96 basis moves (378 exact generators), and
+reports on Z/16 (2), which builds the relative rows' and symbols'
+generator sets and runs that BFS (about 2.3 s in process), so unlike
+the short relative reports of the report group it times relative work
+rather than start-up and import.
 
 The span group holds the relative reports over Z/9 (3) at level 1 and
 Z/8 (4) at levels 1 and 2.  Levels never search: each level-0 class is
@@ -119,6 +123,8 @@ POLY_CASES = (
 ORBIT_CASES = (
     ("alt Z/16 (2)",
      ["orbit", "alt", "--ring", "zmod:16", "--ideal", "2", "--size", "4"]),
+    ("report Z/16 (2)",
+     ["report", "vaserstein", "--ring", "zmod:16", "--ideal", "2"]),
 )
 
 SPAN_CASES = (
@@ -264,7 +270,7 @@ def main():
     ap.add_argument("--src", type=Path, action="append",
                     help="checkout to time (default: this one); give it twice, "
                          "parent then change, to time both runs alternately")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_32.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_33.json")
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src or [ROOT]]
     for src in srcs:

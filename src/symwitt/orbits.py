@@ -74,30 +74,11 @@ class Generator:
     w: tuple
 
 
-def _product_key(tables, g: Generator) -> tuple:
-    """Element indices of a*u*w^T, which fixes the matrix I + a*u*w^T."""
-    mul, ix = tables.mul, tables.index
-    w = [ix[x] for x in g.w]
-    a = mul[ix[g.a]]
-    return tuple(row[y] for row in [mul[a[ix[x]]] for x in g.u] for y in w)
-
-
 def _transvections(ring: Ring, n: int, pool) -> list:
     return [(i, j, a)
             for i in range(1, n + 1)
             for j in range(1, n + 1) if i != j
             for a in pool if a != ring.zero]
-
-
-def _conjugate(ring: Ring, g: Generator, i: int, j: int, b) -> Generator:
-    """e_ij(b) g e_ij(-b): u gains b*u_j in row i, w loses b*w_i in
-    column j, and the conjugator joins the front of the token's chain."""
-    u, w = list(g.u), list(g.w)
-    u[i - 1] = ring.add(u[i - 1], ring.mul(b, g.u[j - 1]))
-    w[j - 1] = ring.sub(w[j - 1], ring.mul(b, g.w[i - 1]))
-    tok = g.token
-    chain, core = (tok.conjugator, tok.core) if isinstance(tok, Conj) else ((), tok)
-    return Generator(Conj((Elem(i, j, b),) + chain, core), g.a, tuple(u), tuple(w))
 
 
 def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
@@ -126,42 +107,71 @@ def elementary_generators(ring: Ring, n: int, ideal: Optional[Ideal] = None,
     By [e_ij(a), e_jk(b)] = e_ik(ab) (i, j, k distinct), commutators
     along the cycle give every e_ij(1), commutators of e_12(b) with
     those give every e_ij(b), and additivity gives every e_ij(c).
+
+    Relative sets are conjugated and deduplicated on element indices
+    (Ring.compile): a move is held as its conjugator chain, its core
+    e_ij(x) and the indices of a, u and w, and only a kept move is
+    decoded into a Generator.  At n >= 3 the matrix of z_ij(x, b) has
+    entries x, -xb, xb and -xb^2, and when xb = xb' in a commutative R,
+    xb^2 = (xb')b = (xb)b' = xb'^2: the matrix depends on b only through
+    xb.  So for one core a b whose xb was already tried is skipped
+    before its product is built, and so is a b with xb = 0, which gives
+    the core back.
     """
     if not ring.is_finite:
         raise InfiniteRing(f"cannot enumerate generators over {ring.describe()}")
     ideal = ideal if ideal is not None else unit_ideal(ring)
     if ideal.ring != ring:
         raise RingMismatch("ideal over a different ring")
-    unit = [tuple(ring.one if t == k else ring.zero for t in range(n))
-            for k in range(n)]
     absolute = ideal.contains(ring.one)
     if basis and absolute and n >= 3:
         steps = [(i, i % n + 1, ring.one) for i in range(1, n + 1)]
         steps += [(1, 2, b) for b in ideal.basis() if b != ring.one]
     else:
         steps = _transvections(ring, n, ideal.basis() if basis else ideal.members())
-    out = [Generator(Elem(i, j, a), a, unit[i - 1], unit[j - 1])
-           for i, j, a in steps]
     if absolute:
-        return tuple(out)
-    tables = ring.compile()
-    seen = {_product_key(tables, g) for g in out}
+        unit = [tuple(ring.one if t == k else ring.zero for t in range(n))
+                for k in range(n)]
+        return tuple(Generator(Elem(i, j, a), a, unit[i - 1], unit[j - 1])
+                     for i, j, a in steps)
+    t = ring.compile()
+    els, ix, add, neg, mul, zero = t.elements, t.index, t.add, t.neg, t.mul, t.zero
+    unit = [tuple(t.one if s == k else zero for s in range(n)) for k in range(n)]
+    # (conjugators (k, l, b) front first, core e_ij(x), then a = x, u and w
+    # as indices); conjugation keeps a and the core
+    moves = [((), Elem(i, j, x), ix[x], unit[i - 1], unit[j - 1]) for i, j, x in steps]
+    seen = {tuple(r[z] for r in [mul[mul[a][y]] for y in u] for z in w)
+            for _, _, a, u, w in moves}
     if n >= 3:
-        scalars = [b for b in ring.elements() if b != ring.zero]
-        conj = ((g, [(g.token.j, g.token.i, b) for b in scalars]) for g in tuple(out))
+        nonzero = [b for b in range(len(els)) if b != zero]
     else:
-        # walk `out` while it grows, so the closure reaches a fixpoint
-        every = _transvections(
-            ring, n, unit_ideal(ring).basis() if basis else ring.elements())
-        conj = ((g, every) for g in out)
-    for g, steps in conj:
-        for k, l, b in steps:
-            h = _conjugate(ring, g, k, l, b)
-            key = _product_key(tables, h)
+        # walk `moves` while it grows, so the closure reaches a fixpoint
+        conjugators = [(k, l, ix[b]) for k, l, b in _transvections(
+            ring, n, unit_ideal(ring).basis() if basis else ring.elements())]
+    for chain, core, a, u0, w0 in (tuple(moves) if n >= 3 else moves):
+        if n >= 3:
+            # e_ji(b), one b for each nonzero xb, the first
+            tried, conjugators = {zero}, []
+            for b in nonzero:
+                xb = mul[a][b]
+                if xb not in tried:
+                    tried.add(xb)
+                    conjugators.append((core.j, core.i, b))
+        rows = mul[a]
+        for k, l, b in conjugators:
+            # e_kl(b) g e_kl(-b): u gains b*u_l in row k, w loses b*w_k in column l
+            u, w = list(u0), list(w0)
+            u[k - 1] = add[u0[k - 1]][mul[b][u0[l - 1]]]
+            w[l - 1] = add[w0[l - 1]][neg[mul[b][w0[k - 1]]]]
+            key = tuple(r[z] for r in [mul[rows[y]] for y in u] for z in w)
             if key not in seen:
                 seen.add(key)
-                out.append(h)
-    return tuple(out)
+                moves.append((((k, l, b),) + chain, core, a, tuple(u), tuple(w)))
+    return tuple(
+        Generator(Conj(tuple(Elem(k, l, els[b]) for k, l, b in chain), core)
+                  if chain else core,
+                  core.a, tuple(map(els.__getitem__, u)), tuple(map(els.__getitem__, w)))
+        for chain, core, a, u, w in moves)
 
 
 # ---------------------------------------------------------------------------

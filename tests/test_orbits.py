@@ -336,10 +336,11 @@ def _rank_one_matrix(ring, n, g):
         for i in range(n) for j in range(n)))
 
 
-def _payload_generators(ring, n, ideal):
+def _payload_generators(ring, n, ideal, basis=False):
     """Reference builder deduplicating by payload matrix: the bare e_ij(x),
-    x in I, then conjugates by a scan of every transvection, which
-    n >= 3 filters down to e_ji(b) and n <= 2 closes to a fixpoint."""
+    x in I (in I's basis with basis), then conjugates by a scan of every
+    transvection, which n >= 3 filters down to e_ji(b), b in R, and
+    n <= 2 closes to a fixpoint (b in R's basis with basis)."""
     def transvections(pool):
         return [(i, j, a) for i in range(1, n + 1) for j in range(1, n + 1)
                 if i != j for a in pool if a != ring.zero]
@@ -348,11 +349,11 @@ def _payload_generators(ring, n, ideal):
         return tuple(ring.one if t == k - 1 else ring.zero for t in range(n))
 
     out = [Generator(Elem(i, j, a), a, unit(i), unit(j))
-           for i, j, a in transvections(ideal.members())]
+           for i, j, a in transvections(ideal.basis() if basis else ideal.members())]
     if ideal.has_unit_generator():
         return tuple(out)
     seen = {_rank_one_matrix(ring, n, g).entries for g in out}
-    conj = transvections(ring.elements())
+    conj = transvections(unit_ideal(ring).basis() if basis and n <= 2 else ring.elements())
     for g in (tuple(out) if n >= 3 else out):
         for k, l, b in conj:
             if n >= 3 and (k, l) != (g.token.j, g.token.i):
@@ -378,15 +379,40 @@ F4_EPS = '{"kind":"quotient","base":{"kind":"poly","base":"f4","var":"t"},"modul
 @pytest.mark.parametrize("spec, gen", [
     ("f4", None), (F4_EPS, "t"), (F4xZ2, "(1|0)"),
     (Z2xZ4, "(0|2)"), (Z2xZ4, "(1|2)"), (Z2xZ4, "(1|0)"),
+    ("zmod:4", "2"), ("zmod:8", "4"), ("zmod:9", "3"), ("zmod:27", "3"),
+    ("zmod:16", "2"), ("zmod:12", "2"),
 ])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_product_key_dedup_matches_payload_matrices(spec, gen, n):
+    # the builder conjugates on element indices and skips a b whose xb
+    # repeats for the same core; the reference tries every b on payloads
+    # (the absolute basis set at n >= 3 is the n-cycle, checked against
+    # the exact set by test_cycle_moves_match_exact_generators)
     ring = parse_ring(spec)
     ideal = None if gen is None else Ideal(ring, (ring.parse(gen),))
-    ref = _payload_generators(ring, n, ideal if ideal is not None else unit_ideal(ring))
-    gens = elementary_generators(ring, n, ideal)
-    assert [g.token for g in gens] == [g.token for g in ref]
-    assert gens == ref
+    for basis in (False, True) if ideal is not None or n <= 2 else (False,):
+        ref = _payload_generators(
+            ring, n, ideal if ideal is not None else unit_ideal(ring), basis)
+        gens = elementary_generators(ring, n, ideal, basis)
+        assert [g.token for g in gens] == [g.token for g in ref], basis
+        assert gens == ref, basis
+
+
+def test_only_kept_moves_become_generators(monkeypatch):
+    # over (4) in Z/8 at size 4, 12 of the 96 candidates are bare and 6 of
+    # the 84 conjugates are kept; the 78 dropped are never decoded
+    import symwitt.orbits as orbits
+    build, made = orbits.Generator, []
+
+    def counting(*args):
+        made.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(orbits, "Generator", counting)
+    ring = zmod(8)
+    gens = elementary_generators(ring, 4, ideal_of(ring, 4), basis=True)
+    assert len(gens) == 18
+    assert len(made) == 18
 
 
 def _span(ring, width, deltas):
